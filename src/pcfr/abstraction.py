@@ -25,9 +25,6 @@ class AbstractionLayer:
     def of(self, location: Location) -> frozenset[Atom]:
         return self.layers.get(location, frozenset())
 
-    def sizes(self) -> dict[str, int]:
-        return {loc.name: len(atoms) for loc, atoms in self.layers.items()}
-
 
 def _program_atoms(guard: Constraint, p: PIP) -> set[Atom]:
     pv_set = set(p.program_vars)

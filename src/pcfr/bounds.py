@@ -442,11 +442,13 @@ def _synthesize(
 
     plrf = PLRF(values, frozenset(target_names), "linear" if linear else "constant")
     failures, taints = verify_plrf(p, inv, plrf)
-    assert not failures, (
-        "synthesized ranking function failed independent verification: "
-        + "; ".join(failures)
-    )
-    assert set(taints) <= skipped, f"unexpected taints {sorted(taints)}"
+    if failures:
+        raise AssertionError(
+            "synthesized ranking function failed independent verification: "
+            + "; ".join(failures)
+        )
+    if not set(taints) <= skipped:
+        raise AssertionError(f"unexpected taints {sorted(taints)}")
     return PLRF(plrf.values, plrf.targets, plrf.kind, taints)
 
 
@@ -493,12 +495,14 @@ def _solve_constant(
         capped = list(constraints)
         capped.append(ratlp.LinearConstraint.of({init_key: 1}, "<=", 0))
         second = ratlp.solve_lp(capped, {init_key: Fraction(-1)}, extra_variables=keys)
-        assert second.status == ratlp.OPTIMAL
+        if second.status != ratlp.OPTIMAL:
+            raise AssertionError(f"capped constant LP is {second.status}")
         init_value = second.assignment[init_key]
     pinned = list(constraints)
     pinned.append(ratlp.LinearConstraint.of({init_key: 1}, "=", init_value))
     result = _solve_min_abs(pinned, keys)
-    assert result is not None
+    if result is None:
+        raise AssertionError("pinned constant LP has no optimum")
     return result
 
 
@@ -595,7 +599,8 @@ def compose_bound(
             )
         bound = plrf.of(p.initial)
         temps = [v.name for v in bound.variables() if not v.is_program]
-        assert not temps, f"bound mentions temporaries {temps}"
+        if temps:
+            raise AssertionError(f"bound mentions temporaries {temps}")
         entries.append(BoundEntry(names, plrf, bound))
     uncovered = [g.name for g in p.gts if g.name not in seen]
     if uncovered:

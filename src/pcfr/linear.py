@@ -295,10 +295,6 @@ def entails(premise: Constraint, conclusion: Atom) -> bool:
     return upper is not None and upper <= 0
 
 
-def entails_all(premise: Constraint, conclusion: Constraint) -> bool:
-    return all(entails(premise, a) for a in conclusion.atoms)
-
-
 def rows_to_atoms(system: Sequence[Row], variables: Sequence[Variable]) -> list[Atom]:
     """Convert rational rows back to integer atoms (after elimination)."""
     out = []

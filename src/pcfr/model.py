@@ -116,12 +116,6 @@ class PIP:
     def location(self, name: str) -> Location:
         return self._loc_by_name[name]
 
-    def gt_of(self, t: Transition) -> GeneralTransition:
-        for g in self.gts:
-            if t in g.members:
-                return g
-        raise KeyError(t.name)
-
     def temporaries(self) -> tuple[Variable, ...]:
         """All non-program variables mentioned by guards or updates."""
         if self._temporaries is None:
@@ -298,15 +292,6 @@ def isomorphic(a: PIP, b: PIP) -> bool:
         for la in a.locations
     }
     order = sorted(a.locations, key=lambda l: len(candidates[l]))
-
-    def edges(p: PIP):
-        out = {}
-        for g in p.gts:
-            key = (g.source, g.guard)
-            out.setdefault(key, []).append(
-                sorted((t.prob, t.update.render(), t.target.name) for t in g.members)
-            )
-        return out
 
     def check(mapping: dict[Location, Location]) -> bool:
         renamed = {}

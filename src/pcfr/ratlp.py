@@ -1,24 +1,43 @@
 """Exact rational linear programming for small certificate systems.
 
-A dense two-phase simplex over :class:`fractions.Fraction` with Bland's
-rule (first-index pivoting), so termination is guaranteed and every
-answer is exact.  Problem sizes here are tiny (tens of variables), so
-clarity wins over sparse cleverness: every row gets a slack and an
-artificial variable, phase one minimizes the artificials, phase two the
-caller's objective.
-
+A two-phase simplex with Bland's rule: the first improving column enters,
+and ratio ties leave by the smallest basic column, so it terminates.
 Variables are free (unrestricted sign) and identified by arbitrary
-hashable keys; internally each is split into a difference of two
-nonnegative columns.
+hashable keys; internally each is the difference of two nonnegative
+columns, laid out as [x+ block | x- block | slack or surplus |
+artificials].  A row whose <=-form right side is nonnegative starts with
+its slack basic; only equalities and flipped rows get an artificial.
+Phase one minimizes the artificials, phase two the caller's objective.
+
+The tableau holds integers only, and no gcd is ever taken.  A row is a
+sparse map from column to integer (column -1 is the right-hand side)
+over a positive denominator ``e``: the exact entry is ``row[j] / e``.
+``D`` is +-det of the current basis of the row-scaled system (each
+constraint times the LCD of its coefficients), so by Cramer's rule ``D``
+times any exact row is an integer vector.  It starts as the product of
+those LCDs, with every row over it.  A pivot on column ``c`` (Edmonds'
+integer-preserving pivoting, as in Bareiss elimination) brings the pivot
+row over ``D``; its entry ``p`` there becomes the new ``D`` and the pivot
+row's denominator.  Each other row with a nonzero ``row[c]`` becomes
+``(row * p - row[c] * pivot_row) // e`` over ``p``: that is ``p`` times
+its new exact values, an integer vector, so the division is exact.  A
+row with ``row[c] = 0`` keeps its values and the earlier ``D`` it was
+written over.  Denominators stay positive (simplex pivots are positive,
+and a negative drive-out pivot negates the pivot row), so the pivot
+rules read exact signs off the numerators and compare ratios by integer
+cross-multiplication.  The pivot sequence, and so every vertex returned,
+is that of the same simplex over ``fractions.Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Hashable, Iterable, Mapping, Sequence
 
 Key = Hashable
+Row = tuple[int, dict[int, int]]  # (denominator, {column: numerator})
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -57,7 +76,7 @@ def solve_lp(
     extra_variables: Iterable[Key] = (),
 ) -> LPResult:
     """Minimize ``objective`` subject to ``constraints`` (free variables)."""
-    objective = dict(objective or {})
+    objective = {k: Fraction(v) for k, v in (objective or {}).items()}
     keys: list[Key] = []
     seen = set()
     for con in constraints:
@@ -70,163 +89,140 @@ def solve_lp(
             seen.add(k)
             keys.append(k)
 
-    # Column layout: [x+ block | x- block | slack/surplus | artificials].
-    # Rows whose <=-form right side is nonnegative start with their slack
-    # basic; only equalities and flipped rows need an artificial.
     n_vars = len(keys)
     m = len(constraints)
     n_cols = 2 * n_vars + m
     col_of = {k: i for i, k in enumerate(keys)}
+    d = prod(
+        lcm(con.rhs.denominator, *(v.denominator for _, v in con.coeffs))
+        for con in constraints
+    )
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    needs_artificial: list[bool] = []
+    rows: list[Row] = []
+    basis: list[int] = []
+    art = n_cols
     for r, con in enumerate(constraints):
-        row = [Fraction(0)] * n_cols
+        flip = con.rhs > 0 if con.rel == ">=" else con.rhs < 0  # <=-form side < 0
+        sign = -1 if (con.rel == ">=") != flip else 1
+        row: dict[int, int] = {}
         for k, v in con.coeffs:
-            row[col_of[k]] += v
-            row[n_vars + col_of[k]] -= v
-        b = con.rhs
-        if con.rel == ">=":
-            row = [-v for v in row]
-            b = -b
-        if con.rel == "=":
-            if b < 0:
-                row = [-v for v in row]
-                b = -b
-            needs_artificial.append(True)
-        elif b < 0:
-            row = [-v for v in row]
-            b = -b
-            row[2 * n_vars + r] = Fraction(-1)  # surplus
-            needs_artificial.append(True)
-        else:
-            row[2 * n_vars + r] = Fraction(1)  # slack, starts basic
-            needs_artificial.append(False)
-        rows.append(row)
-        rhs.append(b)
-
-    art_start = n_cols
-    n_art = sum(needs_artificial)
-    tableau = [row + [Fraction(0)] * n_art for row in rows]
-    basis = []
-    art_index = 0
-    for r in range(m):
-        if needs_artificial[r]:
-            tableau[r][art_start + art_index] = Fraction(1)
-            basis.append(art_start + art_index)
-            art_index += 1
+            entry = sign * v.numerator * (d // v.denominator)
+            row[col_of[k]] = row.get(col_of[k], 0) + entry
+            row[n_vars + col_of[k]] = row.get(n_vars + col_of[k], 0) - entry
+        row[-1] = sign * con.rhs.numerator * (d // con.rhs.denominator)
+        if con.rel != "=":
+            row[2 * n_vars + r] = -d if flip else d  # surplus or slack
+        if flip or con.rel == "=":
+            row[art] = d  # artificial
+            basis.append(art)
+            art += 1
         else:
             basis.append(2 * n_vars + r)
-    if n_art:
-        costs1 = [Fraction(0)] * n_cols + [Fraction(1)] * n_art
-        value = _simplex(tableau, rhs, costs1, basis)
-        if value is None:  # pragma: no cover - phase one is always bounded
-            raise AssertionError("phase one unbounded")
-        if value > 0:
-            return LPResult(INFEASIBLE)
-        _drive_out_artificials(tableau, rhs, basis, art_start)
+        rows.append((d, {j: v for j, v in row.items() if v}))
 
-    # Phase two on the original columns.
-    for r in range(len(tableau)):
-        tableau[r] = tableau[r][:n_cols]
-    costs2 = [Fraction(0)] * n_cols
+    if art > n_cols:
+        artificials = dict.fromkeys(range(n_cols, art), 1)
+        rows.append(_cost_row(rows, basis, artificials, d))
+        d = _simplex(rows, basis, d)
+        if d is None:  # pragma: no cover - phase one is always bounded
+            raise AssertionError("phase one unbounded")
+        if rows.pop()[1].get(-1, 0) < 0:  # the artificials sum to more than 0
+            return LPResult(INFEASIBLE)
+        d = _drive_out_artificials(rows, basis, n_cols, d)
+        rows = [(e, {j: v for j, v in row.items() if j < n_cols}) for e, row in rows]
+
+    # Phase two on the original columns, with the costs scaled to integers.
+    scale = lcm(*(v.denominator for v in objective.values()))
+    costs: dict[int, int] = {}
     for k, v in objective.items():
-        costs2[col_of[k]] += Fraction(v)
-        costs2[n_vars + col_of[k]] -= Fraction(v)
-    value = _simplex(tableau, rhs, costs2, basis)
-    if value is None:
+        if v:
+            costs[col_of[k]] = v.numerator * (scale // v.denominator)
+            costs[n_vars + col_of[k]] = -costs[col_of[k]]
+    rows.append(_cost_row(rows, basis, costs, d))
+    if _simplex(rows, basis, d) is None:
         return LPResult(UNBOUNDED)
 
     solution = [Fraction(0)] * n_cols
-    for r, col in enumerate(basis):
-        if col < n_cols:
-            solution[col] = rhs[r]
+    for col, (e, row) in zip(basis, rows):
+        solution[col] = Fraction(row.get(-1, 0), e)
     assignment = {
         k: solution[col_of[k]] - solution[n_vars + col_of[k]] for k in keys
     }
-    return LPResult(OPTIMAL, assignment, value)
+    e, cost = rows[-1]
+    return LPResult(OPTIMAL, assignment, Fraction(-cost.get(-1, 0), e * scale))
 
 
-def _simplex(
-    tableau: list[list[Fraction]],
-    rhs: list[Fraction],
-    costs: list[Fraction],
-    basis: list[int],
-) -> Fraction | None:
-    """Minimize over the tableau in place; returns the optimum or None if unbounded."""
-    m = len(tableau)
-    n = len(costs)
+def _cost_row(rows: list[Row], basis: list[int], costs: dict[int, int], d: int) -> Row:
+    """The reduced costs of integer ``costs`` over ``d``; column -1 holds
+    minus the objective value."""
+    reduced = {j: c * d for j, c in costs.items()}
+    for col, (e, row) in zip(basis, rows):
+        if col in costs:
+            for j, v in row.items():
+                reduced[j] = reduced.get(j, 0) - costs[col] * v * d // e
+    return d, {j: v for j, v in reduced.items() if v}
+
+
+def _simplex(tableau: list[Row], basis: list[int], d: int) -> int | None:
+    """Minimize in place over the tableau, whose last row is the cost row.
+    Returns the final ``D``, or None if the objective is unbounded."""
     while True:
-        duals = [costs[basis[r]] for r in range(m)]
-        hot = [r for r in range(m) if duals[r]]
-        entering = -1
-        for j in range(n):
-            reduced = costs[j]
-            for r in hot:
-                a = tableau[r][j]
-                if a:
-                    reduced -= duals[r] * a
-            if reduced < 0:
-                entering = j
-                break  # Bland: first improving column
+        cost = tableau[-1][1]
+        entering = min((j for j, v in cost.items() if v < 0 and j >= 0), default=-1)
         if entering < 0:
-            obj = sum(costs[basis[r]] * rhs[r] for r in range(m))
-            return obj
-        leaving = -1
-        best: Fraction | None = None
-        for r in range(m):
-            a = tableau[r][entering]
+            return d
+        leaving, best_b, best_a = -1, 0, 1
+        for r in range(len(basis)):
+            row = tableau[r][1]
+            a = row.get(entering, 0)
             if a > 0:
-                ratio = rhs[r] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[r] < basis[leaving]
+                b = row.get(-1, 0)  # ratio b / a, compared by cross-multiplying
+                if leaving < 0 or b * best_a < best_b * a or (
+                    b * best_a == best_b * a and basis[r] < basis[leaving]
                 ):
-                    best = ratio
-                    leaving = r
+                    leaving, best_b, best_a = r, b, a
         if leaving < 0:
             return None
-        _pivot(tableau, rhs, basis, leaving, entering)
+        d = _pivot(tableau, basis, leaving, entering, d)
 
 
-def _pivot(
-    tableau: list[list[Fraction]],
-    rhs: list[Fraction],
-    basis: list[int],
-    row: int,
-    col: int,
-) -> None:
-    pivot = tableau[row][col]
-    tableau[row] = [v / pivot for v in tableau[row]]
-    rhs[row] = rhs[row] / pivot
-    for r in range(len(tableau)):
-        if r == row:
+def _pivot(tableau: list[Row], basis: list[int], row: int, col: int, d: int) -> int:
+    """Integer-preserving pivot; returns the new ``D``."""
+    e, pivot = tableau[row]
+    if e != d:
+        pivot = {j: v * d // e for j, v in pivot.items()}
+    p = pivot[col]
+    if p < 0:  # only in drive-out
+        pivot = {j: -v for j, v in pivot.items()}
+        p = -p
+    for r, (e, current) in enumerate(tableau):
+        factor = current.get(col)
+        if r == row or not factor:
             continue
-        factor = tableau[r][col]
-        if factor:
-            tableau[r] = [
-                v - factor * pv for v, pv in zip(tableau[r], tableau[row])
-            ]
-            rhs[r] = rhs[r] - factor * rhs[row]
+        new = {j: v * p // e for j, v in current.items() if j not in pivot}
+        for j, w in pivot.items():
+            v = (current.get(j, 0) * p - factor * w) // e
+            if v:
+                new[j] = v
+        tableau[r] = (p, new)
+    tableau[row] = (p, pivot)
     basis[row] = col
+    return p
 
 
 def _drive_out_artificials(
-    tableau: list[list[Fraction]],
-    rhs: list[Fraction],
-    basis: list[int],
-    art_start: int,
-) -> None:
-    """Pivot basic artificials onto real columns; drop redundant rows."""
+    tableau: list[Row], basis: list[int], art_start: int, d: int
+) -> int:
+    """Pivot basic artificials onto real columns; drop redundant rows.
+    Returns the new ``D``."""
     r = 0
     while r < len(tableau):
         if basis[r] >= art_start:
-            col = next(
-                (j for j in range(art_start) if tableau[r][j] != 0), None
-            )
+            col = min((j for j in tableau[r][1] if 0 <= j < art_start), default=None)
             if col is None:
                 # Redundant constraint: remove the row entirely.
-                del tableau[r], rhs[r], basis[r]
+                del tableau[r], basis[r]
                 continue
-            _pivot(tableau, rhs, basis, r, col)
+            d = _pivot(tableau, basis, r, col, d)
         r += 1
+    return d

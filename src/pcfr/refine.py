@@ -118,7 +118,8 @@ def refine(
             gt_name = g.name + suffix
             gt_origin[gt_name] = g.name
             new_gts.append(GeneralTransition(gt_name, tuple(members)))
-    assert steps <= bound, f"unrolling used {steps} steps, bound is {bound}"
+    if steps > bound:
+        raise AssertionError(f"unrolling used {steps} steps, bound is {bound}")
 
     ordered_locations = tuple(variants[key] for key in _creation_order(variants))
     program = PIP(
@@ -141,9 +142,8 @@ def prune(r: RefinementResult, inv: InvariantMap) -> RefinementResult:
     kept_gts: list[GeneralTransition] = []
     pruned_transitions = 0
     for g in p.gts:
-        assert all(t.guard == g.guard for t in g.members), (
-            f"gt '{g.name}' members disagree on the guard"
-        )
+        if any(t.guard != g.guard for t in g.members):
+            raise AssertionError(f"gt '{g.name}' members disagree on the guard")
         verdict = constraint_satisfiability(g.guard & inv.of(g.source))
         if verdict is Satisfiability.UNSAT:
             pruned_transitions += len(g.members)
@@ -172,7 +172,8 @@ def prune(r: RefinementResult, inv: InvariantMap) -> RefinementResult:
 
     program = PIP(p.program_vars, locations, p.initial, tuple(final_gts))
     issues = validate(program)
-    assert not issues, f"pruned program is invalid: {issues}"
+    if issues:
+        raise AssertionError(f"pruned program is invalid: {issues}")
     names = {t.name for t in program.transitions}
     gt_names = {g.name for g in program.gts}
     return RefinementResult(

@@ -534,7 +534,8 @@ def mdp_sup_truncated(
 class InducedPolicy(Policy):
     """The refined-program policy that mirrors a base policy: at a labeled
     location it consults the base policy on the underlying location and
-    lifts the chosen general transition to its refined copy."""
+    lifts the chosen general transition to its refined copy.  Temporaries
+    that pruning removed from every refined transition are not passed on."""
 
     def __init__(self, base: Policy, base_pip: PIP, refinement: RefinementResult):
         if base.history_dependent:
@@ -542,6 +543,7 @@ class InducedPolicy(Policy):
         self.base = base
         self.base_pip = base_pip
         self.temp_values = base.temp_values
+        self._temporaries = frozenset(refinement.program.temporaries())
         self._lift: dict[tuple[str, str], GeneralTransition] = {}
         for g in refinement.program.gts:
             self._lift[(g.source.name, refinement.gt_origin[g.name])] = g
@@ -563,7 +565,7 @@ class InducedPolicy(Policy):
         lifted = self._lift.get((loc.name, gt.name))
         if lifted is None:
             return (None, {})
-        return lifted, temps
+        return lifted, {v: value for v, value in temps.items() if v in self._temporaries}
 
 
 @dataclass(frozen=True)
@@ -589,22 +591,28 @@ def _embed(
     path: PathRecord,
     refinement: RefinementResult,
     by_source_origin: dict[tuple[str, str], object],
+    dropped: frozenset[Variable],
 ) -> PathRecord | None:
     """Relabel a base-program path into the refined program, or None if a
-    step has no refined counterpart from the current labeled location."""
+    step has no refined counterpart from the current labeled location.
+    The ``dropped`` temporaries, which pruning removed from the refinement,
+    leave the states: the induced policy never chooses them."""
     p2 = refinement.program
     current = p2.initial
     steps: list[tuple[str | None, Configuration]] = []
     for name, config in path.steps:
+        state = config.state
+        if dropped:
+            state = tuple((v, n) for v, n in state if v not in dropped)
         if name is None:
             current = TERMINAL
-            steps.append((None, Configuration(TERMINAL, config.state)))
+            steps.append((None, Configuration(TERMINAL, state)))
             continue
         lifted = by_source_origin.get((current.name, name))
         if lifted is None:
             return None
         current = lifted.target
-        steps.append((lifted.name, Configuration(current, config.state)))
+        steps.append((lifted.name, Configuration(current, state)))
     return PathRecord(
         Configuration(p2.initial, path.initial.state),
         tuple(steps),
@@ -638,10 +646,11 @@ def check_embedding(
         )
     refined_by_key = {f.key(): f for f in refined_paths}
     lift = _lift_index(refinement)
+    dropped = frozenset(p.temporaries()) - frozenset(refinement.program.temporaries())
 
     matched = set()
     for f in base_paths:
-        image = _embed(f, refinement, lift)
+        image = _embed(f, refinement, lift, dropped)
         if image is None:
             return EmbeddingReport(
                 False, horizon, len(base_paths),

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 PROGRAM = "program"
@@ -521,15 +520,3 @@ class Update:
 
 
 IDENTITY = Update()
-
-
-# Convenient rational type alias used across the package.
-Rat = Fraction
-
-
-def atom(lhs: Polynomial | int, rel: str, rhs: Polynomial | int = 0) -> Atom:
-    return Atom(lhs, rel, rhs)
-
-
-def conj(*atoms: Atom) -> Constraint:
-    return Constraint(atoms)

@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 import _corpus
+from pcfr.abstraction import heuristic_layers
 from pcfr.bounds import (
     AffineExpr,
     CoverError,
@@ -17,8 +21,10 @@ from pcfr.bounds import (
 )
 from pcfr.invariants import infer
 from pcfr.model import PIP, GeneralTransition, Location, Transition
+from pcfr.refine import refine_and_prune
 from pcfr.semantics import SeededPolicy, expected_runtime_estimate
 from pcfr.syntax import TRUE, Atom, Constraint, Polynomial, Update, pv
+from pcfr.textfmt import parse_program
 
 X, Y = pv("x"), pv("y")
 PX, PY = Polynomial.var(X), Polynomial.var(Y)
@@ -205,6 +211,106 @@ def test_certificates_reverified_independently(fig2):
     for entry in report.bound.entries:
         failures, taints = verify_plrf(fig2, inv, entry.plrf)
         assert not failures and not taints
+
+
+# Fig1's coin/countdown gadget behind an entry transition, refined on every
+# transition but the entry with heuristic layers.
+CHAIN_K1 = """\
+vars x0, y0;
+start a0;
+trans e0 { from a0; guard u > 0; update x0 := u; to c0; }
+gt coin0 {
+  from c0;
+  guard x0 > 0;
+  branch h0 p=1/2 {} -> c0;
+  branch z0 p=1/2 { x0 := 0 } -> c0;
+}
+trans d0 { from c0; guard y0 > 0 && x0 = 0; to w0; }
+trans s0 { from w0; update y0 := y0 - 1; to c0; }
+trans out0 { from c0; guard y0 <= 0 && x0 = 0; to done; }
+"""
+
+
+def _chain_k1_refined() -> PIP:
+    p = parse_program(CHAIN_K1)
+    s = [t for t in p.transitions if t.name != "e0"]
+    refined, _ = refine_and_prune(p, [t.name for t in s], heuristic_layers(p, s))
+    return refined.program
+
+
+def test_certificates_are_pinned(fig2):
+    """The exact LP must keep choosing the same vertex: every certificate
+    is compared with the one the dense Fraction simplex synthesized."""
+    cases = {
+        "3 + 2*y": (
+            fig2,
+            [
+                "{l0 -> 1, l1 -> 0, l1[x=0] -> 0, l2[x=0] -> 0}",
+                "{l0 -> 2, l1 -> 2, l1[x=0] -> 0, l2[x=0] -> 0}",
+                "{l0 -> 2*y, l1 -> 2*y, l1[x=0] -> 2*y, l2[x=0] -> -1 + 2*y}",
+            ],
+        ),
+        "4 + 2*y0": (
+            _chain_k1_refined(),
+            [
+                "{a0 -> 1, c0 -> 0, c0[1<=x0] -> 0, c0[x0=0] -> 0, "
+                "done[y0<=0&&x0=0] -> 0, w0[1<=y0&&x0=0] -> 0}",
+                "{a0 -> 1, c0 -> 1, c0[1<=x0] -> 0, c0[x0=0] -> 0, "
+                "done[y0<=0&&x0=0] -> 0, w0[1<=y0&&x0=0] -> 0}",
+                "{a0 -> 1, c0 -> 1, c0[1<=x0] -> 2, c0[x0=0] -> 0, "
+                "done[y0<=0&&x0=0] -> 0, w0[1<=y0&&x0=0] -> 0}",
+                "{a0 -> 2*y0, c0 -> 2*y0, c0[1<=x0] -> 2*y0, c0[x0=0] -> 2*y0, "
+                "done[y0<=0&&x0=0] -> 2*y0, w0[1<=y0&&x0=0] -> -1 + 2*y0}",
+                "{a0 -> 1, c0 -> 1, c0[1<=x0] -> 1, c0[x0=0] -> 1, "
+                "done[y0<=0&&x0=0] -> 0, w0[1<=y0&&x0=0] -> 1}",
+            ],
+        ),
+    }
+    for total, (program, certificates) in cases.items():
+        report = bound_program(program)
+        assert report.ok
+        assert report.bound.render_total() == total
+        assert [e.plrf.render() for e in report.bound.entries] == certificates
+
+
+# Runs under ``python -O``: the worked bound must still come out, and a
+# certificate built from a corrupted LP vertex must still be rejected.
+_OPTIMIZED_PIPELINE = """
+import sys
+from pathlib import Path
+from pcfr import bounds, ratlp
+from pcfr.textfmt import parse_program
+
+fig2 = parse_program(Path(sys.argv[1]).read_text())
+print(sys.flags.optimize, bounds.bound_program(fig2).bound.render_total())
+solve_lp = ratlp.solve_lp
+
+def corrupted(constraints, objective=None, extra_variables=()):
+    result = solve_lp(constraints, objective, extra_variables)
+    # zero the vertex of each synthesis' last, magnitude-minimising solve
+    if result.assignment is not None and len(objective) > 1:
+        result.assignment = dict.fromkeys(result.assignment, 0)
+    return result
+
+ratlp.solve_lp = corrupted
+try:
+    bounds.bound_program(fig2)
+except AssertionError as exc:
+    print("rejected:", exc)
+"""
+
+
+def test_certificate_recheck_survives_optimized_mode():
+    env = {**os.environ, "PYTHONPATH": str(_corpus.PROGRAMS.parent / "src")}
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_PIPELINE, str(_corpus.PROGRAMS / "fig2.pip")],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    first, *rest = run.stdout.splitlines()
+    assert first == "1 3 + 2*y"
+    assert rest and rest[0].startswith(
+        "rejected: synthesized ranking function failed independent verification"
+    ), run.stdout
 
 
 # --- empirical soundness -------------------------------------------------------

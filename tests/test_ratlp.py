@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import _reference_simplex
 from pcfr import ratlp
 from pcfr.linear import Satisfiability
 from pcfr.syntax import pv
@@ -69,7 +70,69 @@ def test_redundant_equalities_are_dropped():
     r = ratlp.solve_lp(
         [C({"x": 1, "y": 1}, "=", 2), C({"x": 2, "y": 2}, "=", 4)], {"x": 1, "y": -1}
     )
-    assert r.status in (ratlp.OPTIMAL, ratlp.UNBOUNDED)
+    # x + y = 2 leaves x - y free to fall without bound
+    assert r.status == ratlp.UNBOUNDED
+
+
+def test_negative_drive_out_pivot():
+    # Phase one ends at once with both artificials basic; driving the first
+    # out pivots on its -1, and the second row is then redundant.
+    r = ratlp.solve_lp(
+        [C({"x": -1, "y": 1}, "=", 0), C({"x": 1, "y": -1}, "=", 0), C({"x": 1}, "<=", 5)],
+        {"x": -1},
+    )
+    assert r.status == ratlp.OPTIMAL
+    assert r.assignment == {"x": 5, "y": 5}
+    assert r.objective == -5
+
+
+def _random_lp(rng: random.Random):
+    keys = ["a", "b", "c", "d"][: rng.randint(1, 4)]
+
+    def number() -> Fraction:
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        coeffs = {k: number() for k in keys if rng.random() < 0.7}
+        rhs = 0 if rng.random() < 0.4 else number()  # zero sides: degenerate vertices
+        rows.append(C(coeffs, rng.choice(("<=", ">=", "=")), rhs))
+    for _ in range(rng.randint(0, 2)):
+        # an equality scaled from another row, possibly negated: redundant
+        # when that row is an equality
+        base = rng.choice(rows)
+        factor = Fraction(rng.choice((-3, -2, -1, 1, 2)), rng.choice((1, 2)))
+        rows.insert(
+            rng.randint(0, len(rows)),
+            C({k: v * factor for k, v in base.coeffs}, "=", base.rhs * factor),
+        )
+    objective = {k: number() for k in keys if rng.random() < 0.6}
+    return rows, objective, keys
+
+
+def test_integer_tableau_matches_fraction_reference(monkeypatch):
+    """The integer tableau takes the pivots of the Fraction simplex it
+    replaced, so both return the same status, vertex and objective."""
+    negative_pivots = []
+    pivot = _reference_simplex._pivot
+
+    def recording_pivot(tableau, rhs, basis, row, col):
+        negative_pivots.append(tableau[row][col] < 0)  # only drive-out pivots can be
+        pivot(tableau, rhs, basis, row, col)
+
+    monkeypatch.setattr(_reference_simplex, "_pivot", recording_pivot)
+    rng = random.Random(4242)
+    statuses = set()
+    for _ in range(600):
+        rows, objective, keys = _random_lp(rng)
+        want = _reference_simplex.solve_lp(rows, objective, keys)
+        got = ratlp.solve_lp(rows, objective, keys)
+        assert (got.status, got.assignment, got.objective) == (
+            want.status, want.assignment, want.objective
+        ), (rows, objective)
+        statuses.add(got.status)
+    assert statuses == {ratlp.OPTIMAL, ratlp.INFEASIBLE, ratlp.UNBOUNDED}
+    assert any(negative_pivots)
 
 
 def test_feasibility_agrees_with_elimination_engine():

@@ -25,6 +25,7 @@ from pcfr.semantics import (
     step_distribution,
 )
 from pcfr.syntax import pv, tmp
+from pcfr.textfmt import parse_program
 
 X, Y, U = pv("x"), pv("y"), tmp("u")
 
@@ -429,6 +430,27 @@ def test_embedding_requires_memoryless_policy(fig1, fig1_refined):
         check_embedding(
             fig1, pruned, SeededPolicy(0, (1,), history_dependent=True), {X: 0, Y: 1}, 4
         )
+
+
+def test_embedding_accepts_refinement_that_prunes_a_temporary():
+    # t1 is dead (x >= 0 at l1), so pruning drops w from the refinement;
+    # the induced policy must not hand the base policy's w to it.  (A policy
+    # whose choice reads the stored value of w, such as SeededPolicy, which
+    # hashes the whole state, cannot be mirrored on the refinement.)
+    p = parse_program(
+        "vars x;\n"
+        "start l0;\n"
+        "trans t0 { from l0; guard u > 0; update x := u; to l1; }\n"
+        "trans t1 { from l1; guard x < 0 && w > 0; update x := w; to l1; }\n"
+        "trans t2 { from l1; guard x > 0; update x := x - 1; to l1; }\n"
+    )
+    pruned, _ = refine_and_prune(p, p.transitions, heuristic_layers(p, p.transitions))
+    assert [v.name for v in p.temporaries()] == ["u", "w"]
+    assert [v.name for v in pruned.program.temporaries()] == ["u"]
+    x = p.program_vars[0]
+    for x0 in (0, 2):
+        report = check_embedding(p, pruned, FirstEnabledPolicy((1, 2)), {x: x0}, 8)
+        assert report.ok, report.failure
 
 
 def test_embedding_on_random_corpus():
