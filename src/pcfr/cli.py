@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .abstraction import heuristic_layers
@@ -27,10 +26,9 @@ from .semantics import (
     SeededPolicy,
     StateSpaceCapExceeded,
     check_embedding,
-    enumerate_paths,
-    expected_runtime_estimate,
     mdp_sup_truncated,
     monte_carlo,
+    sweep,
 )
 from .textfmt import (
     ParseError,
@@ -98,11 +96,15 @@ def _seed(args, config: dict) -> int:
     return int(value)
 
 
+def _temp_values(args, config: dict) -> tuple[int, ...]:
+    value = _setting(args, config, "temp_values", [0])
+    if isinstance(value, str):
+        value = [v for v in value.split(",") if v.strip()]
+    return tuple(int(v) for v in value)
+
+
 def _policy(args, config: dict) -> Policy:
-    temp_values = _setting(args, config, "temp_values", [0])
-    if isinstance(temp_values, str):
-        temp_values = [int(v) for v in temp_values.split(",") if v.strip()]
-    temp_values = tuple(int(v) for v in temp_values)
+    temp_values = _temp_values(args, config)
     spec = _setting(args, config, "policy", "first")
     if isinstance(spec, dict):
         kind = spec.get("kind", "first")
@@ -167,7 +169,10 @@ def _refinement(args, config: dict, program: PIP) -> tuple[RefinementResult, obj
         pinned=pinned or None,
         split_equalities=bool(config.get("split_equalities", False)),
     )
-    return refine_and_prune(program, s_names, layers)
+    try:
+        return refine_and_prune(program, s_names, layers)
+    except ValueError as exc:  # e.g. a refined location name clashes
+        raise _CliError(str(exc))
 
 
 def _emit(args, text: str) -> None:
@@ -176,10 +181,6 @@ def _emit(args, text: str) -> None:
             handle.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _frac(value: Fraction) -> str:
-    return str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -284,27 +285,26 @@ def _cmd_enumerate(args) -> int:
     horizon = int(_setting(args, config, "horizon", 10))
     path_cap = int(_setting(args, config, "path_cap", 100_000))
     try:
-        result = enumerate_paths(program, policy, sigma0, horizon, path_cap)
-        estimate = expected_runtime_estimate(program, policy, sigma0, horizon, path_cap)
+        reports, paths, estimate = sweep(program, policy, sigma0, horizon, path_cap)
     except StateSpaceCapExceeded as exc:
         raise _CliError(str(exc), EXIT_NEGATIVE)
-    report = result.report
+    report = reports[-1]
     data = {
         "horizon": report.horizon,
-        "paths": len(result.paths),
-        "total_mass": _frac(report.total_mass),
-        "expected_truncated_runtime": _frac(report.expected_truncated_runtime),
-        "terminated_mass": _frac(report.terminated_mass),
-        "residual_mass": _frac(estimate.residual_mass),
+        "paths": paths,
+        "total_mass": str(report.total_mass),
+        "expected_truncated_runtime": str(report.expected_truncated_runtime),
+        "terminated_mass": str(report.terminated_mass),
+        "residual_mass": str(estimate.residual_mass),
         "per_general_transition": {
-            name: _frac(value) for name, value in sorted(estimate.per_gt.items())
+            name: str(value) for name, value in sorted(estimate.per_gt.items())
         },
     }
     if args.format == "json":
         _emit(args, json.dumps(envelope("enumerate", data), indent=2, sort_keys=True) + "\n")
     else:
         lines = [
-            f"horizon {report.horizon}: {len(result.paths)} admissible paths",
+            f"horizon {report.horizon}: {paths} admissible paths",
             f"total mass: {report.total_mass}",
             f"expected truncated runtime: {report.expected_truncated_runtime}"
             f" (~{float(report.expected_truncated_runtime):.6f})",
@@ -348,17 +348,13 @@ def _cmd_mdp_sup(args) -> int:
     program = _load_program(args.program)
     sigma0 = _state(args, config, program)
     horizon = int(_setting(args, config, "horizon", 10))
-    temp_values = _setting(args, config, "temp_values", [0])
-    if isinstance(temp_values, str):
-        temp_values = [int(v) for v in temp_values.split(",") if v.strip()]
+    temp_values = _temp_values(args, config)
     state_cap = int(_setting(args, config, "state_cap", 200_000))
     try:
-        value = mdp_sup_truncated(
-            program, sigma0, horizon, tuple(int(v) for v in temp_values), state_cap
-        )
+        value = mdp_sup_truncated(program, sigma0, horizon, temp_values, state_cap)
     except StateSpaceCapExceeded as exc:
         raise _CliError(str(exc), EXIT_NEGATIVE)
-    data = {"horizon": horizon, "value": _frac(value), "value_float": float(value)}
+    data = {"horizon": horizon, "value": str(value), "value_float": float(value)}
     if args.format == "json":
         _emit(args, json.dumps(envelope("mdp-sup", data), indent=2, sort_keys=True) + "\n")
     else:

@@ -61,7 +61,11 @@ def unrolling_step_bound(p: PIP, layers: AbstractionLayer) -> int:
 def refine(
     p: PIP, s: Iterable[Transition | str], layers: AbstractionLayer
 ) -> RefinementResult:
-    """Least fixpoint of the unrolling rules for refinement set ``s``."""
+    """Least fixpoint of the unrolling rules for refinement set ``s``.
+
+    Raises ``ValueError`` when the name of a refined location, transition
+    or general transition (its base name plus a label-hash suffix)
+    clashes with a name of the program or with another refined name."""
     s_set: set[Transition] = set()
     known = {t.name: t for t in p.transitions}
     for item in s:
@@ -73,6 +77,7 @@ def refine(
         s_set.add(known[name])
 
     variants: dict[tuple[str, Constraint], Location] = {}
+    owners: dict[str, tuple[str, Constraint]] = {}  # variant name -> its key
     worklist: deque[Location] = deque()
 
     def variant(base: Location, lbl: Constraint) -> Location:
@@ -80,6 +85,18 @@ def refine(
         loc = variants.get(key)
         if loc is None:
             loc = labeled_location(base, lbl)
+            owner = owners.setdefault(loc.name, key)
+            if owner != key:
+                other_base, other_label = owner
+                clash = (
+                    f"the user location '{other_base}'" if other_label.is_true()
+                    else f"location '{other_base}' under label "
+                    f"{other_label.render(compact=True)}"
+                )
+                raise ValueError(
+                    f"refined location name '{loc.name}' of location '{base.name}' "
+                    f"under label {lbl.render(compact=True)} collides with {clash}"
+                )
             variants[key] = loc
             worklist.append(loc)
         return loc
@@ -111,11 +128,13 @@ def refine(
                     target_label = TRUE
                 target = variant(t.target, target_label)
                 name = t.name + suffix
+                _check_fresh(name, origin, "transition", t.name, src)
                 members.append(
                     Transition(name, src, guard, t.prob, t.update, target)
                 )
                 origin[name] = t.name
             gt_name = g.name + suffix
+            _check_fresh(gt_name, gt_origin, "general transition", g.name, src)
             gt_origin[gt_name] = g.name
             new_gts.append(GeneralTransition(gt_name, tuple(members)))
     if steps > bound:
@@ -129,6 +148,14 @@ def refine(
         tuple(new_gts),
     )
     return RefinementResult(program, origin, gt_origin, RefinementStats(steps))
+
+
+def _check_fresh(name: str, taken: dict[str, str], kind: str, base: str, src: Location) -> None:
+    if name in taken:
+        raise ValueError(
+            f"refined {kind} name '{name}' of '{base}' from {src.display()} "
+            f"collides with the copy of '{taken[name]}'"
+        )
 
 
 def _creation_order(variants: dict) -> list:

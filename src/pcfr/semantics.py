@@ -10,6 +10,39 @@ a finite-horizon MDP optimizer (supremum over all policies), and an
 oracle that checks a refinement by building the path embedding between
 a program and its refined version and verifying that it is a
 probability-, runtime- and termination-preserving bijection.
+
+Every back-end is driven by one :class:`StepTable` per (program, policy)
+run, which maps a configuration to its validated step distribution and,
+for history-independent policies, resolves each configuration once.
+Paths are built only where a path is the answer: :func:`enumerate_paths`,
+the witness of a failed embedding, and history-dependent policies, whose
+step depends on the whole path.  Otherwise every reported quantity is
+linear in the path probabilities, so :func:`sweep` runs forward over a
+map from configuration to (path count, mass, per-transition counts)
+instead of over the path tree.  Masses are integer numerators over the
+common denominator ``L**k`` after ``k`` steps, where ``L`` is the least
+common multiple of the program's probability denominators, and the MDP
+iterates integer numerators over ``L**(h - i)``; a ``Fraction`` is
+built only for an answer, so every rational is the one the path sums
+give.
+
+Soundness of the pairwise embedding check.  A base path determines its
+image in the refinement step by step: each base transition lifts to the
+one refined copy of it at the current refined location (``_lift_index``),
+and the refined state is the base state without the temporaries pruning
+removed.  So every base path ends in a pair (base configuration, refined
+configuration).  With a history-independent base policy the step
+distribution at a base configuration is fixed by the configuration, and
+the induced policy's at a refined configuration is fixed by that
+configuration, so the step at a pair is fixed by the pair.  By induction
+on the length k: if the relabeling is a bijection between the paths of
+length k that preserves probability, runtime and termination, then it
+is one between the paths of length k + 1 exactly when, at every pair
+reached by a path of length k, the lifted base steps are admissible
+refined steps with equal probabilities and cover every refined step
+(bottom steps lift to bottom steps, so runtime and termination follow).
+Checking every reachable pair at the levels below the horizon is
+therefore equivalent to checking the path bijection at the horizon.
 """
 
 from __future__ import annotations
@@ -17,6 +50,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -292,6 +326,45 @@ def step_distribution(
     return successors(p, config, gt, temps)
 
 
+Step = tuple[str | None, Configuration, Fraction]
+_Pair = tuple[Configuration, Configuration]  # (base, refined) configuration
+
+
+class StepTable:
+    """The validated step distributions of one (program, policy) run.
+
+    Under a history-independent policy the distribution at a
+    configuration is resolved and validated once and then reused."""
+
+    def __init__(self, p: PIP, policy: Policy):
+        self.p = p
+        self.policy = policy
+        self._memo: dict[Configuration, list[Step]] = {}
+
+    def at(self, config: Configuration) -> list[Step]:
+        """The distribution at a configuration (history-independent policies)."""
+        dist = self._memo.get(config)
+        if dist is None:
+            dist = step_distribution(self.p, self.policy, PathRecord(config, (), Fraction(1)))
+            self._memo[config] = dist
+        return dist
+
+    def along(self, path: PathRecord) -> list[Step]:
+        """The distribution at the end of a path, under any policy."""
+        if self.policy.history_dependent:
+            return step_distribution(self.p, self.policy, path)
+        return self.at(path.end)
+
+
+def _denominator(p: PIP) -> int:
+    """L: every step probability of ``p`` is an integer over L."""
+    return math.lcm(*(t.prob.denominator for t in p.transitions))
+
+
+def _weight(prob: Fraction, scale: int) -> int:
+    return prob.numerator * (scale // prob.denominator)
+
+
 def _initial_path(p: PIP, sigma0: Mapping[Variable, int]) -> PathRecord:
     missing = [v.name for v in p.program_vars if v not in sigma0]
     if missing:
@@ -299,15 +372,21 @@ def _initial_path(p: PIP, sigma0: Mapping[Variable, int]) -> PathRecord:
     return PathRecord(Configuration.make(p.initial, sigma0), (), Fraction(1))
 
 
-def _report(paths: Sequence[PathRecord], horizon: int) -> HorizonReport:
-    total = sum((f.probability for f in paths), Fraction(0))
-    expected = sum(
-        (f.probability * min(f.runtime_count, horizon) for f in paths), Fraction(0)
+def _report(paths: Sequence[PathRecord], horizon: int, scale: int) -> HorizonReport:
+    """Sums over paths whose probabilities are integers over ``scale``."""
+    total = expected = terminated = 0
+    for f in paths:
+        mass = _weight(f.probability, scale)
+        total += mass
+        expected += mass * min(f.runtime_count, horizon)
+        if f.terminated:
+            terminated += mass
+    return HorizonReport(
+        horizon,
+        Fraction(total, scale),
+        Fraction(expected, scale),
+        Fraction(terminated, scale),
     )
-    terminated = sum(
-        (f.probability for f in paths if f.terminated), Fraction(0)
-    )
-    return HorizonReport(horizon, total, expected, terminated)
 
 
 def enumerate_paths(
@@ -317,19 +396,103 @@ def enumerate_paths(
     horizon: int,
     path_cap: int = 100_000,
 ) -> EnumerationResult:
-    """All admissible paths of length exactly ``horizon``, exact masses."""
+    """All admissible paths of length exactly ``horizon``, exact masses.
+
+    ``path_cap`` bounds the number of paths of each length."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
+    table = StepTable(p, policy)
     level: list[PathRecord] = [_initial_path(p, sigma0)]
     for _ in range(horizon):
-        nxt: list[PathRecord] = []
-        for path in level:
-            for name, config, prob in step_distribution(p, policy, path):
-                nxt.append(path.extended(name, config, prob))
+        nxt = [
+            path.extended(name, config, prob)
+            for path in level
+            for name, config, prob in table.along(path)
+        ]
         if len(nxt) > path_cap:
             raise StateSpaceCapExceeded(len(nxt), path_cap)
         level = nxt
-    return EnumerationResult(_report(level, horizon), tuple(level))
+    scale = _denominator(p) ** horizon
+    return EnumerationResult(_report(level, horizon, scale), tuple(level))
+
+
+@dataclass(frozen=True)
+class RuntimeEstimate:
+    lower: Fraction
+    residual_mass: Fraction
+    per_gt: dict[str, Fraction] = field(default_factory=dict)
+
+
+def sweep(
+    p: PIP,
+    policy: Policy,
+    sigma0: Mapping[Variable, int],
+    horizon: int,
+    path_cap: int = 100_000,
+) -> tuple[list[HorizonReport], int, RuntimeEstimate]:
+    """The horizon reports for 0..horizon, the number of admissible paths
+    of length ``horizon`` and the truncated runtime estimate there, from
+    one forward sweep over the levels of the path tree.
+
+    A level maps a configuration to the number of paths ending there,
+    their mass and their mass-weighted per-general-transition counts, so
+    paths with a common end are summed, not stored.  Under a
+    history-dependent policy the entries are the paths themselves.
+    ``path_cap`` bounds the entries of each level: configurations, or
+    paths under a history-dependent policy."""
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    start = _initial_path(p, sigma0)
+    history = policy.history_dependent
+    table = StepTable(p, policy)
+    scale = _denominator(p)
+    gt_index = {t.name: i for i, g in enumerate(p.gts) for t in g.members}
+    # entry: [paths, mass, count of general transition 0, 1, ...], where
+    # the mass and the counts are numerators over scale ** k
+    zero = [0] * len(p.gts)
+    level: dict[object, list[int]] = {start if history else start.initial: [1, 1, *zero]}
+    reports = [HorizonReport(0, Fraction(1), Fraction(0), Fraction(0))]
+    terminated = 0
+    for k in range(1, horizon + 1):
+        nxt: dict[object, list[int]] = {}
+        terminated = 0
+        for node, entry in level.items():
+            paths, mass = entry[0], entry[1]
+            for name, config, prob in table.along(node) if history else table.at(node):
+                w = _weight(prob, scale)
+                child = node.extended(name, config, prob) if history else config
+                target = nxt.get(child)
+                if target is None:
+                    target = nxt[child] = [0, 0, *zero]
+                target[0] += paths
+                for i in range(1, len(entry)):
+                    if entry[i]:
+                        target[i] += entry[i] * w
+                if name is None:
+                    terminated += mass * w
+                else:
+                    target[2 + gt_index[name]] += mass * w
+        if len(nxt) > path_cap:
+            raise StateSpaceCapExceeded(len(nxt), path_cap)
+        level = nxt
+        denominator = scale**k
+        reports.append(HorizonReport(
+            k,
+            Fraction(sum(e[1] for e in level.values()), denominator),
+            Fraction(sum(sum(e[2:]) for e in level.values()), denominator),
+            Fraction(terminated, denominator),
+        ))
+    denominator = scale**horizon
+    per_gt = {
+        g.name: Fraction(sum(e[2 + i] for e in level.values()), denominator)
+        for i, g in enumerate(p.gts)
+    }
+    estimate = RuntimeEstimate(
+        reports[-1].expected_truncated_runtime,
+        reports[-1].total_mass - Fraction(terminated, denominator),
+        per_gt,
+    )
+    return reports, sum(e[0] for e in level.values()), estimate
 
 
 def horizon_reports(
@@ -339,27 +502,9 @@ def horizon_reports(
     max_horizon: int,
     path_cap: int = 100_000,
 ) -> list[HorizonReport]:
-    """Reports for every horizon 0..max_horizon from one incremental sweep."""
-    reports = []
-    level: list[PathRecord] = [_initial_path(p, sigma0)]
-    reports.append(_report(level, 0))
-    for h in range(1, max_horizon + 1):
-        nxt: list[PathRecord] = []
-        for path in level:
-            for name, config, prob in step_distribution(p, policy, path):
-                nxt.append(path.extended(name, config, prob))
-        if len(nxt) > path_cap:
-            raise StateSpaceCapExceeded(len(nxt), path_cap)
-        level = nxt
-        reports.append(_report(level, h))
-    return reports
-
-
-@dataclass(frozen=True)
-class RuntimeEstimate:
-    lower: Fraction
-    residual_mass: Fraction
-    per_gt: dict[str, Fraction] = field(default_factory=dict)
+    """Reports for every horizon 0..max_horizon from one forward sweep;
+    ``path_cap`` bounds the configurations of each level (see :func:`sweep`)."""
+    return sweep(p, policy, sigma0, max_horizon, path_cap)[0]
 
 
 def expected_runtime_estimate(
@@ -370,18 +515,10 @@ def expected_runtime_estimate(
     path_cap: int = 100_000,
 ) -> RuntimeEstimate:
     """Truncated expected runtime (a lower bound on the true expectation),
-    the not-yet-terminated mass, and truncated per-general-transition counts."""
-    result = enumerate_paths(p, policy, sigma0, horizon, path_cap)
-    member_gt = {t.name: g.name for g in p.gts for t in g.members}
-    per_gt = {g.name: Fraction(0) for g in p.gts}
-    residual = Fraction(0)
-    for f in result.paths:
-        if not f.terminated:
-            residual += f.probability
-        for name, _ in f.steps:
-            if name is not None:
-                per_gt[member_gt[name]] += f.probability
-    return RuntimeEstimate(result.report.expected_truncated_runtime, residual, per_gt)
+    the not-yet-terminated mass, and truncated per-general-transition
+    counts; ``path_cap`` bounds the configurations of each level (see
+    :func:`sweep`)."""
+    return sweep(p, policy, sigma0, horizon, path_cap)[2]
 
 
 @dataclass(frozen=True)
@@ -390,6 +527,23 @@ class MonteCarloResult:
     stderr: float
     samples: int
     censored: int
+
+
+def _cumulative(dist: Sequence[Step]) -> list[float]:
+    """Running float sums of the step probabilities, in order; a draw
+    ``pick`` selects the first step whose running sum exceeds it."""
+    out = []
+    acc = 0.0
+    for _, _, prob in dist:
+        acc += float(prob)
+        out.append(acc)
+    return out
+
+
+def _pick(cumulative: list[float], rng: random.Random) -> int:
+    if len(cumulative) == 1:
+        return 0
+    return min(bisect_right(cumulative, rng.random()), len(cumulative) - 1)
 
 
 def monte_carlo(
@@ -407,55 +561,67 @@ def monte_carlo(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    start = _initial_path(p, sigma0)
     rng = random.Random(seed)
+    table = StepTable(p, policy)
+    runtimes: list[int] = []
+    censored = 0
+    if policy.history_dependent:
+        for _ in range(samples):
+            path = start
+            for _ in range(step_cap):
+                dist = table.along(path)
+                name, config, prob = dist[_pick(_cumulative(dist), rng)]
+                if name is None:
+                    break
+                path = path.extended(name, config, prob)
+            else:
+                censored += 1
+            runtimes.append(path.runtime_count)
+    else:
+        # Configurations are numbered as they are reached; each one's
+        # successor table (running float weights, successor numbers, -1
+        # for the bottom step) is compiled on the first step from it.
+        number = {start.initial: 0}
+        configs = [start.initial]
+        tables: list[tuple[list[float], list[int]] | None] = [None]
+
+        def compile_table(i: int) -> tuple[list[float], list[int]]:
+            dist = table.at(configs[i])
+            targets = []
+            for name, config, _ in dist:
+                if name is None:
+                    targets.append(-1)
+                    continue
+                j = number.get(config)
+                if j is None:
+                    j = number[config] = len(configs)
+                    configs.append(config)
+                    tables.append(None)
+                targets.append(j)
+            return _cumulative(dist), targets
+
+        draw = rng.random
+        for _ in range(samples):
+            i = runtime = 0
+            for _ in range(step_cap):
+                compiled = tables[i]
+                if compiled is None:
+                    compiled = tables[i] = compile_table(i)
+                cumulative, targets = compiled
+                if len(targets) == 1:
+                    i = targets[0]
+                else:
+                    i = targets[min(bisect_right(cumulative, draw()), len(targets) - 1)]
+                if i < 0:
+                    break
+                runtime += 1
+            else:
+                censored += 1
+            runtimes.append(runtime)
     total = 0.0
     total_sq = 0.0
-    censored = 0
-    # Memoryless policies give one fixed successor distribution per
-    # configuration, so distributions are computed (and validated) once.
-    memo: dict[tuple, list[tuple[str | None, Configuration, float]]] = {}
-
-    def choices_at(path: PathRecord):
-        if policy.history_dependent:
-            return [
-                (name, config, float(prob))
-                for name, config, prob in step_distribution(p, policy, path)
-            ]
-        key = path.end.key()
-        cached = memo.get(key)
-        if cached is None:
-            cached = [
-                (name, config, float(prob))
-                for name, config, prob in step_distribution(p, policy, path)
-            ]
-            memo[key] = cached
-        return cached
-
-    for _ in range(samples):
-        path = _initial_path(p, sigma0)
-        runtime = 0
-        for _ in range(step_cap):
-            choices = choices_at(path)
-            if len(choices) == 1:
-                name, config, prob = choices[0]
-            else:
-                pick = rng.random()
-                acc = 0.0
-                name, config, prob = choices[-1]
-                for cand_name, cand_config, cand_prob in choices:
-                    acc += cand_prob
-                    if pick < acc:
-                        name, config, prob = cand_name, cand_config, cand_prob
-                        break
-            if name is None:
-                break
-            runtime += 1
-            if policy.history_dependent:
-                path = path.extended(name, config, Fraction(prob))
-            else:
-                path = PathRecord(config, (), Fraction(1))
-        else:
-            censored += 1
+    for runtime in runtimes:
         total += runtime
         total_sq += runtime * runtime
     mean = total / samples
@@ -479,52 +645,72 @@ def mdp_sup_truncated(
     state_cap: int = 200_000,
 ) -> Fraction:
     """Max over schedulers of the expected runtime truncated at ``horizon``,
-    by backward value iteration over the reachable configuration graph."""
+    by backward value iteration over the reachable configuration graph.
+
+    ``state_cap`` bounds the configurations summed over all levels.  A
+    value with ``s`` steps left is kept as its integer numerator over
+    ``L**s`` (see the module docstring)."""
     if not temp_values:
         raise ValueError("temp_values must be nonempty")
     c0 = Configuration.make(p.initial, dict(sigma0))
     missing = [v.name for v in p.program_vars if v not in dict(sigma0)]
     if missing:
         raise ValueError(f"initial state does not bind {', '.join(missing)}")
+    scale = _denominator(p)
 
-    action_cache: dict[Configuration, list[list[tuple[Configuration, Fraction]]]] = {}
+    # configurations are numbered; actions[i] lists, per admissible
+    # choice at configuration i, its (successor number, weight) pairs
+    number = {c0: 0}
+    configs = [c0]
+    actions: list[list[list[tuple[int, int]]] | None] = [None]
 
-    def actions(config: Configuration) -> list[list[tuple[Configuration, Fraction]]]:
-        cached = action_cache.get(config)
+    def actions_at(i: int) -> list[list[tuple[int, int]]]:
+        cached = actions[i]
         if cached is None:
-            cached = [
-                [(succ, prob) for _, succ, prob in successors(p, config, g, tv)]
-                for g, tv in scheduler_candidates(p, config, temp_values)
-            ]
-            action_cache[config] = cached
+            config = configs[i]
+            cached = []
+            for g, tv in scheduler_candidates(p, config, temp_values):
+                dist = []
+                for _, succ, prob in successors(p, config, g, tv):
+                    j = number.get(succ)
+                    if j is None:
+                        j = number[succ] = len(configs)
+                        configs.append(succ)
+                        actions.append(None)
+                    dist.append((j, _weight(prob, scale)))
+                cached.append(dist)
+            actions[i] = cached
         return cached
 
-    layers: list[set[Configuration]] = [{c0}]
+    layers: list[dict[int, None]] = [{0: None}]
     seen = 1
     for _ in range(horizon):
-        frontier = set()
-        for config in layers[-1]:
-            for dist in actions(config):
-                frontier.update(succ for succ, _ in dist)
+        frontier: dict[int, None] = {}
+        for i in layers[-1]:
+            for dist in actions_at(i):
+                for j, _ in dist:
+                    frontier[j] = None
         layers.append(frontier)
         seen += len(frontier)
         if seen > state_cap:
             raise StateSpaceCapExceeded(seen, state_cap)
 
-    values: dict[Configuration, Fraction] = {c: Fraction(0) for c in layers[horizon]}
+    values = dict.fromkeys(layers[horizon], 0)
+    reward = 1  # one step's reward over the current common denominator
     for i in range(horizon - 1, -1, -1):
-        step_values: dict[Configuration, Fraction] = {}
-        for config in layers[i]:
-            best = Fraction(0)  # bottom action: reward 0 forever
-            for dist in actions(config):
-                value = 1 + sum(
-                    (prob * values[succ] for succ, prob in dist), Fraction(0)
-                )
+        reward *= scale
+        step_values: dict[int, int] = {}
+        for c in layers[i]:
+            best = 0  # bottom action: reward 0 forever
+            for dist in actions[c]:
+                value = reward
+                for j, w in dist:
+                    value += w * values[j]
                 if value > best:
                     best = value
-            step_values[config] = best
+            step_values[c] = best
         values = step_values
-    return values[c0]
+    return Fraction(values[0], scale**horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -587,39 +773,6 @@ def _lift_index(refinement: RefinementResult) -> dict[tuple[str, str], object]:
     return index
 
 
-def _embed(
-    path: PathRecord,
-    refinement: RefinementResult,
-    by_source_origin: dict[tuple[str, str], object],
-    dropped: frozenset[Variable],
-) -> PathRecord | None:
-    """Relabel a base-program path into the refined program, or None if a
-    step has no refined counterpart from the current labeled location.
-    The ``dropped`` temporaries, which pruning removed from the refinement,
-    leave the states: the induced policy never chooses them."""
-    p2 = refinement.program
-    current = p2.initial
-    steps: list[tuple[str | None, Configuration]] = []
-    for name, config in path.steps:
-        state = config.state
-        if dropped:
-            state = tuple((v, n) for v, n in state if v not in dropped)
-        if name is None:
-            current = TERMINAL
-            steps.append((None, Configuration(TERMINAL, state)))
-            continue
-        lifted = by_source_origin.get((current.name, name))
-        if lifted is None:
-            return None
-        current = lifted.target
-        steps.append((lifted.name, Configuration(current, state)))
-    return PathRecord(
-        Configuration(p2.initial, path.initial.state),
-        tuple(steps),
-        path.probability,
-    )
-
-
 def check_embedding(
     p: PIP,
     refinement: RefinementResult,
@@ -630,53 +783,99 @@ def check_embedding(
 ) -> EmbeddingReport:
     """Verify that relabeling is a probability-, runtime- and termination-
     preserving bijection between the admissible paths of the program and
-    of its refinement (under the induced policy), up to the horizon."""
+    of its refinement (under the induced policy), up to the horizon.
+
+    The check runs forward over the reachable pairs of a base
+    configuration and the refined configuration its paths embed to, and
+    matches the two step distributions at each pair one-to-one (see the
+    module docstring); ``path_cap`` bounds the pairs of each level.
+    ``checked_paths`` is the number of admissible base paths of length
+    ``horizon``.  When the check fails at a step from a pair reached in
+    k steps, ``checked_paths`` is the number of base paths of length k,
+    all of which embed, and the witness is a shortest failing path: the
+    base path whose last step is the offending one or, when a refined
+    step has no preimage, the refined path ending in that step."""
     if policy.history_dependent:
         raise ValueError("check_embedding requires a history-independent policy")
-    base_paths = enumerate_paths(p, policy, sigma0, horizon, path_cap).paths
-    induced = InducedPolicy(policy, p, refinement)
-    try:
-        refined_paths = enumerate_paths(
-            refinement.program, induced, sigma0, horizon, path_cap
-        ).paths
-    except SchedulerViolation as violation:
-        return EmbeddingReport(
-            False, horizon, len(base_paths),
-            f"induced policy is not a valid scheduler: {violation}",
-        )
-    refined_by_key = {f.key(): f for f in refined_paths}
+    p2 = refinement.program
+    base = StepTable(p, policy)
+    refined = StepTable(p2, InducedPolicy(policy, p, refinement))
     lift = _lift_index(refinement)
-    dropped = frozenset(p.temporaries()) - frozenset(refinement.program.temporaries())
+    dropped = frozenset(p.temporaries()) - frozenset(p2.temporaries())
+    roots = (_initial_path(p, sigma0), _initial_path(p2, sigma0))
 
-    matched = set()
-    for f in base_paths:
-        image = _embed(f, refinement, lift, dropped)
-        if image is None:
-            return EmbeddingReport(
-                False, horizon, len(base_paths),
-                "no refined counterpart for a step of this path", f,
-            )
-        g = refined_by_key.get(image.key())
-        if g is None:
-            return EmbeddingReport(
-                False, horizon, len(base_paths),
-                "embedded path is not admissible in the refinement", f,
-            )
-        if g.probability != f.probability:
-            return EmbeddingReport(
-                False, horizon, len(base_paths),
-                f"probability changed: {f.probability} vs {g.probability}", f,
-            )
-        if g.runtime_count != f.runtime_count or g.terminated != f.terminated:
-            return EmbeddingReport(
-                False, horizon, len(base_paths),
-                "runtime or termination flag changed", f,
-            )
-        matched.add(image.key())
-    for g in refined_paths:
-        if g.key() not in matched:
-            return EmbeddingReport(
-                False, horizon, len(base_paths),
-                "refined path has no preimage (embedding not surjective)", g,
-            )
-    return EmbeddingReport(True, horizon, len(base_paths))
+    level: dict[_Pair, int] = {(roots[0].initial, roots[1].initial): 1}
+    # parents[k] maps a pair reached in k + 1 steps to its first parent
+    # pair and the base and refined steps between them
+    parents: list[dict[_Pair, tuple[_Pair, Step, Step]]] = []
+
+    def path_to(pair: _Pair, k: int, step: Step, side: int) -> PathRecord:
+        steps = [step]
+        for back in reversed(parents[:k]):
+            pair, base_step, refined_step = back[pair]
+            steps.append((base_step, refined_step)[side])
+        path = roots[side]
+        for name, config, prob in reversed(steps):
+            path = path.extended(name, config, prob)
+        return path
+
+    def failed(why: str, witness: PathRecord) -> EmbeddingReport:
+        return EmbeddingReport(False, horizon, sum(level.values()), why, witness)
+
+    for k in range(horizon):
+        nxt: dict[_Pair, int] = {}
+        back: dict[_Pair, tuple[_Pair, Step, Step]] = {}
+        for pair, count in level.items():
+            config, config2 = pair
+            dist = base.at(config)
+            try:
+                dist2 = refined.at(config2)
+            except SchedulerViolation as violation:
+                return failed(
+                    f"induced policy is not a valid scheduler: {violation}",
+                    path_to(pair, k, dist[0], 0),
+                )
+            images = {(name, succ): (name, succ, prob) for name, succ, prob in dist2}
+            for step in dist:
+                name, succ, prob = step
+                state = succ.state
+                if dropped:
+                    state = tuple((v, n) for v, n in state if v not in dropped)
+                if name is None:
+                    key = (None, Configuration(TERMINAL, state))
+                else:
+                    lifted = lift.get((config2.location.name, name))
+                    if lifted is None:
+                        return failed(
+                            "no refined counterpart for a step of this path",
+                            path_to(pair, k, step, 0),
+                        )
+                    key = (lifted.name, Configuration(lifted.target, state))
+                image = images.pop(key, None)
+                if image is None:
+                    return failed(
+                        "embedded path is not admissible in the refinement",
+                        path_to(pair, k, step, 0),
+                    )
+                if image[2] != prob:
+                    f = path_to(pair, k, step, 0)
+                    g = path_to(pair, k, image, 1)
+                    return failed(
+                        f"probability changed: {f.probability} vs {g.probability}", f
+                    )
+                child = (succ, image[1])
+                if child in nxt:
+                    nxt[child] += count
+                else:
+                    nxt[child] = count
+                    back[child] = (pair, step, image)
+            if images:
+                return failed(
+                    "refined path has no preimage (embedding not surjective)",
+                    path_to(pair, k, next(iter(images.values())), 1),
+                )
+        if len(nxt) > path_cap:
+            raise StateSpaceCapExceeded(len(nxt), path_cap)
+        parents.append(back)
+        level = nxt
+    return EmbeddingReport(True, horizon, sum(level.values()))

@@ -174,3 +174,67 @@ def test_labeled_location_naming():
     split = labeled_location(base, Constraint([X_EQ_0]))
     assert split.name.startswith("l1__")
     assert split.display() == "l1[x=0]"
+
+
+CLASHING = (
+    "vars x;\n"
+    "start l0;\n"
+    "trans t0 { from l0; guard u >= 0; update x := u; to l1; }\n"
+    "trans t1 { from l1; guard x > 0; update x := 0; to l1; }\n"
+    "trans t2 { from l1; guard x = 0; to l1__794d66ff; }\n"
+)
+
+
+def test_refined_name_clash_with_user_location_is_reported():
+    # l1__794d66ff is the name refine gives l1 under the label x = 0
+    from pcfr.textfmt import parse_program
+
+    p = parse_program(CLASHING)
+    x = p.program_vars[0]
+    x_eq_0 = Atom(Polynomial.var(x), "=", 0)
+    assert labeled_location(p.location("l1"), Constraint([x_eq_0])).name == "l1__794d66ff"
+    layers = heuristic_layers(
+        p, p.transitions,
+        pinned={p.location("l0"): [], p.location("l1"): [x_eq_0],
+                p.location("l1__794d66ff"): []},
+    )
+    with pytest.raises(ValueError) as err:
+        refine(p, p.transitions, layers)
+    message = str(err.value)
+    assert "user location 'l1__794d66ff'" in message
+    assert "location 'l1' under label x=0" in message
+
+
+def test_cli_reports_refined_name_clash(capsys, tmp_path):
+    import json
+
+    from pcfr.cli import main
+
+    program = tmp_path / "clash.pip"
+    program.write_text(CLASHING)
+    config = tmp_path / "clash.json"
+    config.write_text(json.dumps({
+        "S": ["t0", "t1", "t2"],
+        "alpha": {"l0": [], "l1": ["x = 0"], "l1__794d66ff": []},
+    }))
+    code = main(["refine", str(program), "--config", str(config)])
+    assert code == 2
+    assert "collides with the user location 'l1__794d66ff'" in capsys.readouterr().err
+
+
+def test_refined_name_clash_with_user_transition_is_reported():
+    from pcfr.textfmt import parse_program
+
+    p = parse_program(
+        "vars x;\n"
+        "start l0;\n"
+        "trans t0 { from l0; guard u >= 0; update x := u; to l1; }\n"
+        "trans t1 { from l1; guard x > 0; update x := 0; to l1; }\n"
+        "trans t1__794d66ff { from l1; guard x < 0; to l1; }\n"
+    )
+    x_eq_0 = Atom(Polynomial.var(p.program_vars[0]), "=", 0)
+    layers = heuristic_layers(
+        p, p.transitions, pinned={p.location("l0"): [], p.location("l1"): [x_eq_0]}
+    )
+    with pytest.raises(ValueError, match="refined transition name 't1__794d66ff' of 't1'"):
+        refine(p, p.transitions, layers)

@@ -1,15 +1,18 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import _corpus
+import _reference_semantics as reference
 from pcfr.abstraction import heuristic_layers
 from pcfr.model import TERMINAL, PIP, GeneralTransition
 from pcfr.refine import RefinementResult, refine_and_prune
 from pcfr.semantics import (
     Configuration,
     FirstEnabledPolicy,
+    InducedPolicy,
     PathRecord,
     Policy,
     SchedulerViolation,
@@ -23,8 +26,9 @@ from pcfr.semantics import (
     monte_carlo,
     scheduler_candidates,
     step_distribution,
+    sweep,
 )
-from pcfr.syntax import pv, tmp
+from pcfr.syntax import Atom, Constraint, Polynomial, Update, pv, tmp
 from pcfr.textfmt import parse_program
 
 X, Y, U = pv("x"), pv("y"), tmp("u")
@@ -401,27 +405,91 @@ def test_embedding_trivial_for_empty_refinement_set(fig1):
     assert report.ok
 
 
+def _corrupt(pruned, edit):
+    """``pruned`` with each refined transition t replaced by ``edit(t,
+    origin of t)``, a list of transitions that inherit t's origin."""
+    p2 = pruned.program
+    gts, origin = [], {}
+    for g in p2.gts:
+        members = []
+        for t in g.members:
+            for new in edit(t, pruned.origin[t.name]):
+                members.append(new)
+                origin[new.name] = pruned.origin[t.name]
+        if members:
+            gts.append(GeneralTransition(g.name, tuple(members)))
+    program = PIP(p2.program_vars, p2.locations, p2.initial, gts)
+    gt_origin = {g.name: pruned.gt_origin[g.name] for g in program.gts}
+    return RefinementResult(program, origin, gt_origin, pruned.stats)
+
+
+def _stay_one(t, o):
+    if o != "t1b":
+        return [t]
+    return [replace(t, update=Update({X: Polynomial.const(1)}))]
+
+
+def _biased_coin(t, o):
+    if o not in ("t1a", "t1b"):
+        return [t]
+    return [replace(t, prob=Fraction(1, 3) if o == "t1a" else Fraction(2, 3))]
+
+
+def _strict_entry(t, o):
+    if o != "t0":
+        return [t]
+    return [replace(t, guard=Constraint([Atom(Polynomial.var(U), ">", 5)]))]
+
+
+def _extra_branch(t, o):
+    # a second copy of t1b: base t1b lifts to the copy, the original is left over
+    return [t, replace(t, name=t.name + "_extra")] if o == "t1b" else [t]
+
+
+# corruption of the fig1 refinement -> (failure prefix, origin of the
+# offending step, length of the shortest failing path)
+CORRUPTIONS = [
+    (lambda t, o: [] if o == "t1a" else [t],
+     "no refined counterpart for a step of this path", "t1a", 2),
+    (_stay_one, "embedded path is not admissible in the refinement", "t1b", 2),
+    (_biased_coin, "probability changed: 1/2 vs 1/3", "t1a", 2),
+    (_strict_entry, "induced policy is not a valid scheduler: scheduler clause (c)", "t0", 1),
+]
+
+
 def test_embedding_rejects_corrupted_refinement(fig1, fig1_refined):
     pruned, _ = fig1_refined
-    p2 = pruned.program
-    # drop the staying coin branch: the 1/2 path through it loses its image
-    gts = []
-    for g in p2.gts:
-        members = tuple(t for t in g.members if pruned.origin[t.name] != "t1a")
-        if members:
-            gts.append(GeneralTransition(g.name, members))
-    corrupted_program = PIP(p2.program_vars, p2.locations, p2.initial, gts)
-    corrupted = RefinementResult(
-        corrupted_program,
-        {t.name: pruned.origin[t.name] for t in corrupted_program.transitions},
-        {g.name: pruned.gt_origin[g.name] for g in corrupted_program.gts},
-        pruned.stats,
-    )
-    report = check_embedding(
-        fig1, corrupted, FirstEnabledPolicy((1,)), {X: 0, Y: 2}, 6
-    )
+    policy, sigma0 = FirstEnabledPolicy((1,)), {X: 0, Y: 2}
+    for edit, failure, offending, length in CORRUPTIONS:
+        corrupted = _corrupt(pruned, edit)
+        report = check_embedding(fig1, corrupted, policy, sigma0, 6)
+        assert not report.ok
+        assert report.failure.startswith(failure), report.failure
+        assert reference.check_embedding(fig1, corrupted, policy, sigma0, 6).ok is False
+        # the witness is a shortest admissible base path ending in the offending step
+        witness = report.witness
+        assert len(witness.steps) == length
+        assert witness.steps[-1][0] == offending
+        admissible = enumerate_paths(fig1, policy, sigma0, length).paths
+        assert witness in admissible
+        # checked_paths counts the base paths one step shorter, all of which embed
+        assert report.checked_paths == len(enumerate_paths(fig1, policy, sigma0, length - 1).paths)
+
+
+def test_embedding_rejects_refined_step_without_preimage(fig1, fig1_refined):
+    pruned, _ = fig1_refined
+    policy, sigma0 = FirstEnabledPolicy((1,)), {X: 0, Y: 2}
+    corrupted = _corrupt(pruned, _extra_branch)
+    report = check_embedding(fig1, corrupted, policy, sigma0, 6)
     assert not report.ok
-    assert report.witness is not None
+    assert report.failure == "refined path has no preimage (embedding not surjective)"
+    assert reference.check_embedding(fig1, corrupted, policy, sigma0, 6).ok is False
+    # here the witness is the refined path ending in the step left over
+    witness = report.witness
+    assert len(witness.steps) == 2
+    assert corrupted.origin[witness.steps[-1][0]] == "t1b"
+    induced = InducedPolicy(policy, fig1, corrupted)
+    assert witness in enumerate_paths(corrupted.program, induced, sigma0, 2).paths
 
 
 def test_embedding_requires_memoryless_policy(fig1, fig1_refined):
@@ -463,3 +531,123 @@ def test_embedding_on_random_corpus():
         policy = SeededPolicy(i, temp_values=(0, 1))
         report = check_embedding(p, pruned, policy, sigma0, 8)
         assert report.ok, f"{report.failure}: {report.witness and report.witness.render()}"
+
+
+# --- the configuration-level core against the path-tree reference ---------------
+
+
+def _differential_corpus():
+    rng = random.Random(3131)
+    for i in range(16):
+        p = _corpus.random_pip(rng)
+        pruned, _ = refine_and_prune(p, p.transitions, heuristic_layers(p, p.transitions))
+        sigma0 = _corpus.random_sigma0(rng, p)
+        yield p, pruned, sigma0, (SeededPolicy(i, temp_values=(0, 1)), FirstEnabledPolicy((1,)))
+
+
+def test_sweep_matches_path_tree_reference():
+    for p, pruned, sigma0, policies in _differential_corpus():
+        history = SeededPolicy(7, temp_values=(0, 1), history_dependent=True)
+        for q in (p, pruned.program):
+            for policy in policies + (history,):
+                assert expected_runtime_estimate(q, policy, sigma0, 8) == (
+                    reference.expected_runtime_estimate(q, policy, sigma0, 8)
+                )
+                assert horizon_reports(q, policy, sigma0, 8) == (
+                    reference.horizon_reports(q, policy, sigma0, 8)
+                )
+                paths = reference.enumerate_paths(q, policy, sigma0, 8)
+                assert enumerate_paths(q, policy, sigma0, 8) == paths
+                assert sweep(q, policy, sigma0, 8)[1] == len(paths.paths)
+
+
+def test_integer_value_iteration_matches_fraction_reference():
+    for p, pruned, sigma0, _ in _differential_corpus():
+        for q in (p, pruned.program):
+            for temp_values in ((0, 1), (1,)):
+                assert mdp_sup_truncated(q, sigma0, 9, temp_values) == (
+                    reference.mdp_sup_truncated(q, sigma0, 9, temp_values)
+                )
+
+
+def test_pairwise_embedding_matches_path_reference():
+    for p, pruned, sigma0, policies in _differential_corpus():
+        for policy in policies:
+            report = check_embedding(p, pruned, policy, sigma0, 8)
+            assert report.ok == reference.check_embedding(p, pruned, policy, sigma0, 8).ok
+            length = 8 if report.ok else len(report.witness.steps) - 1
+            assert report.checked_paths == len(enumerate_paths(p, policy, sigma0, length).paths)
+
+
+# (mean, stderr, censored) per seed, for a memoryless policy, a memoryless
+# policy censored by a short step cap and a history-dependent policy
+MONTE_CARLO_PINS = {
+    1: ((6.973, 0.0313947179340264, 0), (8.9135, 0.026445388147598402, 124),
+        (6.94, 0.08426480530803411, 0)),
+    2: ((6.987, 0.032302278845451504, 0), (8.9145, 0.026925032101686223, 139),
+        (6.99, 0.08584097713580542, 0)),
+    3: ((7.0145, 0.03084024051815437, 0), (8.9645, 0.02661717701139683, 120),
+        (6.933333333333334, 0.07441085338976088, 0)),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(MONTE_CARLO_PINS))
+def test_monte_carlo_pinned_per_seed(fig1, fig2, seed):
+    for p in (fig1, fig2):
+        runs = (
+            monte_carlo(p, FirstEnabledPolicy((1,)), {X: 0, Y: 2}, 2000, 1000, seed),
+            monte_carlo(p, SeededPolicy(4, (1, 2, 3)), {X: 0, Y: 3}, 2000, 12, seed),
+            monte_carlo(
+                p, SeededPolicy(4, (1, 2, 3), history_dependent=True), {X: 0, Y: 2},
+                300, 1000, seed,
+            ),
+        )
+        assert tuple((r.mean, r.stderr, r.censored) for r in runs) == MONTE_CARLO_PINS[seed]
+
+
+# --- caps bound configurations, not paths ---------------------------------------------
+
+WALK = (
+    "vars x;\n"
+    "start l0;\n"
+    "trans t0 { from l0; to l1; }\n"
+    "gt step {\n"
+    "  from l1;\n"
+    "  guard x > 0;\n"
+    "  branch down p=1/2 { x := x - 1 } -> l1;\n"
+    "  branch up p=1/2 { x := x + 1 } -> l1;\n"
+    "}\n"
+)
+
+
+def _walk_reference(horizon, x0):
+    """Path count and truncated expected runtime of WALK from x0, by a
+    recurrence over (steps left, x)."""
+    width = x0 + horizon + 2
+    count = [1] * width
+    expected = [Fraction(0)] * width
+    for _ in range(1, horizon):
+        count = [1] + [count[x - 1] + count[x + 1] for x in range(1, width - 1)] + [1]
+        expected = [Fraction(0)] + [
+            1 + (expected[x - 1] + expected[x + 1]) / 2 for x in range(1, width - 1)
+        ] + [Fraction(0)]
+    return count[x0], 1 + expected[x0]
+
+
+def test_random_walk_at_horizon_200_under_default_caps():
+    walk = parse_program(WALK)
+    x = walk.program_vars[0]
+    refined, _ = refine_and_prune(walk, walk.transitions, heuristic_layers(walk, walk.transitions))
+    policy, sigma0, horizon = FirstEnabledPolicy(), {x: 3}, 200
+    count, expected = _walk_reference(horizon, 3)
+    assert count > 100_000  # far more paths than the default path cap
+    estimate = expected_runtime_estimate(walk, policy, sigma0, horizon)
+    assert estimate.lower == expected
+    assert 0 < estimate.residual_mass < 1
+    reports = horizon_reports(walk, policy, sigma0, horizon)
+    assert reports[-1].expected_truncated_runtime == expected
+    assert all(r.total_mass == 1 for r in reports)
+    assert sweep(walk, policy, sigma0, horizon)[1] == count
+    report = check_embedding(walk, refined, policy, sigma0, horizon)
+    assert report.ok, report.failure
+    assert report.checked_paths == count
