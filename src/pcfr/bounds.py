@@ -11,15 +11,20 @@ target firings, and summing one such certificate per cover entry bounds
 the whole program's expected runtime.
 
 Synthesis turns each universally quantified condition into the
-existence of nonnegative Farkas multipliers over the premise rows and
-solves the resulting system with the exact rational simplex.  Every
-certificate is then re-verified through the independent elimination
-engine.  Non-increase conditions whose composed value would mention a
-temporary variable (the value of the target location depends on a
-variable the transition overwrites with scheduler input) cannot be
-encoded as affine facts; they are skipped during synthesis, re-checked
-against the solved certificate, and poison bound composition if they
-remain unproven.
+existence of nonnegative Farkas multipliers over the premise rows
+(:func:`pcfr.linear.farkas_block`) and solves the resulting system with
+the exact rational simplex.  Every certificate is then re-verified
+condition by condition: :func:`verify_plrf` bounds each condition's
+composed expression over its premise with
+:func:`pcfr.linear.expression_bounds`, whose finite supremum rests on
+its own multipliers, checked in plain arithmetic.  That re-check trusts
+neither the multipliers nor the template values synthesis found, so a
+fault in the simplex can only reject a certificate.  Non-increase
+conditions whose composed value would mention a temporary variable (the
+value of the target location depends on a variable the transition
+overwrites with scheduler input) cannot be encoded as affine facts;
+they are skipped during synthesis, re-checked against the solved
+certificate, and poison bound composition if they remain unproven.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import ratlp
 from .invariants import InvariantMap, infer
-from .linear import expression_bounds
+from .linear import LIT, expression_bounds, farkas_block
 from .model import PIP, GeneralTransition, Location, location_sccs
 from .syntax import Constraint, Polynomial, Update, Variable
 
@@ -46,9 +51,6 @@ class CoverError(ValueError):
 
 class TaintedCertificateError(ValueError):
     """A cover entry's ranking function has unproven non-increase conditions."""
-
-
-_LIT = None  # literal key inside linear forms over template unknowns
 
 
 @dataclass(frozen=True)
@@ -237,15 +239,15 @@ def _update_temporaries(p: PIP, g: GeneralTransition) -> list[str]:
 def verify_plrf(
     p: PIP, inv: InvariantMap, plrf: PLRF
 ) -> tuple[list[str], dict[str, str]]:
-    """Re-check all ranking conditions with the elimination engine.
+    """Re-check all ranking conditions of a certificate.
 
     Returns (hard failures, taints).  A taint is a non-increase
     condition that cannot be established because the transition feeds
     scheduler-chosen temporaries into variables the ranking value reads;
     such certificates exist but cannot be charged at composition.  The
-    check is independent of the simplex-based synthesis: each
-    condition's expression is bounded over the premise polyhedron
-    exactly.
+    check is independent of synthesis: each condition's expression is
+    bounded over the premise polyhedron exactly, and a condition holds
+    only on a supremum its own checked multipliers prove.
     """
     failures: list[str] = []
     taints: dict[str, str] = {}
@@ -327,48 +329,6 @@ def _composed_template(
     return out_vars, out_const
 
 
-def _farkas_block(
-    block_id: int,
-    premise: Constraint,
-    conclusion_vars: Mapping[Variable, dict],
-    conclusion_const: Mapping,
-    constraints: list[ratlp.LinearConstraint],
-) -> None:
-    """Encode ``premise |= conclusion <= 0`` as multiplier existence."""
-    variables = sorted(set(premise.variables()) | set(conclusion_vars))
-    rows = []
-    for i, a in enumerate(premise.atoms):
-        lin, const = a.expr.linear_form()
-        rows.append((i, lin, Fraction(const), a.is_eq))
-        if not a.is_eq:
-            constraints.append(
-                ratlp.LinearConstraint.of({("lam", block_id, i): 1}, ">=", 0)
-            )
-    for v in variables:
-        combo: dict = {}
-        for i, lin, _, _ in rows:
-            if lin.get(v):
-                combo[("lam", block_id, i)] = Fraction(lin[v])
-        lit = Fraction(0)
-        for key, value in conclusion_vars.get(v, {}).items():
-            if key is _LIT:
-                lit += value
-            else:
-                combo[key] = combo.get(key, Fraction(0)) - value
-        constraints.append(ratlp.LinearConstraint.of(combo, "=", lit))
-    combo = {}
-    for i, _, const, _ in rows:
-        if const:
-            combo[("lam", block_id, i)] = const
-    lit = Fraction(0)
-    for key, value in conclusion_const.items():
-        if key is _LIT:
-            lit += value
-        else:
-            combo[key] = combo.get(key, Fraction(0)) - value
-    constraints.append(ratlp.LinearConstraint.of(combo, ">=", lit))
-
-
 def _synthesize(
     p: PIP,
     inv: InvariantMap,
@@ -409,7 +369,7 @@ def _synthesize(
         ):
             conclusion_vars: dict[Variable, dict] = {}
             conclusion_const: dict = {
-                _LIT: Fraction(1) if tag == "decrease" else Fraction(0)
+                LIT: Fraction(1) if tag == "decrease" else Fraction(0)
             }
             for factor, location, update in combination:
                 var_forms, const_form = _composed_template(
@@ -419,7 +379,7 @@ def _synthesize(
                 for v, form in var_forms.items():
                     target = conclusion_vars.setdefault(v, {})
                     _form_add(target, form, factor)
-            _farkas_block(
+            farkas_block(
                 block_id, premise, conclusion_vars, conclusion_const, constraints
             )
             block_id += 1

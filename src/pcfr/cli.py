@@ -370,6 +370,8 @@ def _cmd_check_embedding(args) -> int:
     program = _load_program(args.program)
     refinement, _inv = _refinement(args, config, program)
     policy = _policy(args, config)
+    if policy.history_dependent:
+        raise _CliError("check-embedding needs a history-independent policy (first or seeded:N)")
     sigma0 = _state(args, config, program)
     horizon = int(_setting(args, config, "horizon", 8))
     path_cap = int(_setting(args, config, "path_cap", 100_000))

@@ -1,27 +1,54 @@
-"""Entailment and satisfiability for conjunctions of linear integer atoms.
+"""Entailment, satisfiability and bounds for conjunctions of linear integer atoms.
 
-The engine works over the rational relaxation, which is sound in the
-directions the analyses need: a rational ``unsat`` implies there is no
-integer model, and rational entailment implies integer entailment.
+Everything is decided over the rational relaxation, which is sound in
+the directions the analyses need: a rational ``unsat`` implies there is
+no integer model, and rational entailment implies integer entailment.
 Integer strength is recovered where it matters by the atom
 normalization in :mod:`pcfr.syntax` (strict inequations are shifted by
 one before they ever reach this module).
 
-Implementation: exact Fourier-Motzkin elimination on rational rows.
-Equality rows are used for Gaussian substitution first, which keeps the
-elimination small on the systems this package meets.
+One engine: the Farkas dual, solved by the exact simplex of
+:mod:`pcfr.ratlp`.  A premise atom reads ``lin_i . x + c_i <= 0`` (or
+``= 0``).  For multipliers ``lam``, nonnegative on inequalities and free
+on equalities, with ``sum lam_i lin_i = lin``, every model ``x`` of the
+premise satisfies::
+
+    lin . x + c = sum lam_i (lin_i . x + c_i) - sum lam_i c_i + c
+                <= c - sum lam_i c_i
+
+so the multipliers prove ``sup (lin . x + c) <= c - sum lam_i c_i``.  The
+least such bound is the supremum itself when the premise is
+satisfiable (LP duality), and the premise is unsatisfiable exactly when
+it proves ``1 <= 0`` (``sum lam_i lin_i = 0``, ``sum lam_i c_i >= 1``).
+:func:`farkas_block` encodes these systems; bound synthesis in
+:mod:`pcfr.bounds` uses the same encoder with template unknowns in the
+conclusion.
+
+Only the verdicts that soundness depends on need a proof: "entailed",
+"unsat" and a finite supremum.  Each one is re-checked on the returned
+multipliers in plain ``Fraction`` arithmetic, and a failed check raises
+``AssertionError``.  The conservative verdicts (not entailed,
+satisfiable, unbounded) need none, so a fault in the simplex can only
+fail a check, never pass a wrong answer.
+
+:func:`project` needs no LP: it eliminates variables by Gaussian
+substitution through equalities and drops the rows of a variable that
+has none.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping
 
+from . import ratlp
 from .syntax import Atom, Constraint, Polynomial, Variable
+
+LIT = None  # literal key inside linear forms over unknowns (see farkas_block)
+_SUP = "sup"  # the unknown bound of a supremum query
 
 
 class Satisfiability(enum.Enum):
@@ -33,174 +60,110 @@ class Satisfiability(enum.Enum):
         return self.value
 
 
-class NonlinearMarker:
-    """Returned by :func:`linearize` when a constraint has nonlinear atoms."""
-
-    _instance: "NonlinearMarker | None" = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "NONLINEAR"
+# ---------------------------------------------------------------------------
+# Farkas multipliers
 
 
-NONLINEAR = NonlinearMarker()
+def farkas_block(
+    block_id: int,
+    premise: Constraint,
+    conclusion_vars: Mapping[Variable, dict],
+    conclusion_const: Mapping,
+    constraints: list[ratlp.LinearConstraint],
+) -> None:
+    """Encode ``premise |= conclusion <= 0`` as multiplier existence.
 
-
-@dataclass(frozen=True)
-class Row:
-    """``coeffs . vars + const <= 0`` (or ``= 0`` when ``is_eq``)."""
-
-    coeffs: tuple[Fraction, ...]
-    const: Fraction
-    is_eq: bool
-
-    def is_trivially_true(self) -> bool:
-        return not any(self.coeffs) and (
-            self.const == 0 if self.is_eq else self.const <= 0
-        )
-
-    def is_contradiction(self) -> bool:
-        return not any(self.coeffs) and (
-            self.const != 0 if self.is_eq else self.const > 0
-        )
-
-
-@dataclass(frozen=True)
-class LinearSystem:
-    variables: tuple[Variable, ...]
-    rows: tuple[Row, ...]
-
-
-def _normalize_row(row: Row) -> Row:
-    denoms = [c.denominator for c in row.coeffs] + [row.const.denominator]
-    lcd = 1
-    for d in denoms:
-        lcd = lcd * d // gcd(lcd, d)
-    ints = [int(c * lcd) for c in row.coeffs] + [int(row.const * lcd)]
-    g = 0
-    for value in ints:
-        g = gcd(g, abs(value))
-    if g > 1:
-        ints = [v // g for v in ints]
-    if row.is_eq:
-        lead = next((v for v in ints[:-1] if v), ints[-1])
-        if lead < 0:
-            ints = [-v for v in ints]
-    return Row(tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1]), row.is_eq)
-
-
-def _clean(rows: Iterable[Row]) -> tuple[Row, ...] | None:
-    """Normalize, deduplicate, keep the tightest row per direction.
-
-    Returns ``None`` when a constant contradiction appears.
-    """
-    best_le: dict[tuple[Fraction, ...], Fraction] = {}
-    eqs: set[tuple[tuple[Fraction, ...], Fraction]] = set()
-    for row in rows:
-        row = _normalize_row(row)
-        if row.is_contradiction():
-            return None
-        if row.is_trivially_true():
-            continue
-        if row.is_eq:
-            eqs.add((row.coeffs, row.const))
-        else:
-            prev = best_le.get(row.coeffs)
-            if prev is None or row.const > prev:
-                best_le[row.coeffs] = row.const
-    out = [Row(c, b, True) for c, b in sorted(eqs)]
-    out.extend(Row(c, b, False) for c, b in sorted(best_le.items()))
-    return tuple(out)
-
-
-def _substitute_eq(rows: Sequence[Row], idx: int, eq: Row) -> list[Row]:
-    """Eliminate variable ``idx`` using an equality row with nonzero pivot."""
-    pivot = eq.coeffs[idx]
-    out = []
-    for row in rows:
-        if row is eq:
-            continue
-        factor = row.coeffs[idx] / pivot
-        if factor == 0:
-            out.append(row)
-            continue
-        coeffs = tuple(
-            rc - factor * ec for rc, ec in zip(row.coeffs, eq.coeffs)
-        )
-        out.append(Row(coeffs, row.const - factor * eq.const, row.is_eq))
-    return out
-
-
-def _eliminate(rows: Sequence[Row], idx: int) -> list[Row] | None:
-    """One Fourier-Motzkin step removing variable ``idx``."""
-    for eq in rows:
-        if eq.is_eq and eq.coeffs[idx] != 0:
-            return _substitute_eq(rows, idx, eq)
-    pos, neg, rest = [], [], []
-    for row in rows:
-        if row.is_eq and row.coeffs[idx] != 0:
-            raise AssertionError("equality rows handled above")
-        c = row.coeffs[idx]
-        if c > 0:
-            pos.append(row)
-        elif c < 0:
-            neg.append(row)
-        else:
-            rest.append(row)
-    for p in pos:
-        for n in neg:
-            scale_p = -n.coeffs[idx]
-            scale_n = p.coeffs[idx]
-            coeffs = tuple(
-                scale_p * pc + scale_n * nc for pc, nc in zip(p.coeffs, n.coeffs)
-            )
-            rest.append(Row(coeffs, scale_p * p.const + scale_n * n.const, False))
-    return rest
-
-
-def _run_elimination(
-    variables: Sequence[Variable], rows: Sequence[Row], keep: frozenset[int]
-) -> tuple[Row, ...] | None:
-    current = _clean(rows)
-    if current is None:
-        return None
-    for idx in range(len(variables)):
-        if idx in keep:
-            continue
-        if not any(r.coeffs[idx] for r in current):
-            continue
-        step = _eliminate(current, idx)
-        if step is None:
-            return None
-        current = _clean(step)
-        if current is None:
-            return None
-    return current
-
-
-def linearize(c: Constraint) -> LinearSystem | NonlinearMarker:
-    """Build a linear system from a constraint, or flag it nonlinear."""
-    if not c.is_linear():
-        return NONLINEAR
-    variables = tuple(sorted(c.variables()))
-    index = {v: i for i, v in enumerate(variables)}
+    The conclusion's coefficient of each variable, and its constant, are
+    linear forms over unknowns (LP keys), with the literal under ``LIT``.
+    The multiplier of premise atom ``i`` is ``("lam", block_id, i)``."""
+    variables = sorted(set(premise.variables()) | set(conclusion_vars))
     rows = []
-    for a in c.atoms:
-        coeffs = [Fraction(0)] * len(variables)
+    for i, a in enumerate(premise.atoms):
         lin, const = a.expr.linear_form()
-        for v, coeff in lin.items():
-            coeffs[index[v]] = Fraction(coeff)
-        rows.append(Row(tuple(coeffs), Fraction(const), a.is_eq))
-    return LinearSystem(variables, tuple(rows))
+        rows.append((i, lin, Fraction(const), a.is_eq))
+        if not a.is_eq:
+            constraints.append(
+                ratlp.LinearConstraint.of({("lam", block_id, i): 1}, ">=", 0)
+            )
+    for v in variables:
+        combo: dict = {}
+        for i, lin, _, _ in rows:
+            if lin.get(v):
+                combo[("lam", block_id, i)] = Fraction(lin[v])
+        lit = Fraction(0)
+        for key, value in conclusion_vars.get(v, {}).items():
+            if key is LIT:
+                lit += value
+            else:
+                combo[key] = combo.get(key, Fraction(0)) - value
+        constraints.append(ratlp.LinearConstraint.of(combo, "=", lit))
+    combo = {}
+    for i, _, const, _ in rows:
+        if const:
+            combo[("lam", block_id, i)] = const
+    lit = Fraction(0)
+    for key, value in conclusion_const.items():
+        if key is LIT:
+            lit += value
+        else:
+            combo[key] = combo.get(key, Fraction(0)) - value
+    constraints.append(ratlp.LinearConstraint.of(combo, ">=", lit))
 
 
-def is_satisfiable(sys: LinearSystem) -> Satisfiability:
-    result = _run_elimination(sys.variables, sys.rows, frozenset())
-    return Satisfiability.UNSAT if result is None else Satisfiability.SAT
+def _certified_sup(
+    premise: Constraint, multipliers: Mapping, lin: Mapping[Variable, int], const: int
+) -> Fraction:
+    """The bound ``const - sum lam_i c_i`` on ``lin . x + const`` over the
+    premise that the multipliers of block 0 prove, after checking them."""
+    residual = {v: Fraction(c) for v, c in lin.items()}
+    bound = Fraction(const)
+    for i, a in enumerate(premise.atoms):
+        lam = multipliers.get(("lam", 0, i), Fraction(0))
+        if lam < 0 and not a.is_eq:
+            raise AssertionError(f"negative Farkas multiplier on inequality {a}")
+        a_lin, a_const = a.expr.linear_form()
+        for v, c in a_lin.items():
+            residual[v] = residual.get(v, Fraction(0)) - lam * c
+        bound -= lam * a_const
+    if any(residual.values()):
+        raise AssertionError(f"Farkas multipliers do not combine {premise} into {lin}")
+    return bound
+
+
+def _sup(premise: Constraint, lin: Mapping[Variable, int], const: int) -> Fraction | None:
+    """Certified supremum of ``lin . x + const`` over a linear premise;
+    None when the dual has no optimum (the premise is unsatisfiable or the
+    expression is unbounded above)."""
+    constraints: list[ratlp.LinearConstraint] = []
+    conclusion_vars = {v: {LIT: Fraction(c)} for v, c in lin.items()}
+    farkas_block(0, premise, conclusion_vars, {LIT: Fraction(const), _SUP: -1}, constraints)
+    result = ratlp.solve_lp(constraints, {_SUP: 1})
+    if result.status != ratlp.OPTIMAL:
+        return None
+    return _certified_sup(premise, result.assignment, lin, const)
+
+
+def _unsat(premise: Constraint) -> bool:
+    """True only if the linear premise is certified unsatisfiable: it
+    proves ``1 <= 0``."""
+    if not premise.atoms:
+        return False
+    constraints: list[ratlp.LinearConstraint] = []
+    farkas_block(0, premise, {}, {LIT: Fraction(1)}, constraints)
+    result = ratlp.solve_lp(constraints)
+    if result.status != ratlp.OPTIMAL:
+        return False
+    if _certified_sup(premise, result.assignment, {}, 1) > 0:
+        raise AssertionError(f"Farkas multipliers do not refute {premise}")
+    return True
+
+
+def _negated(lin: Mapping[Variable, int]) -> dict[Variable, int]:
+    return {v: -c for v, c in lin.items()}
+
+
+# ---------------------------------------------------------------------------
+# Queries
 
 
 def constraint_satisfiability(c: Constraint) -> Satisfiability:
@@ -213,8 +176,7 @@ def constraint_satisfiability(c: Constraint) -> Satisfiability:
     if c.has_trivially_false_atom():
         return Satisfiability.UNSAT
     linear_part = Constraint(a for a in c.atoms if a.is_linear())
-    verdict = is_satisfiable(linearize(linear_part))
-    if verdict is Satisfiability.UNSAT:
+    if _unsat(linear_part):
         return Satisfiability.UNSAT
     if len(linear_part.atoms) != len(c.atoms):
         return Satisfiability.UNKNOWN
@@ -227,49 +189,17 @@ def expression_bounds(
     """Exact (inf, sup) of a linear expression over a linear constraint.
 
     ``None`` in a slot means unbounded in that direction; an overall
-    ``None`` means the premise is unsatisfiable.  Computed by projecting
-    the system onto a fresh variable equated with the expression.
+    ``None`` means the premise is unsatisfiable.  Both finite bounds and
+    the unsatisfiability verdict are backed by checked multipliers.
     """
-    system = linearize(premise)
-    if system is NONLINEAR:
+    if not premise.is_linear():
         raise ValueError("premise must be linear")
     lin, const = expr.linear_form()
-    variables = tuple(sorted(set(system.variables) | set(lin)))
-    index = {v: i for i, v in enumerate(variables)}
-    width = len(variables) + 1  # last slot is the fresh objective variable
-    rows = []
-    for row in system.rows:
-        coeffs = [Fraction(0)] * width
-        for v, c in zip(system.variables, row.coeffs):
-            coeffs[index[v]] = c
-        rows.append(Row(tuple(coeffs), row.const, row.is_eq))
-    obj = [Fraction(0)] * width
-    for v, c in lin.items():
-        obj[index[v]] = Fraction(-c)
-    obj[-1] = Fraction(1)
-    rows.append(Row(tuple(obj), Fraction(-const), True))
-    result = _run_elimination(
-        variables + (Variable("__objective__", "temporary"),),
-        rows,
-        frozenset({width - 1}),
-    )
-    if result is None:
+    upper = _sup(premise, lin, const)
+    if upper is None and _unsat(premise):
         return None
-    lower: Fraction | None = None
-    upper: Fraction | None = None
-    for row in result:
-        a = row.coeffs[-1]
-        if a == 0:
-            continue
-        bound = -row.const / a
-        if row.is_eq:
-            lower = bound if lower is None else max(lower, bound)
-            upper = bound if upper is None else min(upper, bound)
-        elif a > 0:
-            upper = bound if upper is None else min(upper, bound)
-        else:
-            lower = bound if lower is None else max(lower, bound)
-    return (lower, upper)
+    lower = _sup(premise, _negated(lin), -const)
+    return (None if lower is None else -lower, upper)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -286,44 +216,96 @@ def entails(premise: Constraint, conclusion: Atom) -> bool:
         return False
     if conclusion in premise.atoms:
         return True
-    bounds = expression_bounds(premise, conclusion.expr)
-    if bounds is None:
+    lin, const = conclusion.expr.linear_form()
+    upper = _sup(premise, lin, const)
+    if upper is None:  # unbounded above, or no model at all
+        return _unsat(premise)
+    if upper > 0:
+        return False
+    if not conclusion.is_eq:
         return True
-    lower, upper = bounds
-    if conclusion.is_eq:
-        return upper is not None and upper <= 0 and lower is not None and lower >= 0
-    return upper is not None and upper <= 0
+    lower = _sup(premise, _negated(lin), -const)  # sup of -expr, a satisfiable premise
+    return lower is not None and lower <= 0
 
 
-def rows_to_atoms(system: Sequence[Row], variables: Sequence[Variable]) -> list[Atom]:
-    """Convert rational rows back to integer atoms (after elimination)."""
-    out = []
-    for row in system:
-        lcd = 1
-        for f in list(row.coeffs) + [row.const]:
-            lcd = lcd * f.denominator // gcd(lcd, f.denominator)
-        poly = Polynomial.const(int(row.const * lcd))
-        for v, c in zip(variables, row.coeffs):
-            poly = poly + int(c * lcd) * Polynomial.var(v)
-        out.append(Atom(poly, "=" if row.is_eq else "<=", 0))
-    return out
+# ---------------------------------------------------------------------------
+# Projection
+
+_Row = tuple[tuple[int, ...], int, bool]  # coeffs . vars + const <= 0 (= 0 when eq)
+
+
+def _clean(rows: Iterable[_Row]) -> list[_Row] | None:
+    """Normalize to primitive integer rows with a canonical equality sign,
+    deduplicate, equalities first; None when a constant contradiction
+    appears."""
+    kept: set[_Row] = set()
+    for coeffs, const, is_eq in rows:
+        g = gcd(*coeffs, const)
+        if g > 1:
+            coeffs, const = tuple(c // g for c in coeffs), const // g
+        if not any(coeffs):
+            if const != 0 if is_eq else const > 0:
+                return None
+            continue
+        if is_eq and next(c for c in coeffs if c) < 0:
+            coeffs, const = tuple(-c for c in coeffs), -const
+        kept.add((coeffs, const, is_eq))
+    return sorted(kept, key=lambda row: (not row[2], row[0], row[1]))
+
+
+def _substitute(row: _Row, eq: _Row, idx: int) -> _Row:
+    """``row`` with variable ``idx`` eliminated through equality ``eq``,
+    scaled by the positive ``|eq[idx]|``."""
+    coeffs, const, is_eq = row
+    factor = coeffs[idx]
+    if not factor:
+        return row
+    pivot = eq[0][idx]
+    scale, factor = abs(pivot), factor if pivot > 0 else -factor
+    return (
+        tuple(scale * c - factor * e for c, e in zip(coeffs, eq[0])),
+        scale * const - factor * eq[1],
+        is_eq,
+    )
 
 
 def project(c: Constraint, keep: Iterable[Variable]) -> list[Atom] | None:
     """Project a linear constraint onto a variable subset; None if nonlinear.
 
-    The result is a list of atoms over ``keep`` whose conjunction is the
-    exact rational shadow of ``c`` (an over-approximation over the
-    integers, which is the sound direction for invariant seeds).
+    The other variables are eliminated in turn: by Gaussian substitution
+    through an equality that mentions the variable, and otherwise by
+    dropping the rows that mention it.  The result is the exact rational
+    shadow of ``c`` when ``c`` has at most one inequality, as the
+    single-atom post-images of :func:`pcfr.invariants.post_image_atoms`
+    do; otherwise it may be weaker.  Over the integers it is an
+    over-approximation either way, which is the sound direction for
+    invariant seeds.
     """
-    system = linearize(c)
-    if system is NONLINEAR:
+    if not c.is_linear():
         return None
+    variables = tuple(sorted(c.variables()))
+    rows = []
+    for a in c.atoms:
+        lin, const = a.expr.linear_form()
+        rows.append((tuple(lin.get(v, 0) for v in variables), const, a.is_eq))
     keep_set = frozenset(keep)
-    keep_idx = frozenset(
-        i for i, v in enumerate(system.variables) if v in keep_set
-    )
-    result = _run_elimination(system.variables, system.rows, keep_idx)
-    if result is None:
+    current = _clean(rows)
+    for idx, v in enumerate(variables):
+        if current is None:
+            break
+        if v in keep_set or not any(r[0][idx] for r in current):
+            continue
+        eq = next((r for r in current if r[2] and r[0][idx]), None)
+        if eq is None:
+            current = _clean(r for r in current if not r[0][idx])
+        else:
+            current = _clean(_substitute(r, eq, idx) for r in current if r is not eq)
+    if current is None:
         return [Atom(1, "<=", 0)]
-    return rows_to_atoms(result, system.variables)
+    out = []
+    for coeffs, const, is_eq in current:
+        poly = Polynomial.const(const)
+        for v, coeff in zip(variables, coeffs):
+            poly = poly + coeff * Polynomial.var(v)
+        out.append(Atom(poly, "=" if is_eq else "<=", 0))
+    return out

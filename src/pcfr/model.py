@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .linear import Satisfiability, constraint_satisfiability
 from .syntax import Constraint, Update, Variable
@@ -331,17 +331,20 @@ def isomorphic(a: PIP, b: PIP) -> bool:
     return backtrack(0, {}, set())
 
 
-def reachable_locations(p: PIP) -> set[Location]:
-    """Locations reachable from the initial one via transitions whose guard
-    is satisfiable on its own (a state-insensitive over-approximation)."""
+def reachable_locations(
+    p: PIP, gts: Sequence[GeneralTransition] | None = None
+) -> set[Location]:
+    """Locations reachable from the initial one through ``gts``; by default
+    through the general transitions whose guard is satisfiable on its own
+    (a state-insensitive over-approximation)."""
+    if gts is None:
+        gts = [g for g in p.gts if constraint_satisfiability(g.guard) is not Satisfiability.UNSAT]
     reached = {p.initial}
     frontier = [p.initial]
     while frontier:
         loc = frontier.pop()
-        for g in p.gts:
+        for g in gts:
             if g.source != loc:
-                continue
-            if constraint_satisfiability(g.guard) is Satisfiability.UNSAT:
                 continue
             for t in g.members:
                 if t.target not in reached:

@@ -25,7 +25,14 @@ from typing import Iterable
 from .abstraction import AbstractionLayer, label
 from .invariants import InvariantMap, infer
 from .linear import Satisfiability, constraint_satisfiability
-from .model import PIP, GeneralTransition, Location, Transition, validate
+from .model import (
+    PIP,
+    GeneralTransition,
+    Location,
+    Transition,
+    reachable_locations,
+    validate,
+)
 from .syntax import TRUE, Constraint
 
 
@@ -177,17 +184,7 @@ def prune(r: RefinementResult, inv: InvariantMap) -> RefinementResult:
         else:
             kept_gts.append(g)
 
-    reachable = {p.initial}
-    frontier = [p.initial]
-    while frontier:
-        loc = frontier.pop()
-        for g in kept_gts:
-            if g.source != loc:
-                continue
-            for t in g.members:
-                if t.target not in reachable:
-                    reachable.add(t.target)
-                    frontier.append(t.target)
+    reachable = reachable_locations(p, kept_gts)
     final_gts = []
     for g in kept_gts:
         if g.source in reachable:

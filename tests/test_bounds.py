@@ -22,7 +22,7 @@ from pcfr.bounds import (
 from pcfr.invariants import infer
 from pcfr.model import PIP, GeneralTransition, Location, Transition
 from pcfr.refine import refine_and_prune
-from pcfr.semantics import SeededPolicy, expected_runtime_estimate
+from pcfr.semantics import SeededPolicy, expected_runtime_estimate, mdp_sup_truncated
 from pcfr.syntax import TRUE, Atom, Constraint, Polynomial, Update, pv
 from pcfr.textfmt import parse_program
 
@@ -347,6 +347,43 @@ def test_bounds_sound_on_random_corpus():
                 f"bound violated for {p!r} at {sigma0}"
             )
     assert bounded >= 3  # the generator produces enough bounded programs
+
+
+_DEAD_GUARD = """
+vars a;
+start q0;
+
+gt g0 {
+  from q0;
+  guard a <= 1;
+  branch t0 p=1/2 { a := a - 1 } -> q1;
+  branch t1 p=1/2 {} -> q1;
+}
+gt g1 {
+  from q1;
+  guard 3 <= a;
+  branch t2 p=1/2 {} -> q1;
+  branch t3 p=1/2 { a := 2 } -> q1;
+}
+gt g2 {
+  from q1;
+  guard a + 1 <= 0;
+  branch t4 p=1/3 { a := a + 1 } -> q1;
+  branch t5 p=2/3 {} -> q1;
+}
+"""
+
+
+def test_bound_with_a_dead_guard_under_the_invariant():
+    """g1 never fires (q1 has ``a <= 1``).  The Fourier-Motzkin re-check
+    reported an empty interval instead of an unsatisfiable premise for its
+    conditions and rejected the synthesized certificate."""
+    p = parse_program(_DEAD_GUARD)
+    report = bound_program(p)
+    assert report.ok and report.bound.render_total() == "5/2 - 3*a"
+    (a,) = p.program_vars
+    for a0 in range(-4, 2):
+        assert mdp_sup_truncated(p, {a: a0}, 30, (0,)) <= report.bound.evaluate_total({a: a0})
 
 
 def test_affine_expr_rendering():

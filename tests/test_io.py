@@ -222,6 +222,21 @@ def test_cli_missing_state_exits_2(capsys):
     assert "initial state" in err
 
 
+def test_cli_check_embedding_history_policy_exits_2(capsys):
+    code, out, err = _run(
+        capsys,
+        "check-embedding",
+        str(ROOT / "programs" / "fig1.pip"),
+        "--config",
+        str(ROOT / "programs" / "fig1.cfr.json"),
+        "--policy",
+        "seeded-history:3",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "pcfr: check-embedding needs a history-independent policy (first or seeded:N)\n"
+
+
 def test_cli_deterministic_output(capsys):
     args = (
         "mdp-sup",

@@ -1,23 +1,28 @@
 import itertools
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 
-from pcfr import ratlp
+import pytest
+
+import _reference_linear
+from _reference_linear import NONLINEAR, linearize
+from pcfr import linear, ratlp
 from pcfr.linear import (
-    NONLINEAR,
     Satisfiability,
     constraint_satisfiability,
     entails,
     expression_bounds,
-    linearize,
     project,
 )
 from pcfr.syntax import Atom, Constraint, Polynomial, pv, tmp
 
-X, Y, Z = pv("x"), pv("y"), pv("z")
+W, X, Y, Z = pv("w"), pv("x"), pv("y"), pv("z")
 PX, PY, PZ = Polynomial.var(X), Polynomial.var(Y), Polynomial.var(Z)
 U = tmp("u")
 PU = Polynomial.var(U)
+PB = Polynomial.var(pv("b"))
 
 
 # --- satisfiability examples ------------------------------------------------
@@ -212,3 +217,157 @@ def test_entailment_agrees_with_farkas_duality():
         assert verdict == dual, (premise, conclusion[0])
         agreements += 1
     assert checked > 30
+
+
+# --- differential tests against the Fourier-Motzkin reference -----------------
+
+
+def _random_form(rng, variables):
+    poly = Polynomial.const(rng.randint(-3, 3))
+    for v in variables:
+        poly = poly + rng.randint(-3, 3) * Polynomial.var(v)
+    return poly
+
+
+def test_linear_core_matches_elimination_reference():
+    """Satisfiability, entailment and both expression bounds agree with the
+    Fourier-Motzkin engine on small seeded systems of 1-4 variables."""
+    rng = random.Random(4404)
+    seen = Counter()
+    for _ in range(800):
+        pool = [W, X, Y, Z][: rng.randint(1, 4)]
+        premise = _random_constraint(rng, pool, rng.randint(0, 4))
+        conclusion = Atom(_random_form(rng, pool), rng.choice(["<=", "="]), 0)
+        sat = constraint_satisfiability(premise)
+        assert sat is _reference_linear.constraint_satisfiability(premise), premise
+        verdict = entails(premise, conclusion)
+        if verdict != _reference_linear.entails(premise, conclusion):
+            # The reference misses some contradictions (see below).
+            assert sat is Satisfiability.UNSAT and verdict, (premise, conclusion)
+            seen["unsat premise the reference does not see entailing"] += 1
+        for poly in [a.expr for a in premise.atoms] + [_random_form(rng, pool)]:
+            bounds = expression_bounds(premise, poly)
+            want = _reference_linear.expression_bounds(premise, poly)
+            if want is not None and None not in want and want[0] > want[1]:
+                # The reference reports an empty interval, not None, when the
+                # contradiction only shows once the expression's variables
+                # are substituted away, and then may miss the entailment.
+                assert sat is Satisfiability.UNSAT
+                want = None
+                seen["empty interval"] += 1
+            assert bounds == want, (premise, poly)
+            if bounds is not None:
+                seen["finite inf"] += bounds[0] is not None
+                seen["finite sup"] += bounds[1] is not None
+                seen["unbounded"] += None in bounds
+        seen["unsat"] += sat is Satisfiability.UNSAT
+        seen["equality premise"] += any(a.is_eq for a in premise.atoms)
+        seen[f"equality conclusion entailed={verdict}"] += conclusion.is_eq
+    assert len(seen) == 9 and min(seen.values()) >= 5, seen
+
+
+def test_unsat_premise_entails_through_the_expression():
+    """The reference engine knows this premise is unsatisfiable, yet it
+    does not entail ``1 <= b``: eliminating ``b`` through the expression's
+    defining equality leaves the contradiction as an empty interval."""
+    premise = Constraint([Atom(PB, ">=", 0), Atom(PB, "<=", -2)])
+    conclusion = Atom(PB, ">=", 1)
+    assert _reference_linear.constraint_satisfiability(premise) is Satisfiability.UNSAT
+    assert not _reference_linear.entails(premise, conclusion)
+    assert _reference_linear.expression_bounds(premise, 1 - PB) == (3, 1)
+    assert entails(premise, conclusion)
+    assert expression_bounds(premise, 1 - PB) is None
+
+
+def test_projection_matches_elimination_on_post_images():
+    """One atom plus equalities, as ``post_image_atoms`` builds them: the
+    Gaussian projection returns the reference engine's atoms."""
+    rng = random.Random(5505)
+    primed = [pv("w__post"), pv("x__post"), pv("y__post")]
+    changed = 0
+    for _ in range(300):
+        pool = [W, X, Y][: rng.randint(1, 3)]
+        atoms = list(_random_constraint(rng, pool + [U], 1).atoms)
+        for post in primed[: len(pool)]:
+            image = _random_form(rng, pool + [U]) if rng.random() < 0.7 else PU
+            atoms.append(Atom(Polynomial.var(post), "=", image))
+        c = Constraint(atoms)
+        keep = primed[: len(pool)]
+        got = project(c, keep)
+        assert got == _reference_linear.project(c, keep), c
+        changed += got != [a for a in c.atoms if a.variables() <= set(keep)]
+    assert changed > 30
+
+
+# --- every soundness verdict is backed by checked multipliers ----------------
+
+
+def test_corrupted_farkas_certificate_raises(monkeypatch):
+    """A perturbed multiplier fails its check in plain arithmetic, for each
+    verdict soundness rests on: entailed, unsat and a finite supremum.
+    Uses no ``assert``, so it checks the same under ``python -O``."""
+    box = Constraint([Atom(PX, ">=", 1), Atom(PX, "<=", 5), Atom(PY, "=", PX)])
+    solve_lp = linear.ratlp.solve_lp
+
+    def corrupted(constraints, objective=None, extra_variables=()):
+        result = solve_lp(constraints, objective, extra_variables)
+        if result.assignment is not None:
+            first = min(k for k in result.assignment if k[0] == "lam")
+            result.assignment[first] += 1
+        return result
+
+    entails.cache_clear()
+    monkeypatch.setattr(linear.ratlp, "solve_lp", corrupted)
+    with pytest.raises(AssertionError, match="Farkas multipliers"):
+        entails(box, Atom(PY, ">=", 1))
+    with pytest.raises(AssertionError, match="Farkas multipliers"):
+        constraint_satisfiability(box & Atom(PY, ">=", 6))
+    with pytest.raises(AssertionError, match="Farkas multipliers"):
+        expression_bounds(box, PX + PY)
+
+
+def test_corrupted_farkas_certificate_with_negative_multiplier_raises(monkeypatch):
+    """``-1 * (1 - x)`` is ``x``, so a multiplier of -1 on ``x >= 1``
+    would "prove" ``sup x <= 1`` over ``1 <= x <= 5``; its sign is checked."""
+    box = Constraint([Atom(PX, ">=", 1), Atom(PX, "<=", 5)])
+    low = box.atoms.index(Atom(PX, ">=", 1))
+    solve_lp = linear.ratlp.solve_lp
+
+    def corrupted(constraints, objective=None, extra_variables=()):
+        result = solve_lp(constraints, objective, extra_variables)
+        result.assignment = dict.fromkeys(result.assignment, Fraction(0))
+        result.assignment[("lam", 0, low)] = Fraction(-1)
+        return result
+
+    monkeypatch.setattr(linear.ratlp, "solve_lp", corrupted)
+    with pytest.raises(AssertionError, match="negative Farkas multiplier"):
+        expression_bounds(box, PX)
+
+
+def test_sixteen_inequalities_in_six_variables():
+    """Fourier-Motzkin did not finish this entailment in a minute; the
+    certified supremum must equal a primal simplex maximisation."""
+    rng = random.Random(5)
+    xs = [pv(f"x{i}") for i in range(6)]
+
+    def form():
+        return sum((rng.randint(-4, 4) * Polynomial.var(v) for v in xs), Polynomial.const(0))
+
+    premise = Constraint(Atom(form(), "<=", rng.randint(0, 4)) for _ in range(16))
+    goal = form()
+    assert len(premise.atoms) == 16
+    start = time.perf_counter()
+    lower, upper = expression_bounds(premise, goal)
+    entailed = entails(premise, Atom(goal, "<=", 8)), entails(premise, Atom(goal, "<=", 7))
+    assert time.perf_counter() - start < 5
+    rows = []
+    for a in premise.atoms:
+        lin, const = a.expr.linear_form()
+        rows.append(ratlp.LinearConstraint.of(lin, "<=", -const))
+    lin, _ = goal.linear_form()
+    primal_max = ratlp.solve_lp(rows, {v: -c for v, c in lin.items()}, xs)
+    primal_min = ratlp.solve_lp(rows, lin, xs)
+    assert primal_max.status == primal_min.status == ratlp.OPTIMAL
+    assert upper == -primal_max.objective == Fraction(51188, 6411)  # 7.98...
+    assert lower == primal_min.objective
+    assert entailed == (True, False)

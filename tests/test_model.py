@@ -98,6 +98,15 @@ def test_reachability_skips_unsat_guards(fig1):
         list(fig1.gts) + [GeneralTransition("gdead", (dead,))],
     )
     assert lx not in reachable_locations(extended)
+    assert lx in reachable_locations(extended, extended.gts)  # walks the given ones
+
+
+def test_reachability_through_given_transitions(fig1):
+    assert reachable_locations(fig1, []) == {fig1.initial}
+    from_l0 = [g for g in fig1.gts if g.source == fig1.initial]
+    assert reachable_locations(fig1, from_l0) == {fig1.initial} | {
+        t.target for g in from_l0 for t in g.members
+    }
 
 
 def test_reachability_monotone_under_added_transitions():

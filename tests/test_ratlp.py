@@ -138,7 +138,7 @@ def test_integer_tableau_matches_fraction_reference(monkeypatch):
 def test_feasibility_agrees_with_elimination_engine():
     """Simplex feasibility and Fourier-Motzkin satisfiability are independent
     implementations; on the same rational rows they must agree."""
-    from pcfr.linear import LinearSystem, Row, is_satisfiable
+    from _reference_linear import LinearSystem, Row, is_satisfiable
 
     rng = random.Random(9090)
     variables = [pv("x"), pv("y"), pv("z")]
