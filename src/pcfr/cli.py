@@ -175,6 +175,17 @@ def _refinement(args, config: dict, program: PIP) -> tuple[RefinementResult, obj
         raise _CliError(str(exc))
 
 
+def _query(function, *args):
+    """Run a semantic query: a tripped cap is analysis-negative (exit 1),
+    an out-of-range argument a usage error (exit 2)."""
+    try:
+        return function(*args)
+    except StateSpaceCapExceeded as exc:
+        raise _CliError(str(exc), EXIT_NEGATIVE)
+    except ValueError as exc:
+        raise _CliError(str(exc))
+
+
 def _emit(args, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -284,10 +295,7 @@ def _cmd_enumerate(args) -> int:
     sigma0 = _state(args, config, program)
     horizon = int(_setting(args, config, "horizon", 10))
     path_cap = int(_setting(args, config, "path_cap", 100_000))
-    try:
-        reports, paths, estimate = sweep(program, policy, sigma0, horizon, path_cap)
-    except StateSpaceCapExceeded as exc:
-        raise _CliError(str(exc), EXIT_NEGATIVE)
+    reports, paths, estimate = _query(sweep, program, policy, sigma0, horizon, path_cap)
     report = reports[-1]
     data = {
         "horizon": report.horizon,
@@ -324,7 +332,7 @@ def _cmd_simulate(args) -> int:
     samples = int(_setting(args, config, "samples", 10_000))
     step_cap = int(_setting(args, config, "step_cap", 1_000))
     seed = _seed(args, config)
-    result = monte_carlo(program, policy, sigma0, samples, step_cap, seed)
+    result = _query(monte_carlo, program, policy, sigma0, samples, step_cap, seed)
     data = {
         "mean": result.mean,
         "stderr": result.stderr,
@@ -350,10 +358,7 @@ def _cmd_mdp_sup(args) -> int:
     horizon = int(_setting(args, config, "horizon", 10))
     temp_values = _temp_values(args, config)
     state_cap = int(_setting(args, config, "state_cap", 200_000))
-    try:
-        value = mdp_sup_truncated(program, sigma0, horizon, temp_values, state_cap)
-    except StateSpaceCapExceeded as exc:
-        raise _CliError(str(exc), EXIT_NEGATIVE)
+    value = _query(mdp_sup_truncated, program, sigma0, horizon, temp_values, state_cap)
     data = {"horizon": horizon, "value": str(value), "value_float": float(value)}
     if args.format == "json":
         _emit(args, json.dumps(envelope("mdp-sup", data), indent=2, sort_keys=True) + "\n")
@@ -375,10 +380,7 @@ def _cmd_check_embedding(args) -> int:
     sigma0 = _state(args, config, program)
     horizon = int(_setting(args, config, "horizon", 8))
     path_cap = int(_setting(args, config, "path_cap", 100_000))
-    try:
-        report = check_embedding(program, refinement, policy, sigma0, horizon, path_cap)
-    except StateSpaceCapExceeded as exc:
-        raise _CliError(str(exc), EXIT_NEGATIVE)
+    report = _query(check_embedding, program, refinement, policy, sigma0, horizon, path_cap)
     data = {
         "ok": report.ok,
         "horizon": report.horizon,

@@ -24,7 +24,10 @@ common denominator ``L**k`` after ``k`` steps, where ``L`` is the least
 common multiple of the program's probability denominators, and the MDP
 iterates integer numerators over ``L**(h - i)``; a ``Fraction`` is
 built only for an answer, so every rational is the one the path sums
-give.
+give.  This holds for :func:`enumerate_paths` too: under a
+history-independent policy it extends a frontier of integer entries
+(step numbers, end configuration, mass, runtime count) and builds a
+:class:`PathRecord` and its ``Fraction`` only for each returned path.
 
 Soundness of the pairwise embedding check.  A base path determines its
 image in the refinement step by step: each base transition lifts to the
@@ -334,12 +337,22 @@ class StepTable:
     """The validated step distributions of one (program, policy) run.
 
     Under a history-independent policy the distribution at a
-    configuration is resolved and validated once and then reused."""
+    configuration is resolved and validated once and then reused.  For
+    the path frontier of :func:`enumerate_paths` and the samples of
+    :func:`monte_carlo`, configurations and the steps from them are also
+    numbered as they are reached, and each step's probability is read
+    once as its integer numerator over ``scale``, the least common
+    multiple of the program's probability denominators."""
 
     def __init__(self, p: PIP, policy: Policy):
         self.p = p
         self.policy = policy
+        self.scale = _denominator(p)
         self._memo: dict[Configuration, list[Step]] = {}
+        self.configs: list[Configuration] = []
+        self.steps: list[tuple[str | None, Configuration]] = []
+        self._number: dict[Configuration, int] = {}
+        self._moves: list[list[tuple[int, int, int, bool]] | None] = []
 
     def at(self, config: Configuration) -> list[Step]:
         """The distribution at a configuration (history-independent policies)."""
@@ -354,6 +367,32 @@ class StepTable:
         if self.policy.history_dependent:
             return step_distribution(self.p, self.policy, path)
         return self.at(path.end)
+
+    def number(self, config: Configuration) -> int:
+        """The configuration's index in ``configs``."""
+        i = self._number.get(config)
+        if i is None:
+            i = self._number[config] = len(self.configs)
+            self.configs.append(config)
+            self._moves.append(None)
+        return i
+
+    def moves(self, i: int) -> list[tuple[int, int, int, bool]]:
+        """The distribution at ``configs[i]`` (history-independent
+        policies), one (step, successor, weight, scheduled) per step: the
+        step's index in ``steps``, which holds its (transition name,
+        successor configuration), the successor's number, the
+        probability as an integer over ``scale``, and whether it is a
+        scheduler step (``False`` for the bottom step)."""
+        moves = self._moves[i]
+        if moves is None:
+            moves = self._moves[i] = []
+            for name, succ, prob in self.at(self.configs[i]):
+                moves.append((
+                    len(self.steps), self.number(succ), _weight(prob, self.scale), name is not None
+                ))
+                self.steps.append((name, succ))
+        return moves
 
 
 def _denominator(p: PIP) -> int:
@@ -372,14 +411,14 @@ def _initial_path(p: PIP, sigma0: Mapping[Variable, int]) -> PathRecord:
     return PathRecord(Configuration.make(p.initial, sigma0), (), Fraction(1))
 
 
-def _report(paths: Sequence[PathRecord], horizon: int, scale: int) -> HorizonReport:
-    """Sums over paths whose probabilities are integers over ``scale``."""
+def _report(horizon: int, scale: int, ends: Iterable[tuple[int, int, bool]]) -> HorizonReport:
+    """Sums over the paths of length ``horizon``, each given as (probability
+    as an integer over ``scale``, runtime count, terminated)."""
     total = expected = terminated = 0
-    for f in paths:
-        mass = _weight(f.probability, scale)
+    for mass, runtime, stopped in ends:
         total += mass
-        expected += mass * min(f.runtime_count, horizon)
-        if f.terminated:
+        expected += mass * runtime
+        if stopped:
             terminated += mass
     return HorizonReport(
         horizon,
@@ -398,22 +437,57 @@ def enumerate_paths(
 ) -> EnumerationResult:
     """All admissible paths of length exactly ``horizon``, exact masses.
 
-    ``path_cap`` bounds the number of paths of each length."""
+    Under a history-independent policy a level is a frontier of plain
+    entries: the step numbers so far, the end configuration's number, the
+    probability as an integer over ``L**k`` and the runtime count, all
+    read from the :class:`StepTable`.  A :class:`PathRecord`, with its
+    ``Fraction``, is built only for each returned path, and the report is
+    summed from the same integers.  A history-dependent policy reads the
+    path, so there a level is a list of path records.  Both give the
+    paths in the same order.  ``path_cap`` bounds the number of paths of
+    each length."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
+    start = _initial_path(p, sigma0)
     table = StepTable(p, policy)
-    level: list[PathRecord] = [_initial_path(p, sigma0)]
+    scale = table.scale**horizon
+    if policy.history_dependent:
+        level: list[PathRecord] = [start]
+        for _ in range(horizon):
+            nxt = [
+                path.extended(name, config, prob)
+                for path in level
+                for name, config, prob in table.along(path)
+            ]
+            if len(nxt) > path_cap:
+                raise StateSpaceCapExceeded(len(nxt), path_cap)
+            level = nxt
+        ends = ((_weight(f.probability, scale), f.runtime_count, f.terminated) for f in level)
+        return EnumerationResult(_report(horizon, scale, ends), tuple(level))
+    moves = table.moves
+    frontier = [((), table.number(start.initial), 1, 0)]
     for _ in range(horizon):
         nxt = [
-            path.extended(name, config, prob)
-            for path in level
-            for name, config, prob in table.along(path)
+            (steps + (step,), j, weight * w, runtime + scheduled)
+            for steps, i, weight, runtime in frontier
+            for step, j, w, scheduled in moves(i)
         ]
         if len(nxt) > path_cap:
             raise StateSpaceCapExceeded(len(nxt), path_cap)
-        level = nxt
-    scale = _denominator(p) ** horizon
-    return EnumerationResult(_report(level, horizon, scale), tuple(level))
+        frontier = nxt
+    step_of = table.steps.__getitem__
+    ends = (
+        (weight, runtime, bool(steps) and step_of(steps[-1])[0] is None)
+        for steps, _, weight, runtime in frontier
+    )
+    probabilities: dict[int, Fraction] = {}  # paths share the few distinct weights
+    paths = []
+    for steps, _, weight, _ in frontier:
+        prob = probabilities.get(weight)
+        if prob is None:
+            prob = probabilities[weight] = Fraction(weight, scale)
+        paths.append(PathRecord(start.initial, tuple(map(step_of, steps)), prob))
+    return EnumerationResult(_report(horizon, scale, ends), tuple(paths))
 
 
 @dataclass(frozen=True)
@@ -445,7 +519,7 @@ def sweep(
     start = _initial_path(p, sigma0)
     history = policy.history_dependent
     table = StepTable(p, policy)
-    scale = _denominator(p)
+    scale = table.scale
     gt_index = {t.name: i for i, g in enumerate(p.gts) for t in g.members}
     # entry: [paths, mass, count of general transition 0, 1, ...], where
     # the mass and the counts are numerators over scale ** k
@@ -561,6 +635,8 @@ def monte_carlo(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    if step_cap < 0:
+        raise ValueError("step_cap must be nonnegative")
     start = _initial_path(p, sigma0)
     rng = random.Random(seed)
     table = StepTable(p, policy)
@@ -579,27 +655,16 @@ def monte_carlo(
                 censored += 1
             runtimes.append(path.runtime_count)
     else:
-        # Configurations are numbered as they are reached; each one's
-        # successor table (running float weights, successor numbers, -1
-        # for the bottom step) is compiled on the first step from it.
-        number = {start.initial: 0}
-        configs = [start.initial]
+        # The step table numbers the configurations (the start is 0); each
+        # one's successor table (running float weights, successor numbers,
+        # -1 for the bottom step) is compiled on the first step from it.
+        table.number(start.initial)
         tables: list[tuple[list[float], list[int]] | None] = [None]
 
         def compile_table(i: int) -> tuple[list[float], list[int]]:
-            dist = table.at(configs[i])
-            targets = []
-            for name, config, _ in dist:
-                if name is None:
-                    targets.append(-1)
-                    continue
-                j = number.get(config)
-                if j is None:
-                    j = number[config] = len(configs)
-                    configs.append(config)
-                    tables.append(None)
-                targets.append(j)
-            return _cumulative(dist), targets
+            targets = [j if scheduled else -1 for _, j, _, scheduled in table.moves(i)]
+            tables.extend([None] * (len(table.configs) - len(tables)))
+            return _cumulative(table.at(table.configs[i])), targets
 
         draw = rng.random
         for _ in range(samples):
@@ -650,6 +715,8 @@ def mdp_sup_truncated(
     ``state_cap`` bounds the configurations summed over all levels.  A
     value with ``s`` steps left is kept as its integer numerator over
     ``L**s`` (see the module docstring)."""
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
     if not temp_values:
         raise ValueError("temp_values must be nonempty")
     c0 = Configuration.make(p.initial, dict(sigma0))
@@ -795,6 +862,8 @@ def check_embedding(
     all of which embed, and the witness is a shortest failing path: the
     base path whose last step is the offending one or, when a refined
     step has no preimage, the refined path ending in that step."""
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
     if policy.history_dependent:
         raise ValueError("check_embedding requires a history-independent policy")
     p2 = refinement.program

@@ -237,6 +237,45 @@ def test_cli_check_embedding_history_policy_exits_2(capsys):
     assert err == "pcfr: check-embedding needs a history-independent policy (first or seeded:N)\n"
 
 
+def _usage_error(capsys, *argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    return err
+
+
+def test_cli_enumerate_negative_horizon_exits_2(capsys):
+    err = _usage_error(
+        capsys, "enumerate", str(ROOT / "programs" / "fig1.pip"),
+        "--state", "x=0, y=2", "--horizon", "-1",
+    )
+    assert err == "pcfr: horizon must be nonnegative\n"
+
+
+def test_cli_simulate_bad_sample_arguments_exit_2(capsys):
+    args = ("simulate", str(ROOT / "programs" / "fig1.pip"), "--state", "x=0, y=2")
+    err = _usage_error(capsys, *args, "--samples", "0")
+    assert err == "pcfr: need at least one sample\n"
+    err = _usage_error(capsys, *args, "--step-cap", "-1")
+    assert err == "pcfr: step_cap must be nonnegative\n"
+
+
+def test_cli_mdp_sup_negative_horizon_exits_2(capsys):
+    err = _usage_error(
+        capsys, "mdp-sup", str(ROOT / "programs" / "fig1.pip"),
+        "--state", "x=0, y=2", "--horizon", "-1",
+    )
+    assert err == "pcfr: horizon must be nonnegative\n"
+
+
+def test_cli_check_embedding_negative_horizon_exits_2(capsys):
+    err = _usage_error(
+        capsys, "check-embedding", str(ROOT / "programs" / "fig1.pip"),
+        "--config", str(ROOT / "programs" / "fig1.cfr.json"), "--horizon", "-1",
+    )
+    assert err == "pcfr: horizon must be nonnegative\n"
+
+
 def test_cli_deterministic_output(capsys):
     args = (
         "mdp-sup",

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -559,6 +560,51 @@ def test_sweep_matches_path_tree_reference():
                 paths = reference.enumerate_paths(q, policy, sigma0, 8)
                 assert enumerate_paths(q, policy, sigma0, 8) == paths
                 assert sweep(q, policy, sigma0, 8)[1] == len(paths.paths)
+
+
+def test_enumeration_path_cap_boundary_matches_reference():
+    # a cap equal to the largest level passes, one below it trips with the
+    # reference's count, under both kinds of policy
+    denominators, largest_levels = set(), set()
+    for p, pruned, sigma0, policies in _differential_corpus():
+        history = SeededPolicy(7, temp_values=(0, 1), history_dependent=True)
+        for q in (p, pruned.program):
+            denominators.add(math.lcm(*(t.prob.denominator for t in q.transitions)))
+            for policy in policies + (history,):
+                largest = max(
+                    len(reference.enumerate_paths(q, policy, sigma0, k).paths)
+                    for k in range(1, 9)
+                )
+                largest_levels.add(largest)
+                expected = reference.enumerate_paths(q, policy, sigma0, 8, path_cap=largest)
+                assert enumerate_paths(q, policy, sigma0, 8, path_cap=largest) == expected
+                with pytest.raises(StateSpaceCapExceeded) as tripped:
+                    reference.enumerate_paths(q, policy, sigma0, 8, path_cap=largest - 1)
+                with pytest.raises(StateSpaceCapExceeded) as err:
+                    enumerate_paths(q, policy, sigma0, 8, path_cap=largest - 1)
+                assert (err.value.count, err.value.cap) == (tripped.value.count, largest - 1)
+    assert {2, 6} <= denominators
+    assert max(largest_levels) > 1
+
+
+def test_semantic_queries_reject_out_of_range_arguments(fig1, fig1_refined):
+    pruned, _ = fig1_refined
+    policy = FirstEnabledPolicy((1,))
+    sigma0 = {X: 0, Y: 2}
+    with pytest.raises(ValueError, match="horizon"):
+        enumerate_paths(fig1, policy, sigma0, -1)
+    with pytest.raises(ValueError, match="horizon"):
+        sweep(fig1, policy, sigma0, -1)
+    with pytest.raises(ValueError, match="horizon"):
+        check_embedding(fig1, pruned, policy, sigma0, -1)
+    with pytest.raises(ValueError, match="horizon"):
+        mdp_sup_truncated(fig1, sigma0, -1, (1,))
+    with pytest.raises(ValueError, match="sample"):
+        monte_carlo(fig1, policy, sigma0, 0, 100, 1)
+    with pytest.raises(ValueError, match="step_cap"):
+        monte_carlo(fig1, policy, sigma0, 10, -1, 1)
+    # a zero step cap is in range: every run is censored at runtime 0
+    assert monte_carlo(fig1, policy, sigma0, 10, 0, 1).censored == 10
 
 
 def test_integer_value_iteration_matches_fraction_reference():
