@@ -10,25 +10,57 @@ enabled, and (iv) stays nonnegative right after a target fires.  Then
 target firings, and summing one such certificate per cover entry bounds
 the whole program's expected runtime.
 
-Synthesis turns each universally quantified condition into the
-existence of nonnegative Farkas multipliers over the premise rows
-(:func:`pcfr.linear.farkas_block`) and solves the resulting system with
-the exact rational simplex.  Every certificate is then re-verified
-condition by condition: :func:`verify_plrf` bounds each condition's
-composed expression over its premise with
-:func:`pcfr.linear.expression_bounds`, whose finite supremum rests on
-its own multipliers, checked in plain arithmetic.  That re-check trusts
-neither the multipliers nor the template values synthesis found, so a
-fault in the simplex can only reject a certificate.  Non-increase
-conditions whose composed value would mention a temporary variable (the
-value of the target location depends on a variable the transition
-overwrites with scheduler input) cannot be encoded as affine facts;
-they are skipped during synthesis, re-checked against the solved
-certificate, and poison bound composition if they remain unproven.
+Each condition reads ``premise |= conclusion <= 0``, where the premise
+is the linear part of the source invariant and the guard.  Synthesis
+encodes an affine template's condition as the existence of Farkas
+multipliers over the premise rows (:func:`pcfr.linear.farkas_block`)
+and solves the resulting system with the exact rational simplex.  That
+system has no refutation disjunct: it asks the multipliers to combine
+the premise into the conclusion even when the premise has no model.  So
+the conditions of a premise certified unsatisfiable, which entails every
+conclusion, are dropped instead.
+
+A constant template needs no multipliers.  No update changes a
+constant, so each conclusion ``c`` is a linear form in the location
+constants alone, constant over the program variables.  By the affine
+Farkas lemma, ``premise |= c <= 0`` then holds exactly when the premise
+is unsatisfiable or ``c <= 0``: a satisfiable premise has a (rational)
+model, where ``c <= 0`` must hold, and ``c <= 0`` holds under any
+premise.  Each condition is therefore the one row ``c <= 0``, or no row
+when the premise is certified unsatisfiable.  That is the projection of
+the multiplier system onto the location constants, so the feasible
+constants, and the LP optimum over them, are those of the Farkas
+encoding.
+
+Synthesis and verification share one condition table per public call
+(:class:`_ConditionTable`).  It holds each general transition's premise,
+built once; its unsatisfiability verdict, computed on first use, which
+only synthesis reads; and a memo of the expression bounds that
+verification computes.  The table is made on entry to the outermost of
+:func:`bound_program`, :func:`find_constant_plrf`,
+:func:`find_linear_plrf` and :func:`verify_plrf`, shared by the calls
+nested in it on the same program and invariants, and dropped when that
+call returns, so nothing is cached from one call to the next.
+
+Every certificate is re-verified condition by condition:
+:func:`verify_plrf` bounds each condition's composed expression over
+its premise with :func:`pcfr.linear.expression_bounds`, whose finite
+supremum and unsatisfiability verdict rest on its own multipliers,
+checked in plain arithmetic.  That re-check trusts neither the
+multipliers, nor the template values, nor the unsatisfiability verdicts
+synthesis used, so a fault in the simplex can only reject a
+certificate.  Non-increase conditions whose composed value would
+mention a temporary variable (the value of the target location depends
+on a variable the transition overwrites with scheduler input) cannot be
+encoded as affine facts; they are skipped during synthesis, re-checked
+against the solved certificate, and poison bound composition if they
+remain unproven.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -36,9 +68,15 @@ from typing import Iterable, Mapping, Sequence
 
 from . import ratlp
 from .invariants import InvariantMap, infer
-from .linear import LIT, expression_bounds, farkas_block
+from .linear import (
+    LIT,
+    Satisfiability,
+    constraint_satisfiability,
+    expression_bounds,
+    farkas_block,
+)
 from .model import PIP, GeneralTransition, Location, location_sccs
-from .syntax import Constraint, Polynomial, Update, Variable
+from .syntax import Atom, Constraint, Polynomial, Update, Variable
 
 
 class UnsupportedProgram(ValueError):
@@ -173,40 +211,98 @@ class PLRF:
 # Condition plumbing shared by synthesis and verification
 
 
-def _premise_atoms(inv: InvariantMap, g: GeneralTransition, strict: bool):
-    atoms = []
-    for a in (inv.of(g.source) & g.guard).atoms:
-        if a.is_linear():
-            atoms.append(a)
-        elif strict:
+_Interval = tuple[Fraction | None, Fraction | None]
+
+
+class _ConditionTable:
+    """What the ranking conditions of one call on ``(p, inv)`` share (see
+    the module docstring): premises and unsatisfiability verdicts per
+    general transition, and verification's memo of
+    :func:`pcfr.linear.expression_bounds` keyed on (premise, scaled
+    polynomial)."""
+
+    def __init__(self, p: PIP, inv: InvariantMap):
+        self.p, self.inv = p, inv
+        self._premises: dict[str, tuple[Constraint, Atom | None]] = {}
+        self._unsat: dict[str, bool] = {}
+        self._bounds: dict[tuple[Constraint, Polynomial], _Interval | None] = {}
+
+    def premise(self, g: GeneralTransition, strict: bool) -> Constraint:
+        """The linear atoms of the source invariant and the guard; a
+        nonlinear atom is dropped, or raises UnsupportedProgram if strict."""
+        entry = self._premises.get(g.name)
+        if entry is None:
+            atoms = (self.inv.of(g.source) & g.guard).atoms
+            linear = Constraint(a for a in atoms if a.is_linear())
+            nonlinear = next((a for a in atoms if not a.is_linear()), None)
+            entry = self._premises[g.name] = (linear, nonlinear)
+        premise, nonlinear = entry
+        if strict and nonlinear is not None:
             raise UnsupportedProgram(
-                f"nonlinear guard or invariant atom on '{g.name}': {a}"
+                f"nonlinear guard or invariant atom on '{g.name}': {nonlinear}"
             )
-    return Constraint(atoms)
+        return premise
+
+    def unsat(self, g: GeneralTransition) -> bool:
+        """True only if the premise of ``g`` is certified unsatisfiable."""
+        verdict = self._unsat.get(g.name)
+        if verdict is None:
+            premise = self.premise(g, strict=False)
+            verdict = constraint_satisfiability(premise) is Satisfiability.UNSAT
+            self._unsat[g.name] = verdict
+        return verdict
+
+    def expression_bounds(self, premise: Constraint, poly: Polynomial) -> _Interval | None:
+        key = (premise, poly)
+        if key not in self._bounds:
+            self._bounds[key] = expression_bounds(premise, poly)
+        return self._bounds[key]
+
+
+# The table of the public call in progress.  A context variable, not a
+# parameter, keeps the public signatures as they are, and each nested call
+# still goes through its module-level name.
+_ACTIVE_TABLE: ContextVar[_ConditionTable | None] = ContextVar(
+    "pcfr_bounds_condition_table", default=None
+)
+
+
+@contextmanager
+def _condition_table(p: PIP, inv: InvariantMap):
+    """The table of the enclosing public call if that call is on the same
+    ``(p, inv)``; otherwise a new one, dropped when this call returns."""
+    table = _ACTIVE_TABLE.get()
+    if table is not None and table.p is p and table.inv is inv:
+        yield table
+        return
+    table = _ConditionTable(p, inv)
+    token = _ACTIVE_TABLE.set(table)
+    try:
+        yield table
+    finally:
+        _ACTIVE_TABLE.reset(token)
 
 
 def _gt_conditions(
-    p: PIP, inv: InvariantMap, g: GeneralTransition, is_target: bool, strict: bool
-) -> list[tuple[str, Constraint, list[tuple[Fraction, Location, Update | None]]]]:
-    """Conditions for one general transition as (tag, premise, combination)
-    entries; a combination sums ``factor * f(location) (after update)`` terms,
-    with ``None`` update meaning the bare source value, and must prove
-    ``combination + (1 if decrease) <= 0`` under the premise."""
-    premise = _premise_atoms(inv, g, strict)
+    g: GeneralTransition, is_target: bool
+) -> list[tuple[str, list[tuple[Fraction, Location, Update | None]]]]:
+    """Conditions for one general transition as (tag, combination) entries,
+    all over the transition's premise; a combination sums ``factor *
+    f(location) (after update)`` terms, with ``None`` update meaning the
+    bare source value, and must prove ``combination + (1 if decrease) <=
+    0`` under the premise."""
     out = []
     if is_target:
         decrease = [(t.prob, t.target, t.update) for t in g.members]
         decrease.append((Fraction(-1), g.source, None))
-        out.append(("decrease", premise, decrease))
-        out.append(("bounded", premise, [(Fraction(-1), g.source, None)]))
+        out.append(("decrease", decrease))
+        out.append(("bounded", [(Fraction(-1), g.source, None)]))
         for t in g.members:
-            out.append(
-                (f"post:{t.name}", premise, [(Fraction(-1), t.target, t.update)])
-            )
+            out.append((f"post:{t.name}", [(Fraction(-1), t.target, t.update)]))
     else:
         non_increase = [(t.prob, t.target, t.update) for t in g.members]
         non_increase.append((Fraction(-1), g.source, None))
-        out.append(("non-increase", premise, non_increase))
+        out.append(("non-increase", non_increase))
     return out
 
 
@@ -247,57 +343,42 @@ def verify_plrf(
     such certificates exist but cannot be charged at composition.  The
     check is independent of synthesis: each condition's expression is
     bounded over the premise polyhedron exactly, and a condition holds
-    only on a supremum its own checked multipliers prove.
+    only on a supremum its own checked multipliers prove.  It reads the
+    condition table's premises and bounds memo, never its unsatisfiability
+    verdicts.
     """
     failures: list[str] = []
     taints: dict[str, str] = {}
-    for g in p.gts:
-        is_target = g.name in plrf.targets
-        try:
-            conditions = _gt_conditions(p, inv, g, is_target, strict=False)
-        except UnsupportedProgram as exc:  # pragma: no cover - strict=False
-            failures.append(str(exc))
-            continue
-        for tag, premise, combination in conditions:
-            extra = Fraction(1) if tag == "decrease" else Fraction(0)
-            try:
-                expr = _combination_expr(plrf.values, combination, extra)
-            except UnsupportedProgram as exc:
-                failures.append(f"{g.name}/{tag}: {exc}")
-                continue
-            bounds = expression_bounds(premise, expr.scaled_integer_poly())
-            holds = bounds is None or (
-                bounds[1] is not None and bounds[1] <= 0
-            )
-            if holds:
-                continue
-            update_temps = _update_temporaries(p, g)
-            if tag == "non-increase" and update_temps:
-                taints[g.name] = (
-                    f"'{g.name}' assigns temporary variable(s) "
-                    f"{', '.join(update_temps)}, so non-increase of the "
-                    "ranking value cannot be established"
+    with _condition_table(p, inv) as table:
+        for g in p.gts:
+            premise = table.premise(g, strict=False)
+            for tag, combination in _gt_conditions(g, g.name in plrf.targets):
+                extra = Fraction(1) if tag == "decrease" else Fraction(0)
+                try:
+                    expr = _combination_expr(plrf.values, combination, extra)
+                except UnsupportedProgram as exc:
+                    failures.append(f"{g.name}/{tag}: {exc}")
+                    continue
+                bounds = table.expression_bounds(premise, expr.scaled_integer_poly())
+                holds = bounds is None or (
+                    bounds[1] is not None and bounds[1] <= 0
                 )
-            else:
-                failures.append(f"condition {tag} fails for '{g.name}'")
+                if holds:
+                    continue
+                update_temps = _update_temporaries(p, g)
+                if tag == "non-increase" and update_temps:
+                    taints[g.name] = (
+                        f"'{g.name}' assigns temporary variable(s) "
+                        f"{', '.join(update_temps)}, so non-increase of the "
+                        "ranking value cannot be established"
+                    )
+                else:
+                    failures.append(f"condition {tag} fails for '{g.name}'")
     return failures, taints
 
 
 # ---------------------------------------------------------------------------
-# Farkas-based synthesis
-
-
-def _template_expr(
-    location: Location, program_vars: Sequence[Variable], linear: bool
-) -> tuple[dict[Variable, dict], dict]:
-    """Template value at a location: per-variable and constant linear forms
-    over the template unknowns."""
-    var_forms: dict[Variable, dict] = {}
-    if linear:
-        for v in program_vars:
-            var_forms[v] = {("a", location.name, v.name): Fraction(1)}
-    const_form = {("c", location.name): Fraction(1)}
-    return var_forms, const_form
+# Synthesis
 
 
 def _form_add(dst: dict, src: dict, factor: Fraction) -> None:
@@ -306,32 +387,43 @@ def _form_add(dst: dict, src: dict, factor: Fraction) -> None:
 
 
 def _composed_template(
-    location: Location,
-    update: Update | None,
-    program_vars: Sequence[Variable],
-    linear: bool,
+    location: Location, update: Update | None, program_vars: Sequence[Variable]
 ) -> tuple[dict[Variable, dict], dict]:
-    var_forms, const_form = _template_expr(location, program_vars, linear)
-    if update is None or not linear:
-        return var_forms, dict(const_form)
+    """The affine template value at a location, after the update: the
+    coefficient of each variable and the constant, as linear forms over
+    the template unknowns."""
+    var_forms = {v: {("a", location.name, v.name): Fraction(1)} for v in program_vars}
+    const_form = {("c", location.name): Fraction(1)}
+    if update is None:
+        return var_forms, const_form
     out_vars: dict[Variable, dict] = {}
-    out_const = dict(const_form)
     for v, form in var_forms.items():
         image = update.image_of(v)
         if not image.is_linear():
             raise UnsupportedProgram(f"nonlinear update image for '{v.name}'")
         lin, b = image.linear_form()
         if b:
-            _form_add(out_const, form, Fraction(b))
+            _form_add(const_form, form, Fraction(b))
         for w, a in lin.items():
-            target = out_vars.setdefault(w, {})
-            _form_add(target, form, Fraction(a))
-    return out_vars, out_const
+            _form_add(out_vars.setdefault(w, {}), form, Fraction(a))
+    return out_vars, const_form
+
+
+def _constant_row(
+    tag: str, combination: Sequence[tuple[Fraction, Location, Update | None]]
+) -> ratlp.LinearConstraint:
+    """A condition over constant templates, which no update changes: the
+    row ``sum factor * c(location) + (1 if decrease) <= 0``."""
+    coeffs: dict = {}
+    for factor, location, _ in combination:
+        key = ("c", location.name)
+        coeffs[key] = coeffs.get(key, Fraction(0)) + factor
+    return ratlp.LinearConstraint.of(coeffs, "<=", -1 if tag == "decrease" else 0)
 
 
 def _synthesize(
     p: PIP,
-    inv: InvariantMap,
+    table: _ConditionTable,
     targets: Iterable[GeneralTransition | str],
     linear: bool,
     skip_temp_nonincrease: bool = False,
@@ -352,33 +444,40 @@ def _synthesize(
     block_id = 0
     for g in p.gts:
         is_target = g.name in target_names
-        if (
-            linear
-            and not is_target
-            and skip_temp_nonincrease
-            and _update_temporaries(p, g)
-        ):
+        conditions = _gt_conditions(g, is_target)
+        if not linear:
+            # premise |= c <= 0 for a constant c holds iff the premise is
+            # unsatisfiable or c <= 0 (see the module docstring)
+            rows = [_constant_row(tag, combination) for tag, combination in conditions]
+            rows = [row for row in rows if row.coeffs or row.rhs < 0]
+            if rows and not table.unsat(g):
+                constraints.extend(rows)
+            continue
+        if not is_target and skip_temp_nonincrease and _update_temporaries(p, g):
             # The non-increase fact cannot be required without also
             # forbidding any dependence of the ranking value on the
             # overwritten variables; leave it to the re-check, which
             # will taint the certificate if it stays unprovable.
             skipped.add(g.name)
             continue
-        for tag, premise, combination in _gt_conditions(
-            p, inv, g, is_target, strict=linear
-        ):
+        premise = table.premise(g, strict=True)
+        for tag, combination in conditions:
             conclusion_vars: dict[Variable, dict] = {}
             conclusion_const: dict = {
                 LIT: Fraction(1) if tag == "decrease" else Fraction(0)
             }
             for factor, location, update in combination:
                 var_forms, const_form = _composed_template(
-                    location, update, p.program_vars, linear
+                    location, update, p.program_vars
                 )
                 _form_add(conclusion_const, const_form, factor)
                 for v, form in var_forms.items():
-                    target = conclusion_vars.setdefault(v, {})
-                    _form_add(target, form, factor)
+                    _form_add(conclusion_vars.setdefault(v, {}), form, factor)
+            # An unsatisfiable premise entails every conclusion.  Its
+            # templates are still composed above, so that a nonlinear
+            # update is reported here and not by the re-check.
+            if table.unsat(g):
+                continue
             farkas_block(
                 block_id, premise, conclusion_vars, conclusion_const, constraints
             )
@@ -401,7 +500,7 @@ def _synthesize(
         values[loc] = AffineExpr.make(coeffs, solution.get(("c", loc.name), Fraction(0)))
 
     plrf = PLRF(values, frozenset(target_names), "linear" if linear else "constant")
-    failures, taints = verify_plrf(p, inv, plrf)
+    failures, taints = verify_plrf(p, table.inv, plrf)
     if failures:
         raise AssertionError(
             "synthesized ranking function failed independent verification: "
@@ -470,7 +569,8 @@ def find_constant_plrf(
     p: PIP, inv: InvariantMap, targets: Iterable[GeneralTransition | str]
 ) -> PLRF | None:
     """Location constants with expected decrease on the targets, or None."""
-    return _synthesize(p, inv, targets, linear=False)
+    with _condition_table(p, inv) as table:
+        return _synthesize(p, table, targets, linear=False)
 
 
 def find_linear_plrf(
@@ -484,10 +584,11 @@ def find_linear_plrf(
     only produce a tainted certificate.  Raises UnsupportedProgram on
     nonlinear guards or updates.
     """
-    plrf = _synthesize(p, inv, targets, linear=True)
-    if plrf is not None:
-        return plrf
-    return _synthesize(p, inv, targets, linear=True, skip_temp_nonincrease=True)
+    with _condition_table(p, inv) as table:
+        plrf = _synthesize(p, table, targets, linear=True)
+        if plrf is not None:
+            return plrf
+        return _synthesize(p, table, targets, linear=True, skip_temp_nonincrease=True)
 
 
 # ---------------------------------------------------------------------------
@@ -617,26 +718,26 @@ def bound_program(
     groups = [tuple(g) for g in (cover_groups or default_cover(p))]
     failures: list[str] = []
     cover: list[tuple[tuple[str, ...], PLRF]] = []
-    for group in groups:
-        plrf = find_constant_plrf(p, inv, group)
-        if plrf is None or plrf.taints:
-            try:
-                linear_plrf = find_linear_plrf(p, inv, group)
-            except UnsupportedProgram as exc:
-                linear_plrf = None
-                failures.append(f"{{{', '.join(group)}}}: {exc}")
+    with _condition_table(p, inv):
+        for group in groups:
+            plrf = find_constant_plrf(p, inv, group)
+            if plrf is None or plrf.taints:
+                try:
+                    linear_plrf = find_linear_plrf(p, inv, group)
+                except UnsupportedProgram as exc:
+                    failures.append(f"{{{', '.join(group)}}}: {exc}")
+                    continue
+                plrf = linear_plrf if linear_plrf is not None else plrf
+            if plrf is None:
+                failures.append(
+                    f"{{{', '.join(group)}}}: no constant or affine ranking certificate"
+                )
                 continue
-            plrf = linear_plrf if linear_plrf is not None else plrf
-        if plrf is None:
-            failures.append(
-                f"{{{', '.join(group)}}}: no constant or affine ranking certificate"
-            )
-            continue
-        if plrf.taints:
-            detail = "; ".join(sorted(plrf.taints.values()))
-            failures.append(f"{{{', '.join(group)}}}: {detail}")
-            continue
-        cover.append((group, plrf))
+            if plrf.taints:
+                detail = "; ".join(sorted(plrf.taints.values()))
+                failures.append(f"{{{', '.join(group)}}}: {detail}")
+                continue
+            cover.append((group, plrf))
     if failures:
         return BoundReport(False, None, tuple(failures))
     return BoundReport(True, compose_bound(p, cover), ())

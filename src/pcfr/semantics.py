@@ -448,6 +448,8 @@ def enumerate_paths(
     each length."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
+    if path_cap < 0:
+        raise ValueError("path_cap must be nonnegative")
     start = _initial_path(p, sigma0)
     table = StepTable(p, policy)
     scale = table.scale**horizon
@@ -516,6 +518,8 @@ def sweep(
     paths under a history-dependent policy."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
+    if path_cap < 0:
+        raise ValueError("path_cap must be nonnegative")
     start = _initial_path(p, sigma0)
     history = policy.history_dependent
     table = StepTable(p, policy)
@@ -717,6 +721,8 @@ def mdp_sup_truncated(
     ``L**s`` (see the module docstring)."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
+    if state_cap < 0:
+        raise ValueError("state_cap must be nonnegative")
     if not temp_values:
         raise ValueError("temp_values must be nonempty")
     c0 = Configuration.make(p.initial, dict(sigma0))
@@ -864,6 +870,8 @@ def check_embedding(
     step has no preimage, the refined path ending in that step."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
+    if path_cap < 0:
+        raise ValueError("path_cap must be nonnegative")
     if policy.history_dependent:
         raise ValueError("check_embedding requires a history-independent policy")
     p2 = refinement.program

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import _corpus
+from pcfr import bounds
 from pcfr.abstraction import heuristic_layers
 from pcfr.bounds import (
     AffineExpr,
@@ -20,6 +21,7 @@ from pcfr.bounds import (
     verify_plrf,
 )
 from pcfr.invariants import infer
+from pcfr.linear import LIT, Satisfiability, constraint_satisfiability, farkas_block
 from pcfr.model import PIP, GeneralTransition, Location, Transition
 from pcfr.refine import refine_and_prune
 from pcfr.semantics import SeededPolicy, expected_runtime_estimate, mdp_sup_truncated
@@ -79,6 +81,60 @@ def test_constant_scaling_preserves_all_but_decrease_tightness(fig2):
     assert {l.name: e.const for l, e in again.values.items()} == {
         l.name: e.const for l, e in plrf.values.items()
     }
+
+
+def _farkas_constant_values(p, inv, targets):
+    """Constant ranking values from the system that encodes every
+    condition with Farkas multipliers over its premise, or None."""
+    blocks = []  # (premise, literal, [(factor, location)])
+    for g in p.gts:
+        premise = Constraint(a for a in (inv.of(g.source) & g.guard).atoms if a.is_linear())
+        step = [(t.prob, t.target) for t in g.members] + [(Fraction(-1), g.source)]
+        if g.name in targets:
+            blocks += [(premise, 1, step), (premise, 0, [(Fraction(-1), g.source)])]
+            blocks += [(premise, 0, [(Fraction(-1), t.target)]) for t in g.members]
+        else:
+            blocks.append((premise, 0, step))
+    constraints = []
+    for block_id, (premise, literal, combination) in enumerate(blocks):
+        conclusion = {LIT: Fraction(literal)}
+        for factor, location in combination:
+            key = ("c", location.name)
+            conclusion[key] = conclusion.get(key, 0) + factor
+        farkas_block(block_id, premise, {}, conclusion, constraints)
+    keys = [("c", loc.name) for loc in p.locations]
+    solution = bounds._solve_constant(constraints, keys, ("c", p.initial.name))
+    if solution is None:
+        return None
+    return {loc.name: solution.get(("c", loc.name), 0) for loc in p.locations}
+
+
+def test_constant_synthesis_matches_farkas_encoding_on_random_corpus():
+    """A constant template makes every conclusion constant, so the
+    multiplier-free rows (dropped on an unsatisfiable premise) must give
+    the same feasibility and the same certificate as the Farkas system."""
+    rng = random.Random(777)
+    unsat_premises = infeasible = 0
+    for _ in range(30):
+        p = _corpus.random_pip(rng)
+        s = list(p.transitions)
+        refined, _ = refine_and_prune(p, [t.name for t in s], heuristic_layers(p, s))
+        for q in (p, refined.program):
+            inv = infer(q)
+            unsat_premises += sum(
+                constraint_satisfiability(inv.of(g.source) & g.guard) is Satisfiability.UNSAT
+                for g in q.gts
+            )
+            for group in default_cover(q):
+                expected = _farkas_constant_values(q, inv, set(group))
+                plrf = find_constant_plrf(q, inv, group)
+                if expected is None:
+                    assert plrf is None
+                    infeasible += 1
+                else:
+                    got = {loc.name: expr.const for loc, expr in plrf.values.items()}
+                    assert got == expected, (q, group)
+    assert unsat_premises and infeasible  # both branches of the lemma are exercised
 
 
 # --- linear ranking functions -----------------------------------------------
@@ -313,6 +369,37 @@ def test_certificate_recheck_survives_optimized_mode():
     ), run.stdout
 
 
+
+def test_corrupted_unsat_verdict_is_rejected(monkeypatch, fig2):
+    """Synthesis drops the conditions of a premise its condition table
+    calls unsatisfiable; if every verdict lies, the re-check, which never
+    reads them, rejects the certificate.  Uses no ``assert``, so it checks
+    the same under ``python -O``."""
+    monkeypatch.setattr(bounds._ConditionTable, "unsat", lambda self, g: True)
+    with pytest.raises(AssertionError, match="failed independent verification"):
+        bound_program(fig2)
+
+
+def test_condition_table_lives_for_one_call(monkeypatch, fig2):
+    """The re-check's memo is shared inside one call and starts empty in
+    the next, so a repeated call does the same work."""
+    calls = []
+    original = bounds.expression_bounds
+
+    def counted(premise, poly):
+        calls.append((premise, poly))
+        return original(premise, poly)
+
+    monkeypatch.setattr(bounds, "expression_bounds", counted)
+    inv = infer(fig2)
+    bound_program(fig2, inv=inv)
+    first = len(calls)
+    assert first == len(set(calls))  # each (premise, expression) once per call
+    bound_program(fig2, inv=inv)
+    assert len(calls) == 2 * first
+    assert bounds._ACTIVE_TABLE.get() is None
+
+
 # --- empirical soundness -------------------------------------------------------
 
 
@@ -384,6 +471,34 @@ def test_bound_with_a_dead_guard_under_the_invariant():
     (a,) = p.program_vars
     for a0 in range(-4, 2):
         assert mdp_sup_truncated(p, {a: a0}, 30, (0,)) <= report.bound.evaluate_total({a: a0})
+
+
+_UNSAT_GUARD = """
+vars a, b;
+start q0;
+
+trans t0 { from q0; guard a + 1 <= 0; update b := b + 1; to q1; }
+gt g1 {
+  from q1;
+  guard 1 <= a;
+  branch t1 p=1/2 {} -> q1;
+  branch t2 p=1/2 { a := 1, b := 1 } -> q1;
+}
+trans t3 { from q1; guard b + 1 <= 0; update a := -1, b := 2; to q1; }
+"""
+
+
+def test_affine_bound_over_an_unsatisfiable_premise():
+    """g1's guard contradicts q1's invariant ``a <= -1``.  Its multipliers
+    cannot combine the premise into a conclusion over ``b``, so affine
+    synthesis must drop its conditions rather than encode them."""
+    p = parse_program(_UNSAT_GUARD)
+    report = bound_program(p)
+    assert report.ok and report.bound.render_total() == "1 - 1/3*a - 1/3*b"
+    for a0 in range(-4, 5):
+        for b0 in range(-4, 5):
+            state = dict(zip(p.program_vars, (a0, b0)))
+            assert mdp_sup_truncated(p, state, 25, (0,)) <= report.bound.evaluate_total(state)
 
 
 def test_affine_expr_rendering():

@@ -276,6 +276,29 @@ def test_cli_check_embedding_negative_horizon_exits_2(capsys):
     assert err == "pcfr: horizon must be nonnegative\n"
 
 
+def test_cli_enumerate_negative_path_cap_exits_2(capsys):
+    args = ("enumerate", str(ROOT / "programs" / "fig1.pip"), "--state", "x=0, y=2")
+    for horizon in ("0", "10"):
+        err = _usage_error(capsys, *args, "--horizon", horizon, "--path-cap", "-1")
+        assert err == "pcfr: path_cap must be nonnegative\n"
+
+
+def test_cli_mdp_sup_negative_state_cap_exits_2(capsys):
+    err = _usage_error(
+        capsys, "mdp-sup", str(ROOT / "programs" / "fig1.pip"),
+        "--state", "x=0, y=2", "--state-cap", "-1",
+    )
+    assert err == "pcfr: state_cap must be nonnegative\n"
+
+
+def test_cli_check_embedding_negative_path_cap_exits_2(capsys):
+    err = _usage_error(
+        capsys, "check-embedding", str(ROOT / "programs" / "fig1.pip"),
+        "--config", str(ROOT / "programs" / "fig1.cfr.json"), "--path-cap", "-1",
+    )
+    assert err == "pcfr: path_cap must be nonnegative\n"
+
+
 def test_cli_deterministic_output(capsys):
     args = (
         "mdp-sup",

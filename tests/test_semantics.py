@@ -255,6 +255,24 @@ def test_path_cap_reports_count(fig1):
     assert err.value.count > 2
 
 
+def test_negative_caps_are_value_errors(fig1):
+    """A negative cap is an out-of-range argument, also at horizon 0,
+    where no level could trip it."""
+    from pcfr.abstraction import AbstractionLayer
+
+    policy, sigma0 = FirstEnabledPolicy((1,)), {X: 0, Y: 2}
+    same, _ = refine_and_prune(fig1, [], AbstractionLayer())
+    for horizon in (0, 3):
+        with pytest.raises(ValueError, match="path_cap must be nonnegative"):
+            enumerate_paths(fig1, policy, sigma0, horizon, path_cap=-1)
+        with pytest.raises(ValueError, match="path_cap must be nonnegative"):
+            sweep(fig1, policy, sigma0, horizon, path_cap=-1)
+        with pytest.raises(ValueError, match="path_cap must be nonnegative"):
+            check_embedding(fig1, same, policy, sigma0, horizon, path_cap=-1)
+        with pytest.raises(ValueError, match="state_cap must be nonnegative"):
+            mdp_sup_truncated(fig1, sigma0, horizon, (1,), state_cap=-1)
+
+
 # --- expected runtime ----------------------------------------------------------
 
 
