@@ -11,29 +11,29 @@ oracle that checks a refinement by building the path embedding between
 a program and its refined version and verifying that it is a
 probability-, runtime- and termination-preserving bijection.
 
-Every back-end is driven by one :class:`StepTable` per (program, policy)
-run, which maps a configuration to its validated step distribution and,
-for history-independent policies, resolves each configuration once.
-Paths are built only where a path is the answer: :func:`enumerate_paths`,
-the witness of a failed embedding, and history-dependent policies, whose
-step depends on the whole path.  Otherwise every reported quantity is
-linear in the path probabilities, so :func:`sweep` runs forward over a
-map from configuration to (path count, mass, per-transition counts)
-instead of over the path tree.  Masses are integer numerators over the
-common denominator ``L**k`` after ``k`` steps, where ``L`` is the least
-common multiple of the program's probability denominators, and the MDP
-iterates integer numerators over ``L**(h - i)``; a ``Fraction`` is
-built only for an answer, so every rational is the one the path sums
-give.  This holds for :func:`enumerate_paths` too: under a
-history-independent policy it extends a frontier of integer entries
-(step numbers, end configuration, mass, runtime count) and builds a
-:class:`PathRecord` and its ``Fraction`` only for each returned path.
+Every policy-driven back-end is one loop over the *nodes* of one
+:class:`StepTable` per (program, policy) run.  A node is what the
+policy's choice depends on: a numbered configuration under a
+history-independent policy, whose moves are resolved once, and the path
+itself under a history-dependent one, whose moves are resolved on every
+call and never kept.  Paths are built only where a path is the answer:
+:func:`enumerate_paths`, the witness of a failed embedding, and the
+nodes of a history-dependent policy.  Otherwise every reported quantity
+is linear in the path probabilities, so :func:`sweep` runs forward over
+a map from node to (path count, mass, per-transition counts) instead of
+over the path tree.  Masses are integer numerators over the common
+denominator ``L**k`` after ``k`` steps, where ``L`` is the least common
+multiple of the program's probability denominators, and the MDP iterates
+integer numerators over ``L**(h - i)``; a ``Fraction`` is built only for
+an answer, so every rational is the one the path sums give.  This holds
+for :func:`enumerate_paths` too: it extends a frontier of plain entries
+(steps, end node, mass, runtime count) and builds a :class:`PathRecord`
+and its ``Fraction`` only for each returned path.
 
 Soundness of the pairwise embedding check.  A base path determines its
 image in the refinement step by step: each base transition lifts to the
-one refined copy of it at the current refined location (``_lift_index``),
-and the refined state is the base state without the temporaries pruning
-removed.  So every base path ends in a pair (base configuration, refined
+one refined copy of it at the current refined location, and the refined
+state is the base state without the temporaries pruning removed.  So every base path ends in a pair (base configuration, refined
 configuration).  With a history-independent base policy the step
 distribution at a base configuration is fixed by the configuration, and
 the induced policy's at a refined configuration is fixed by that
@@ -53,7 +53,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -329,69 +328,73 @@ def step_distribution(
     return successors(p, config, gt, temps)
 
 
-Step = tuple[str | None, Configuration, Fraction]
-_Pair = tuple[Configuration, Configuration]  # (base, refined) configuration
+Move = tuple[tuple[str | None, Configuration], object, int, float]  # see StepTable
+_Pair = tuple[int, int]  # (base, refined) node number
 
 
-class StepTable:
-    """The validated step distributions of one (program, policy) run.
+class StepTable(dict):
+    """The validated step distributions of one (program, policy) run,
+    handed out per node by ``moves``.
 
-    Under a history-independent policy the distribution at a
-    configuration is resolved and validated once and then reused.  For
-    the path frontier of :func:`enumerate_paths` and the samples of
-    :func:`monte_carlo`, configurations and the steps from them are also
-    numbered as they are reached, and each step's probability is read
-    once as its integer numerator over ``scale``, the least common
-    multiple of the program's probability denominators."""
+    A node is what the policy's choice depends on.  Under a
+    history-independent policy it is a configuration, numbered as it is
+    reached (``configs[i]`` is node ``i``), and its moves are resolved
+    and validated once: the table maps a node number to its moves and
+    resolves them on the first lookup (``__missing__``), so ``moves`` is
+    the table's own ``__getitem__``, one dictionary lookup per step.
+    Under a history-dependent policy a node is the :class:`PathRecord`
+    itself, and its moves are resolved on every call and never kept: each
+    path is its own node, so a memo would only grow, and
+    :func:`monte_carlo` would keep every sampled prefix.  No back-end but
+    this table reads ``policy.history_dependent``.
+
+    ``moves(node)`` lists one :data:`Move` per step of the distribution:
+    (transition name, successor configuration), the successor node, the
+    probability as an integer over ``scale`` (the least common multiple of
+    the program's probability denominators) and the running float sum
+    that :func:`monte_carlo` draws from."""
 
     def __init__(self, p: PIP, policy: Policy):
+        super().__init__()
         self.p = p
         self.policy = policy
         self.scale = _denominator(p)
-        self._memo: dict[Configuration, list[Step]] = {}
         self.configs: list[Configuration] = []
-        self.steps: list[tuple[str | None, Configuration]] = []
         self._number: dict[Configuration, int] = {}
-        self._moves: list[list[tuple[int, int, int, bool]] | None] = []
 
-    def at(self, config: Configuration) -> list[Step]:
-        """The distribution at a configuration (history-independent policies)."""
-        dist = self._memo.get(config)
-        if dist is None:
-            dist = step_distribution(self.p, self.policy, PathRecord(config, (), Fraction(1)))
-            self._memo[config] = dist
-        return dist
+    @property
+    def moves(self):
+        """node -> its list of moves.  (Not kept as an attribute: a bound
+        method on the table would make the table a reference cycle.)"""
+        return self._moves_along if self.policy.history_dependent else self.__getitem__
 
-    def along(self, path: PathRecord) -> list[Step]:
-        """The distribution at the end of a path, under any policy."""
+    def root(self, start: PathRecord):
+        """The node of the empty path ``start``."""
         if self.policy.history_dependent:
-            return step_distribution(self.p, self.policy, path)
-        return self.at(path.end)
+            return start
+        return self._node(start.initial)
 
-    def number(self, config: Configuration) -> int:
-        """The configuration's index in ``configs``."""
+    def _node(self, config: Configuration) -> int:
         i = self._number.get(config)
         if i is None:
             i = self._number[config] = len(self.configs)
             self.configs.append(config)
-            self._moves.append(None)
         return i
 
-    def moves(self, i: int) -> list[tuple[int, int, int, bool]]:
-        """The distribution at ``configs[i]`` (history-independent
-        policies), one (step, successor, weight, scheduled) per step: the
-        step's index in ``steps``, which holds its (transition name,
-        successor configuration), the successor's number, the
-        probability as an integer over ``scale``, and whether it is a
-        scheduler step (``False`` for the bottom step)."""
-        moves = self._moves[i]
-        if moves is None:
-            moves = self._moves[i] = []
-            for name, succ, prob in self.at(self.configs[i]):
-                moves.append((
-                    len(self.steps), self.number(succ), _weight(prob, self.scale), name is not None
-                ))
-                self.steps.append((name, succ))
+    def __missing__(self, i: int) -> list[Move]:
+        path = PathRecord(self.configs[i], (), Fraction(1))
+        moves = self[i] = self._compile(path, lambda name, succ, prob: self._node(succ))
+        return moves
+
+    def _moves_along(self, path: PathRecord) -> list[Move]:
+        return self._compile(path, path.extended)
+
+    def _compile(self, path: PathRecord, child) -> list[Move]:
+        moves: list[Move] = []
+        acc = 0.0
+        for name, succ, prob in step_distribution(self.p, self.policy, path):
+            acc += float(prob)
+            moves.append(((name, succ), child(name, succ, prob), _weight(prob, self.scale), acc))
         return moves
 
 
@@ -411,23 +414,6 @@ def _initial_path(p: PIP, sigma0: Mapping[Variable, int]) -> PathRecord:
     return PathRecord(Configuration.make(p.initial, sigma0), (), Fraction(1))
 
 
-def _report(horizon: int, scale: int, ends: Iterable[tuple[int, int, bool]]) -> HorizonReport:
-    """Sums over the paths of length ``horizon``, each given as (probability
-    as an integer over ``scale``, runtime count, terminated)."""
-    total = expected = terminated = 0
-    for mass, runtime, stopped in ends:
-        total += mass
-        expected += mass * runtime
-        if stopped:
-            terminated += mass
-    return HorizonReport(
-        horizon,
-        Fraction(total, scale),
-        Fraction(expected, scale),
-        Fraction(terminated, scale),
-    )
-
-
 def enumerate_paths(
     p: PIP,
     policy: Policy,
@@ -437,15 +423,12 @@ def enumerate_paths(
 ) -> EnumerationResult:
     """All admissible paths of length exactly ``horizon``, exact masses.
 
-    Under a history-independent policy a level is a frontier of plain
-    entries: the step numbers so far, the end configuration's number, the
-    probability as an integer over ``L**k`` and the runtime count, all
-    read from the :class:`StepTable`.  A :class:`PathRecord`, with its
-    ``Fraction``, is built only for each returned path, and the report is
-    summed from the same integers.  A history-dependent policy reads the
-    path, so there a level is a list of path records.  Both give the
-    paths in the same order.  ``path_cap`` bounds the number of paths of
-    each length."""
+    A level is a frontier of plain entries: the steps so far, the end
+    node, the probability as an integer over ``L**k`` and the runtime
+    count, all read from the :class:`StepTable`.  A :class:`PathRecord`,
+    with its ``Fraction``, is built only for each returned path, and the
+    report is summed from the same integers.  ``path_cap`` bounds the
+    number of paths of each length."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     if path_cap < 0:
@@ -453,43 +436,33 @@ def enumerate_paths(
     start = _initial_path(p, sigma0)
     table = StepTable(p, policy)
     scale = table.scale**horizon
-    if policy.history_dependent:
-        level: list[PathRecord] = [start]
-        for _ in range(horizon):
-            nxt = [
-                path.extended(name, config, prob)
-                for path in level
-                for name, config, prob in table.along(path)
-            ]
-            if len(nxt) > path_cap:
-                raise StateSpaceCapExceeded(len(nxt), path_cap)
-            level = nxt
-        ends = ((_weight(f.probability, scale), f.runtime_count, f.terminated) for f in level)
-        return EnumerationResult(_report(horizon, scale, ends), tuple(level))
     moves = table.moves
-    frontier = [((), table.number(start.initial), 1, 0)]
+    frontier = [((), table.root(start), 1, 0)]
     for _ in range(horizon):
         nxt = [
-            (steps + (step,), j, weight * w, runtime + scheduled)
+            (steps + (step,), j, weight * w, runtime + (step[0] is not None))
             for steps, i, weight, runtime in frontier
-            for step, j, w, scheduled in moves(i)
+            for step, j, w, _ in moves(i)
         ]
         if len(nxt) > path_cap:
             raise StateSpaceCapExceeded(len(nxt), path_cap)
         frontier = nxt
-    step_of = table.steps.__getitem__
-    ends = (
-        (weight, runtime, bool(steps) and step_of(steps[-1])[0] is None)
-        for steps, _, weight, runtime in frontier
-    )
+    total = expected = terminated = 0
     probabilities: dict[int, Fraction] = {}  # paths share the few distinct weights
     paths = []
-    for steps, _, weight, _ in frontier:
+    for steps, _, weight, runtime in frontier:
+        total += weight
+        expected += weight * runtime
+        if steps and steps[-1][0] is None:
+            terminated += weight
         prob = probabilities.get(weight)
         if prob is None:
             prob = probabilities[weight] = Fraction(weight, scale)
-        paths.append(PathRecord(start.initial, tuple(map(step_of, steps)), prob))
-    return EnumerationResult(_report(horizon, scale, ends), tuple(paths))
+        paths.append(PathRecord(start.initial, steps, prob))
+    report = HorizonReport(
+        horizon, Fraction(total, scale), Fraction(expected, scale), Fraction(terminated, scale)
+    )
+    return EnumerationResult(report, tuple(paths))
 
 
 @dataclass(frozen=True)
@@ -510,25 +483,26 @@ def sweep(
     of length ``horizon`` and the truncated runtime estimate there, from
     one forward sweep over the levels of the path tree.
 
-    A level maps a configuration to the number of paths ending there,
-    their mass and their mass-weighted per-general-transition counts, so
-    paths with a common end are summed, not stored.  Under a
-    history-dependent policy the entries are the paths themselves.
-    ``path_cap`` bounds the entries of each level: configurations, or
-    paths under a history-dependent policy."""
+    A level maps a node of the :class:`StepTable` to the number of paths
+    ending there, their mass and their mass-weighted
+    per-general-transition counts, so paths with a common end
+    configuration are summed, not stored; under a history-dependent
+    policy every path is its own node.  ``path_cap`` bounds the nodes of
+    each level: configurations, or paths under a history-dependent
+    policy."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     if path_cap < 0:
         raise ValueError("path_cap must be nonnegative")
     start = _initial_path(p, sigma0)
-    history = policy.history_dependent
     table = StepTable(p, policy)
+    moves = table.moves
     scale = table.scale
     gt_index = {t.name: i for i, g in enumerate(p.gts) for t in g.members}
     # entry: [paths, mass, count of general transition 0, 1, ...], where
     # the mass and the counts are numerators over scale ** k
     zero = [0] * len(p.gts)
-    level: dict[object, list[int]] = {start if history else start.initial: [1, 1, *zero]}
+    level: dict[object, list[int]] = {table.root(start): [1, 1, *zero]}
     reports = [HorizonReport(0, Fraction(1), Fraction(0), Fraction(0))]
     terminated = 0
     for k in range(1, horizon + 1):
@@ -536,9 +510,7 @@ def sweep(
         terminated = 0
         for node, entry in level.items():
             paths, mass = entry[0], entry[1]
-            for name, config, prob in table.along(node) if history else table.at(node):
-                w = _weight(prob, scale)
-                child = node.extended(name, config, prob) if history else config
+            for (name, _), child, w, _ in moves(node):
                 target = nxt.get(child)
                 if target is None:
                     target = nxt[child] = [0, 0, *zero]
@@ -581,7 +553,7 @@ def horizon_reports(
     path_cap: int = 100_000,
 ) -> list[HorizonReport]:
     """Reports for every horizon 0..max_horizon from one forward sweep;
-    ``path_cap`` bounds the configurations of each level (see :func:`sweep`)."""
+    ``path_cap`` bounds the nodes of each level (see :func:`sweep`)."""
     return sweep(p, policy, sigma0, max_horizon, path_cap)[0]
 
 
@@ -594,7 +566,7 @@ def expected_runtime_estimate(
 ) -> RuntimeEstimate:
     """Truncated expected runtime (a lower bound on the true expectation),
     the not-yet-terminated mass, and truncated per-general-transition
-    counts; ``path_cap`` bounds the configurations of each level (see
+    counts; ``path_cap`` bounds the nodes of each level (see
     :func:`sweep`)."""
     return sweep(p, policy, sigma0, horizon, path_cap)[2]
 
@@ -605,23 +577,6 @@ class MonteCarloResult:
     stderr: float
     samples: int
     censored: int
-
-
-def _cumulative(dist: Sequence[Step]) -> list[float]:
-    """Running float sums of the step probabilities, in order; a draw
-    ``pick`` selects the first step whose running sum exceeds it."""
-    out = []
-    acc = 0.0
-    for _, _, prob in dist:
-        acc += float(prob)
-        out.append(acc)
-    return out
-
-
-def _pick(cumulative: list[float], rng: random.Random) -> int:
-    if len(cumulative) == 1:
-        return 0
-    return min(bisect_right(cumulative, rng.random()), len(cumulative) - 1)
 
 
 def monte_carlo(
@@ -636,61 +591,40 @@ def monte_carlo(
 
     Runs still alive after ``step_cap`` scheduler steps are censored at
     the cap (so the mean is a lower-bound estimate, like truncation).
+    Each step draws once from the node's running float sums, unless the
+    node has a single step; one run's node is all that is held, so memory
+    does not grow with ``samples``.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     if step_cap < 0:
         raise ValueError("step_cap must be nonnegative")
     start = _initial_path(p, sigma0)
-    rng = random.Random(seed)
     table = StepTable(p, policy)
-    runtimes: list[int] = []
+    moves = table.moves
+    root = table.root(start)
+    draw = random.Random(seed).random
     censored = 0
-    if policy.history_dependent:
-        for _ in range(samples):
-            path = start
-            for _ in range(step_cap):
-                dist = table.along(path)
-                name, config, prob = dist[_pick(_cumulative(dist), rng)]
-                if name is None:
-                    break
-                path = path.extended(name, config, prob)
-            else:
-                censored += 1
-            runtimes.append(path.runtime_count)
-    else:
-        # The step table numbers the configurations (the start is 0); each
-        # one's successor table (running float weights, successor numbers,
-        # -1 for the bottom step) is compiled on the first step from it.
-        table.number(start.initial)
-        tables: list[tuple[list[float], list[int]] | None] = [None]
-
-        def compile_table(i: int) -> tuple[list[float], list[int]]:
-            targets = [j if scheduled else -1 for _, j, _, scheduled in table.moves(i)]
-            tables.extend([None] * (len(table.configs) - len(tables)))
-            return _cumulative(table.at(table.configs[i])), targets
-
-        draw = rng.random
-        for _ in range(samples):
-            i = runtime = 0
-            for _ in range(step_cap):
-                compiled = tables[i]
-                if compiled is None:
-                    compiled = tables[i] = compile_table(i)
-                cumulative, targets = compiled
-                if len(targets) == 1:
-                    i = targets[0]
-                else:
-                    i = targets[min(bisect_right(cumulative, draw()), len(targets) - 1)]
-                if i < 0:
-                    break
-                runtime += 1
-            else:
-                censored += 1
-            runtimes.append(runtime)
     total = 0.0
     total_sq = 0.0
-    for runtime in runtimes:
+    for _ in range(samples):
+        node = root
+        runtime = 0
+        for _ in range(step_cap):
+            options = moves(node)
+            if len(options) == 1:
+                move = options[0]
+            else:
+                r = draw()
+                for move in options:
+                    if r < move[3]:
+                        break
+            if move[0][0] is None:
+                break
+            node = move[1]
+            runtime += 1
+        else:
+            censored += 1
         total += runtime
         total_sq += runtime * runtime
     mean = total / samples
@@ -725,10 +659,7 @@ def mdp_sup_truncated(
         raise ValueError("state_cap must be nonnegative")
     if not temp_values:
         raise ValueError("temp_values must be nonempty")
-    c0 = Configuration.make(p.initial, dict(sigma0))
-    missing = [v.name for v in p.program_vars if v not in dict(sigma0)]
-    if missing:
-        raise ValueError(f"initial state does not bind {', '.join(missing)}")
+    c0 = _initial_path(p, sigma0).initial
     scale = _denominator(p)
 
     # configurations are numbered; actions[i] lists, per admissible
@@ -794,7 +725,15 @@ class InducedPolicy(Policy):
     """The refined-program policy that mirrors a base policy: at a labeled
     location it consults the base policy on the underlying location and
     lifts the chosen general transition to its refined copy.  Temporaries
-    that pruning removed from every refined transition are not passed on."""
+    that pruning removed from every refined transition are not passed on.
+
+    A state stores the last value chosen for each temporary, and the
+    refined state lacks the removed ones, so the base policy is consulted
+    on a state without them.  The induced policy therefore mirrors the
+    base policy only if the base policy's choice does not read the stored
+    value of a removed temporary.  :class:`SeededPolicy` hashes the whole
+    state, so it is such a policy only when it chooses values for the
+    kept temporaries alone, so that no state stores a removed one."""
 
     def __init__(self, base: Policy, base_pip: PIP, refinement: RefinementResult):
         if base.history_dependent:
@@ -839,13 +778,6 @@ class EmbeddingReport:
         return self.ok
 
 
-def _lift_index(refinement: RefinementResult) -> dict[tuple[str, str], object]:
-    index: dict[tuple[str, str], object] = {}
-    for t in refinement.program.transitions:
-        index[(t.source.name, refinement.origin[t.name])] = t
-    return index
-
-
 def check_embedding(
     p: PIP,
     refinement: RefinementResult,
@@ -858,10 +790,17 @@ def check_embedding(
     preserving bijection between the admissible paths of the program and
     of its refinement (under the induced policy), up to the horizon.
 
-    The check runs forward over the reachable pairs of a base
-    configuration and the refined configuration its paths embed to, and
-    matches the two step distributions at each pair one-to-one (see the
-    module docstring); ``path_cap`` bounds the pairs of each level.
+    The policy must be history-independent (:class:`InducedPolicy` raises
+    ``ValueError`` otherwise), and its choice must not read the stored
+    value of a temporary that pruning removed from the refinement, which
+    the induced policy cannot see; :class:`SeededPolicy` hashes the whole
+    state, so it qualifies only when no state stores a removed temporary
+    (see :class:`InducedPolicy`).  The check runs forward over the
+    reachable pairs of a base node and the refined node its paths embed
+    to, and matches the two step distributions at each pair one-to-one
+    (see the module docstring), comparing probabilities as integers
+    across the two programs' denominators; ``path_cap`` bounds the pairs
+    of each level.
     ``checked_paths`` is the number of admissible base paths of length
     ``horizon``.  When the check fails at a step from a pair reached in
     k steps, ``checked_paths`` is the number of base paths of length k,
@@ -872,80 +811,78 @@ def check_embedding(
         raise ValueError("horizon must be nonnegative")
     if path_cap < 0:
         raise ValueError("path_cap must be nonnegative")
-    if policy.history_dependent:
-        raise ValueError("check_embedding requires a history-independent policy")
     p2 = refinement.program
-    base = StepTable(p, policy)
-    refined = StepTable(p2, InducedPolicy(policy, p, refinement))
-    lift = _lift_index(refinement)
+    tables = (StepTable(p, policy), StepTable(p2, InducedPolicy(policy, p, refinement)))
+    base, refined = tables[0].moves, tables[1].moves
+    scale, scale2 = tables[0].scale, tables[1].scale
+    configs2 = tables[1].configs
+    lift = {(t.source.name, refinement.origin[t.name]): t for t in p2.transitions}
     dropped = frozenset(p.temporaries()) - frozenset(p2.temporaries())
     roots = (_initial_path(p, sigma0), _initial_path(p2, sigma0))
 
-    level: dict[_Pair, int] = {(roots[0].initial, roots[1].initial): 1}
+    level: dict[_Pair, int] = {(tables[0].root(roots[0]), tables[1].root(roots[1])): 1}
     # parents[k] maps a pair reached in k + 1 steps to its first parent
-    # pair and the base and refined steps between them
-    parents: list[dict[_Pair, tuple[_Pair, Step, Step]]] = []
+    # pair and the base and refined moves between them
+    parents: list[dict[_Pair, tuple[_Pair, Move, Move]]] = []
 
-    def path_to(pair: _Pair, k: int, step: Step, side: int) -> PathRecord:
-        steps = [step]
+    def path_to(pair: _Pair, k: int, move: Move, side: int) -> PathRecord:
+        trail = [move]
         for back in reversed(parents[:k]):
-            pair, base_step, refined_step = back[pair]
-            steps.append((base_step, refined_step)[side])
-        path = roots[side]
-        for name, config, prob in reversed(steps):
-            path = path.extended(name, config, prob)
-        return path
+            pair, base_move, refined_move = back[pair]
+            trail.append((base_move, refined_move)[side])
+        trail.reverse()
+        probability = Fraction(math.prod(m[2] for m in trail), tables[side].scale ** len(trail))
+        return PathRecord(roots[side].initial, tuple(m[0] for m in trail), probability)
 
     def failed(why: str, witness: PathRecord) -> EmbeddingReport:
         return EmbeddingReport(False, horizon, sum(level.values()), why, witness)
 
     for k in range(horizon):
         nxt: dict[_Pair, int] = {}
-        back: dict[_Pair, tuple[_Pair, Step, Step]] = {}
+        back: dict[_Pair, tuple[_Pair, Move, Move]] = {}
         for pair, count in level.items():
-            config, config2 = pair
-            dist = base.at(config)
+            moves = base(pair[0])
             try:
-                dist2 = refined.at(config2)
+                images = {move[0]: move for move in refined(pair[1])}
             except SchedulerViolation as violation:
                 return failed(
                     f"induced policy is not a valid scheduler: {violation}",
-                    path_to(pair, k, dist[0], 0),
+                    path_to(pair, k, moves[0], 0),
                 )
-            images = {(name, succ): (name, succ, prob) for name, succ, prob in dist2}
-            for step in dist:
-                name, succ, prob = step
+            location2 = configs2[pair[1]].location.name
+            for move in moves:
+                (name, succ), j, w, _ = move
                 state = succ.state
                 if dropped:
                     state = tuple((v, n) for v, n in state if v not in dropped)
                 if name is None:
                     key = (None, Configuration(TERMINAL, state))
                 else:
-                    lifted = lift.get((config2.location.name, name))
+                    lifted = lift.get((location2, name))
                     if lifted is None:
                         return failed(
                             "no refined counterpart for a step of this path",
-                            path_to(pair, k, step, 0),
+                            path_to(pair, k, move, 0),
                         )
                     key = (lifted.name, Configuration(lifted.target, state))
                 image = images.pop(key, None)
                 if image is None:
                     return failed(
                         "embedded path is not admissible in the refinement",
-                        path_to(pair, k, step, 0),
+                        path_to(pair, k, move, 0),
                     )
-                if image[2] != prob:
-                    f = path_to(pair, k, step, 0)
+                if w * scale2 != image[2] * scale:
+                    f = path_to(pair, k, move, 0)
                     g = path_to(pair, k, image, 1)
                     return failed(
                         f"probability changed: {f.probability} vs {g.probability}", f
                     )
-                child = (succ, image[1])
+                child = (j, image[1])
                 if child in nxt:
                     nxt[child] += count
                 else:
                     nxt[child] = count
-                    back[child] = (pair, step, image)
+                    back[child] = (pair, move, image)
             if images:
                 return failed(
                     "refined path has no preimage (embedding not surjective)",

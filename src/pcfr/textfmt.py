@@ -373,7 +373,8 @@ def parse_atom(text: str, program: PIP) -> Atom:
 
 
 def parse_state(text: str, program: PIP) -> dict[Variable, int]:
-    """Parse ``x=0, y=2`` style assignments over the program's variables."""
+    """Parse ``x=0, y=2`` style assignments over the program's variables
+    and declared temporaries; an unknown or repeated name is a ``ValueError``."""
     known = {v.name: v for v in program.program_vars}
     for v in program.temporaries():
         known[v.name] = v
@@ -386,7 +387,12 @@ def parse_state(text: str, program: PIP) -> dict[Variable, int]:
         if m is None:
             raise ValueError(f"cannot parse state assignment {piece!r}")
         name, value = m.group(1), int(m.group(2))
-        out[known.get(name, tmp(name))] = value
+        v = known.get(name)
+        if v is None:
+            raise ValueError(f"initial state names unknown variable {name!r}")
+        if v in out:
+            raise ValueError(f"initial state: {name!r} is assigned twice")
+        out[v] = value
     return out
 
 

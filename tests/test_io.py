@@ -108,6 +108,16 @@ def test_parse_state(fig1_parsed):
         parse_state("x=", fig1_parsed)
 
 
+def test_parse_state_rejects_unknown_names(fig1_parsed):
+    with pytest.raises(ValueError, match="unknown variable 'yy'"):
+        parse_state("x=0, y=2, yy=3", fig1_parsed)
+
+
+def test_parse_state_rejects_repeated_names(fig1_parsed):
+    with pytest.raises(ValueError, match="'x' is assigned twice"):
+        parse_state("x=0, x=5", fig1_parsed)
+
+
 # --- printing ------------------------------------------------------------------
 
 
@@ -220,6 +230,22 @@ def test_cli_missing_state_exits_2(capsys):
     )
     assert code == 2
     assert "initial state" in err
+
+
+def test_cli_state_with_unknown_name_exits_2(capsys):
+    code, out, err = _run(
+        capsys, "enumerate", str(ROOT / "programs" / "fig1.pip"), "--state", "x=0, y=2, yy=3"
+    )
+    assert (code, out) == (2, "")
+    assert err == "pcfr: initial state names unknown variable 'yy'\n"
+
+
+def test_cli_state_with_repeated_name_exits_2(capsys):
+    code, out, err = _run(
+        capsys, "enumerate", str(ROOT / "programs" / "fig1.pip"), "--state", "x=0, x=5, y=2"
+    )
+    assert (code, out) == (2, "")
+    assert err == "pcfr: initial state: 'x' is assigned twice\n"
 
 
 def test_cli_check_embedding_history_policy_exits_2(capsys):
@@ -410,3 +436,16 @@ def test_cli_seed_env_fallback(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["result"]["seed"] == 123
+
+
+def test_cli_matches_golden_record():
+    """The semantic commands replay the pinned record byte for byte (see
+    ``tests/_golden_cli.py``)."""
+    import _golden_cli
+
+    records = json.loads(_golden_cli.RECORD.read_text(encoding="utf-8"))
+    assert [r["argv"] for r in records] == _golden_cli.INVOCATIONS
+    changed = [
+        " ".join(r["argv"]) for r in records if _golden_cli.run(r["argv"]) != r
+    ]
+    assert not changed, f"{len(changed)} invocations changed, first: {changed[0]}"

@@ -540,6 +540,36 @@ def test_embedding_accepts_refinement_that_prunes_a_temporary():
         assert report.ok, report.failure
 
 
+def test_seeded_policy_is_mirrored_only_without_a_removed_temporary():
+    # SeededPolicy hashes the whole state, and a base state stores the value
+    # chosen for w, which the refinement dropped, so the induced policy can
+    # choose differently; choosing only the kept temporaries closes the gap
+    p = parse_program(
+        "vars x;\n"
+        "start l0;\n"
+        "trans t0 { from l0; guard u > 0; update x := u; to l1; }\n"
+        "trans t1 { from l1; guard x < 0 && w > 0; update x := w; to l1; }\n"
+        "trans t2 { from l1; guard x > 0; update x := x - 1; to l1; }\n"
+    )
+    pruned, _ = refine_and_prune(p, p.transitions, heuristic_layers(p, p.transitions))
+    kept = set(pruned.program.temporaries())
+
+    class KeptOnly(Policy):
+        def __init__(self, base):
+            self.base, self.temp_values = base, base.temp_values
+
+        def resolve(self, q, path):
+            gt, temps = self.base.resolve(q, path)
+            return gt, {v: n for v, n in temps.items() if v in kept}
+
+    x = p.program_vars[0]
+    seeded = [SeededPolicy(seed, (1, 2)) for seed in range(10)]
+    assert not all(check_embedding(p, pruned, s, {x: 2}, 8).ok for s in seeded)
+    for s in seeded:
+        report = check_embedding(p, pruned, KeptOnly(s), {x: 2}, 8)
+        assert report.ok, report.failure
+
+
 def test_embedding_on_random_corpus():
     rng = random.Random(606)
     for i in range(15):
@@ -715,3 +745,52 @@ def test_random_walk_at_horizon_200_under_default_caps():
     report = check_embedding(walk, refined, policy, sigma0, horizon)
     assert report.ok, report.failure
     assert report.checked_paths == count
+
+
+# --- embedding across probability denominators -----------------------------------
+
+DEAD_THIRDS = (
+    "vars x;\n"
+    "start l0;\n"
+    "trans t0 { from l0; update x := 1; to l1; }\n"
+    "gt dead {\n"
+    "  from l1;\n"
+    "  guard x < 0;\n"
+    "  branch d1 p=1/3 {} -> l1;\n"
+    "  branch d2 p=2/3 {} -> l1;\n"
+    "}\n"
+    "gt coin {\n"
+    "  from l1;\n"
+    "  guard x > 0;\n"
+    "  branch heads p=1/2 {} -> l1;\n"
+    "  branch tails p=1/2 { x := 0 } -> l1;\n"
+    "}\n"
+)
+
+
+def test_embedding_across_probability_denominators():
+    # the dead gt makes L = 6 for the base; pruning drops it, so L = 2 for
+    # the refinement, and equal probabilities have different numerators
+    p = parse_program(DEAD_THIRDS)
+    pruned, _ = refine_and_prune(p, p.transitions, heuristic_layers(p, p.transitions))
+    origins = set(pruned.origin.values())
+    assert {"d1", "d2"}.isdisjoint(origins) and {"heads", "tails"} <= origins
+    lcm = lambda q: math.lcm(*(t.prob.denominator for t in q.transitions))
+    assert (lcm(p), lcm(pruned.program)) == (6, 2)
+    x = p.program_vars[0]
+    policy = FirstEnabledPolicy()
+    report = check_embedding(p, pruned, policy, {x: 0}, 8)
+    assert report.ok, report.failure
+    assert report.checked_paths == len(enumerate_paths(p, policy, {x: 0}, 8).paths)
+
+    def biased(t, o):
+        if o not in ("heads", "tails"):
+            return [t]
+        return [replace(t, prob=Fraction(1, 3) if o == "heads" else Fraction(2, 3))]
+
+    corrupted = _corrupt(pruned, biased)
+    report = check_embedding(p, corrupted, policy, {x: 0}, 8)
+    assert not report.ok
+    assert report.failure == "probability changed: 1/2 vs 1/3"
+    assert [name for name, _ in report.witness.steps] == ["t0", "heads"]
+    assert report.witness.probability == Fraction(1, 2)
