@@ -35,26 +35,34 @@ encoding.
 Synthesis and verification share one condition table per public call
 (:class:`_ConditionTable`).  It holds each general transition's premise,
 built once; its unsatisfiability verdict, computed on first use, which
-only synthesis reads; and a memo of the expression bounds that
-verification computes.  The table is made on entry to the outermost of
+only synthesis reads; and verification's own memo: the supremum of each
+(premise, expression) pair it bounds, and its own unsatisfiability
+verdict per premise.  The table is made on entry to the outermost of
 :func:`bound_program`, :func:`find_constant_plrf`,
 :func:`find_linear_plrf` and :func:`verify_plrf`, shared by the calls
 nested in it on the same program and invariants, and dropped when that
 call returns, so nothing is cached from one call to the next.
 
-Every certificate is re-verified condition by condition:
-:func:`verify_plrf` bounds each condition's composed expression over
-its premise with :func:`pcfr.linear.expression_bounds`, whose finite
-supremum and unsatisfiability verdict rest on its own multipliers,
-checked in plain arithmetic.  That re-check trusts neither the
-multipliers, nor the template values, nor the unsatisfiability verdicts
-synthesis used, so a fault in the simplex can only reject a
-certificate.  Non-increase conditions whose composed value would
-mention a temporary variable (the value of the target location depends
-on a variable the transition overwrites with scheduler input) cannot be
-encoded as affine facts; they are skipped during synthesis, re-checked
-against the solved certificate, and poison bound composition if they
-remain unproven.
+Every certificate is re-verified condition by condition by
+:func:`verify_plrf`, which reads only the supremum of each condition's
+composed expression over its premise.  A condition holds when that
+supremum is at most 0, or when the premise is unsatisfiable.  A
+composed expression that is a constant ``c`` needs no supremum: the
+condition holds exactly when ``c <= 0`` in exact arithmetic or the
+premise is unsatisfiable, by the same Farkas argument as for constant
+templates above.  Otherwise the supremum comes from
+:func:`pcfr.linear.expression_sup`, and is used only when it is finite.
+Each finite supremum and each unsatisfiability verdict rests on its own
+multipliers, checked in plain arithmetic, and the re-check certifies
+unsatisfiability at most once per premise, only when a condition needs
+it.  That re-check trusts neither the multipliers, nor the template
+values, nor the unsatisfiability verdicts synthesis used, so a fault in
+the simplex can only reject a certificate.  Non-increase conditions
+whose composed value would mention a temporary variable (the value of
+the target location depends on a variable the transition overwrites
+with scheduler input) cannot be encoded as affine facts; they are
+skipped during synthesis, re-checked against the solved certificate,
+and poison bound composition if they remain unproven.
 """
 
 from __future__ import annotations
@@ -72,7 +80,8 @@ from .linear import (
     LIT,
     Satisfiability,
     constraint_satisfiability,
-    expression_bounds,
+    expression_bounds,  # noqa: F401  unused here; perfbench/spans.py wraps this name
+    expression_sup,
     farkas_block,
 )
 from .model import PIP, GeneralTransition, Location, location_sccs
@@ -211,21 +220,19 @@ class PLRF:
 # Condition plumbing shared by synthesis and verification
 
 
-_Interval = tuple[Fraction | None, Fraction | None]
-
-
 class _ConditionTable:
     """What the ranking conditions of one call on ``(p, inv)`` share (see
-    the module docstring): premises and unsatisfiability verdicts per
-    general transition, and verification's memo of
-    :func:`pcfr.linear.expression_bounds` keyed on (premise, scaled
-    polynomial)."""
+    the module docstring): premises and synthesis's unsatisfiability
+    verdicts per general transition, and verification's memo of
+    :func:`pcfr.linear.expression_sup` keyed on (premise, scaled
+    polynomial) and of its own unsatisfiability verdicts per premise."""
 
     def __init__(self, p: PIP, inv: InvariantMap):
         self.p, self.inv = p, inv
         self._premises: dict[str, tuple[Constraint, Atom | None]] = {}
         self._unsat: dict[str, bool] = {}
-        self._bounds: dict[tuple[Constraint, Polynomial], _Interval | None] = {}
+        self._sups: dict[tuple[Constraint, Polynomial], Fraction | None] = {}
+        self._refuted: dict[Constraint, bool] = {}
 
     def premise(self, g: GeneralTransition, strict: bool) -> Constraint:
         """The linear atoms of the source invariant and the guard; a
@@ -244,7 +251,8 @@ class _ConditionTable:
         return premise
 
     def unsat(self, g: GeneralTransition) -> bool:
-        """True only if the premise of ``g`` is certified unsatisfiable."""
+        """True only if the premise of ``g`` is certified unsatisfiable;
+        read by synthesis alone."""
         verdict = self._unsat.get(g.name)
         if verdict is None:
             premise = self.premise(g, strict=False)
@@ -252,11 +260,21 @@ class _ConditionTable:
             self._unsat[g.name] = verdict
         return verdict
 
-    def expression_bounds(self, premise: Constraint, poly: Polynomial) -> _Interval | None:
+    def sup(self, premise: Constraint, poly: Polynomial) -> Fraction | None:
+        """Verification's :func:`pcfr.linear.expression_sup`, once per pair."""
         key = (premise, poly)
-        if key not in self._bounds:
-            self._bounds[key] = expression_bounds(premise, poly)
-        return self._bounds[key]
+        if key not in self._sups:
+            self._sups[key] = expression_sup(premise, poly)
+        return self._sups[key]
+
+    def refuted(self, premise: Constraint) -> bool:
+        """Verification's own verdict: True only if the premise is
+        certified unsatisfiable, decided once per premise."""
+        verdict = self._refuted.get(premise)
+        if verdict is None:
+            verdict = constraint_satisfiability(premise) is Satisfiability.UNSAT
+            self._refuted[premise] = verdict
+        return verdict
 
 
 # The table of the public call in progress.  A context variable, not a
@@ -341,11 +359,12 @@ def verify_plrf(
     condition that cannot be established because the transition feeds
     scheduler-chosen temporaries into variables the ranking value reads;
     such certificates exist but cannot be charged at composition.  The
-    check is independent of synthesis: each condition's expression is
-    bounded over the premise polyhedron exactly, and a condition holds
-    only on a supremum its own checked multipliers prove.  It reads the
-    condition table's premises and bounds memo, never its unsatisfiability
-    verdicts.
+    check is independent of synthesis: a condition holds only on an
+    exact constant ``c <= 0``, a supremum at most 0 that its own checked
+    multipliers prove, or the premise's unsatisfiability, certified by
+    the re-check itself (see the module docstring).  It reads the
+    condition table's premises and its own memo, never synthesis's
+    unsatisfiability verdicts.
     """
     failures: list[str] = []
     taints: dict[str, str] = {}
@@ -359,10 +378,11 @@ def verify_plrf(
                 except UnsupportedProgram as exc:
                     failures.append(f"{g.name}/{tag}: {exc}")
                     continue
-                bounds = table.expression_bounds(premise, expr.scaled_integer_poly())
-                holds = bounds is None or (
-                    bounds[1] is not None and bounds[1] <= 0
-                )
+                if expr.coeffs:
+                    sup = table.sup(premise, expr.scaled_integer_poly())
+                    holds = sup <= 0 if sup is not None else table.refuted(premise)
+                else:
+                    holds = expr.const <= 0 or table.refuted(premise)
                 if holds:
                     continue
                 update_temps = _update_temporaries(p, g)

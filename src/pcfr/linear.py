@@ -183,6 +183,19 @@ def constraint_satisfiability(c: Constraint) -> Satisfiability:
     return Satisfiability.SAT
 
 
+def expression_sup(premise: Constraint, expr: Polynomial) -> Fraction | None:
+    """Exact supremum of a linear expression over a linear constraint.
+
+    ``None`` means there is no finite supremum: the expression is
+    unbounded above, or the premise is unsatisfiable.  A finite supremum
+    is backed by checked multipliers.
+    """
+    if not premise.is_linear():
+        raise ValueError("premise must be linear")
+    lin, const = expr.linear_form()
+    return _sup(premise, lin, const)
+
+
 def expression_bounds(
     premise: Constraint, expr: Polynomial
 ) -> tuple[Fraction | None, Fraction | None] | None:
@@ -192,13 +205,10 @@ def expression_bounds(
     ``None`` means the premise is unsatisfiable.  Both finite bounds and
     the unsatisfiability verdict are backed by checked multipliers.
     """
-    if not premise.is_linear():
-        raise ValueError("premise must be linear")
-    lin, const = expr.linear_form()
-    upper = _sup(premise, lin, const)
+    upper = expression_sup(premise, expr)
     if upper is None and _unsat(premise):
         return None
-    lower = _sup(premise, _negated(lin), -const)
+    lower = expression_sup(premise, -expr)
     return (None if lower is None else -lower, upper)
 
 

@@ -28,7 +28,17 @@ integer numerators over ``L**(h - i)``; a ``Fraction`` is built only for
 an answer, so every rational is the one the path sums give.  This holds
 for :func:`enumerate_paths` too: it extends a frontier of plain entries
 (steps, end node, mass, runtime count) and builds a :class:`PathRecord`
-and its ``Fraction`` only for each returned path.
+and its ``Fraction`` only for each returned path.  :func:`monte_carlo`
+draws only at branch points, nodes with more than one move.  A run hops
+over each *deterministic stretch*, the single non-bottom moves from a
+node up to the next branch point or bottom move, in one step of its
+loop.  Under a history-independent policy each stretch is resolved
+once, as far as the remaining budget of the first run that meets it,
+and kept if it ends within that budget; a run whose budget ends inside
+a stretch is censored at the cap as stepping would censor it.  So the
+draws, and every output, are bit-identical to stepping, and no node
+beyond a run's cap is resolved.  Under a history-dependent policy no
+stretch is kept, and each run walks its stretches step by step.
 
 Soundness of the pairwise embedding check.  A base path determines its
 image in the refinement step by step: each base transition lifts to the
@@ -330,6 +340,7 @@ def step_distribution(
 
 Move = tuple[tuple[str | None, Configuration], object, int, float]  # see StepTable
 _Pair = tuple[int, int]  # (base, refined) node number
+_Hop = tuple[object, int, list[Move]]  # (end node, steps, moves of the end node)
 
 
 class StepTable(dict):
@@ -591,9 +602,34 @@ def monte_carlo(
 
     Runs still alive after ``step_cap`` scheduler steps are censored at
     the cap (so the mean is a lower-bound estimate, like truncation).
-    Each step draws once from the node's running float sums, unless the
-    node has a single step; one run's node is all that is held, so memory
-    does not grow with ``samples``.
+
+    Draws happen only at branch points: a node with more than one move
+    draws once from its running float sums, and nothing else draws.  A
+    run goes from branch point to branch point: from its node it takes
+    the node's *deterministic stretch* (:func:`_stretch`), the single
+    non-bottom moves up to the first branch point or bottom move, in one
+    hop that adds the stretch's steps to its runtime, and then draws at
+    the end node or stops at its bottom move.  Under a
+    history-independent policy each node's stretch is resolved once and
+    kept as (end node, steps, moves of the end node); a branch point or
+    bottom node is its own stretch of 0 steps.  Every output is
+    bit-identical to stepping:
+
+    - the same draws happen in the same order at the same nodes, since a
+      stretch draws nothing;
+    - a run whose remaining budget does not exceed the stretch's steps
+      is censored with its runtime at the cap, exactly as stepping
+      censors it, also when the stretch would end at a branch point or
+      bottom move with no budget left;
+    - a stretch is resolved only as far as the remaining budget of the
+      run that first meets it, and a stretch cut there is not kept, so
+      no node beyond a run's cap is ever resolved, and a scheduler
+      violation there stays unraised, as it does when stepping.
+
+    Under a history-dependent policy every path is its own node, so no
+    stretch is kept: each run walks its stretches step by step, through
+    the same :func:`_stretch`.  One run's node and the kept stretches
+    are all that is held, so memory does not grow with ``samples``.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -603,28 +639,36 @@ def monte_carlo(
     table = StepTable(p, policy)
     moves = table.moves
     root = table.root(start)
+    # nodes are numbers exactly when the table keeps their moves, and only
+    # then does a stretch start at a node that runs reach again
+    stretches: dict[int, _Hop] | None = {} if isinstance(root, int) else None
     draw = random.Random(seed).random
     censored = 0
     total = 0.0
     total_sq = 0.0
     for _ in range(samples):
         node = root
-        runtime = 0
-        for _ in range(step_cap):
-            options = moves(node)
-            if len(options) == 1:
-                move = options[0]
-            else:
-                r = draw()
-                for move in options:
-                    if r < move[3]:
-                        break
-            if move[0][0] is None:
+        left = step_cap  # the run's runtime is step_cap - left
+        while left:
+            hop = stretches.get(node) if stretches is not None else None
+            if hop is None:
+                hop = _stretch(moves, node, left, stretches)
+            node, steps, options = hop
+            left -= steps
+            if left <= 0:  # the budget ends inside the stretch
+                left = 0
+                continue
+            if len(options) == 1:  # the bottom move
                 break
+            r = draw()
+            for move in options:
+                if r < move[3]:
+                    break
             node = move[1]
-            runtime += 1
+            left -= 1
         else:
             censored += 1
+        runtime = step_cap - left
         total += runtime
         total_sq += runtime * runtime
     mean = total / samples
@@ -634,6 +678,28 @@ def monte_carlo(
     else:
         stderr = 0.0
     return MonteCarloResult(mean, stderr, samples, censored)
+
+
+def _stretch(moves, start, budget: int, kept: dict[int, _Hop] | None) -> _Hop:
+    """The deterministic stretch from node ``start``: follow single
+    non-bottom moves, for at most ``budget`` steps, to the first branch
+    point or bottom move, and return that end node, the steps taken and
+    the end node's moves; a branch point or bottom node is its own
+    stretch of 0 steps.  A stretch that ends within the budget is kept
+    in ``kept`` unless that is ``None``.  One cut by the budget is never
+    kept: it returns ``budget`` steps, and the node it stops at is not
+    resolved."""
+    node, steps = start, 0
+    while steps < budget:
+        options = moves(node)
+        if len(options) > 1 or options[0][0][0] is None:
+            hop = (node, steps, options)
+            if kept is not None:
+                kept[start] = hop
+            return hop
+        node = options[0][1]
+        steps += 1
+    return node, steps, []
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,20 @@
 These are the original implementations that walk whole path trees: the
 truncated estimate and horizon reports sum over every admissible path,
 the embedding check enumerates the paths of both programs and matches
-them by key, and the MDP value iteration runs over ``Fraction`` values.
+them by key, the MDP value iteration runs over ``Fraction`` values, and
+the Monte-Carlo sampler resolves and draws one step at a time.
 ``pcfr.semantics`` computes the same quantities from configuration-level
-sweeps, so on every input the two must give identical exact rationals
-and the same embedding verdict.  Tests only; the bodies are kept as they
-were, and they share the one-step semantics and the result types of
-``pcfr.semantics``.
+sweeps and hops the sampler over deterministic stretches, so on every
+input the two must give identical exact rationals, the same embedding
+verdict and bit-identical samples.  Tests only; the path-tree bodies are
+kept as they were, and every reference shares the one-step semantics and
+the result types of ``pcfr.semantics``.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -24,6 +28,7 @@ from pcfr.semantics import (
     EnumerationResult,
     HorizonReport,
     InducedPolicy,
+    MonteCarloResult,
     PathRecord,
     Policy,
     RuntimeEstimate,
@@ -176,6 +181,57 @@ def mdp_sup_truncated(
         values = step_values
     return values[c0]
 
+
+def monte_carlo(
+    p: PIP,
+    policy: Policy,
+    sigma0: Mapping[Variable, int],
+    samples: int,
+    step_cap: int,
+    seed: int,
+) -> MonteCarloResult:
+    """Sample mean and standard error of the runtime, one step at a time:
+    each step resolves the path's step distribution and draws once from
+    its running float sums, unless it has a single step.  Runs still
+    alive after ``step_cap`` steps are censored at the cap."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    if step_cap < 0:
+        raise ValueError("step_cap must be nonnegative")
+    start = _initial_path(p, sigma0)
+    draw = random.Random(seed).random
+    censored = 0
+    total = 0.0
+    total_sq = 0.0
+    for _ in range(samples):
+        path = start
+        runtime = 0
+        for _ in range(step_cap):
+            dist = step_distribution(p, policy, path)
+            if len(dist) == 1:
+                name, config, prob = dist[0]
+            else:
+                r = draw()
+                acc = 0.0
+                for name, config, prob in dist:
+                    acc += float(prob)
+                    if r < acc:
+                        break
+            if name is None:
+                break
+            path = path.extended(name, config, prob)
+            runtime += 1
+        else:
+            censored += 1
+        total += runtime
+        total_sq += runtime * runtime
+    mean = total / samples
+    if samples > 1:
+        variance = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
+        stderr = math.sqrt(variance / samples)
+    else:
+        stderr = 0.0
+    return MonteCarloResult(mean, stderr, samples, censored)
 
 
 def _lift_index(refinement: RefinementResult) -> dict[tuple[str, str], object]:

@@ -384,16 +384,17 @@ def test_condition_table_lives_for_one_call(monkeypatch, fig2):
     """The re-check's memo is shared inside one call and starts empty in
     the next, so a repeated call does the same work."""
     calls = []
-    original = bounds.expression_bounds
+    original = bounds.expression_sup
 
     def counted(premise, poly):
         calls.append((premise, poly))
         return original(premise, poly)
 
-    monkeypatch.setattr(bounds, "expression_bounds", counted)
+    monkeypatch.setattr(bounds, "expression_sup", counted)
     inv = infer(fig2)
     bound_program(fig2, inv=inv)
     first = len(calls)
+    assert first > 0
     assert first == len(set(calls))  # each (premise, expression) once per call
     bound_program(fig2, inv=inv)
     assert len(calls) == 2 * first

@@ -664,6 +664,84 @@ def test_integer_value_iteration_matches_fraction_reference():
                 )
 
 
+def _stretch_lengths(q, policy, sigma0, depth=10, longest=40):
+    """The lengths of the deterministic stretches (single non-bottom steps
+    up to a branch point or a bottom step, at most ``longest``) from the
+    configurations a history-independent policy reaches in ``depth``
+    steps."""
+    dists = {}
+
+    def dist(config):
+        if config not in dists:
+            path = PathRecord(config, (), Fraction(1))
+            dists[config] = step_distribution(q, policy, path)
+        return dists[config]
+
+    level = {Configuration.make(q.initial, sigma0)}
+    reached = set(level)
+    for _ in range(depth):
+        level = {succ for config in level for _, succ, _ in dist(config)} - reached
+        reached |= level
+    lengths = set()
+    for config in reached:
+        steps = 0
+        while steps <= longest:
+            moves = dist(config)
+            if len(moves) > 1 or moves[0][0] is None:
+                if steps:
+                    lengths.add(steps)
+                break
+            config = moves[0][1]
+            steps += 1
+    return lengths
+
+
+def test_sampler_matches_stepping_reference(fig1, fig2):
+    # step caps 0, 1 and each stretch length plus and minus one, so that
+    # a run's budget ends before, at and just after a stretch's end
+    history = SeededPolicy(7, temp_values=(0, 1), history_dependent=True)
+    cases = [
+        (q, sigma0, policies)
+        for p, pruned, sigma0, policies in _differential_corpus()
+        for q in (p, pruned.program)
+    ]
+    cases += [(q, {X: 0, Y: 2}, (FirstEnabledPolicy((1,)), SeededPolicy(4, (1, 2, 3))))
+              for q in (fig1, fig2)]
+    seen = set()
+    for q, sigma0, policies in cases:
+        lengths = set().union(*(_stretch_lengths(q, policy, sigma0) for policy in policies))
+        seen |= lengths
+        caps = {0, 1} | {n + d for n in lengths for d in (-1, 0, 1)}
+        for policy in policies + (history,):
+            for cap in sorted(caps):
+                assert monte_carlo(q, policy, sigma0, 20, cap, 5) == (
+                    reference.monte_carlo(q, policy, sigma0, 20, cap, 5)
+                )
+    assert max(seen) >= 3
+
+
+def test_sampler_leaves_a_violation_beyond_the_cap_unraised(fig1):
+    from pcfr.semantics import PolicyRule, TablePolicy
+
+    # at (l2, y = 1) the rule picks t2, which starts at l1 (clause b); the
+    # countdown stretch from (l1, x = 0, y = 2) reaches that node after
+    # five steps of a run at the earliest, so a cap of 5 never resolves it
+    rule = PolicyRule(location="l2", gt="t2", when=Constraint([Atom(Polynomial.var(Y), "=", 1)]))
+    policy = TablePolicy([rule], fallback=FirstEnabledPolicy((1,)))
+    sigma0 = {X: 0, Y: 2}
+    for cap in (4, 5):
+        result = monte_carlo(fig1, policy, sigma0, 200, cap, 3)
+        assert result == reference.monte_carlo(fig1, policy, sigma0, 200, cap, 3)
+        assert result.censored == 200
+    for cap in (6, 1000):
+        with pytest.raises(SchedulerViolation) as stepped:
+            reference.monte_carlo(fig1, policy, sigma0, 200, cap, 3)
+        with pytest.raises(SchedulerViolation) as hopped:
+            monte_carlo(fig1, policy, sigma0, 200, cap, 3)
+        assert hopped.value.clause == stepped.value.clause == "b"
+        assert str(hopped.value) == str(stepped.value)
+
+
 def test_pairwise_embedding_matches_path_reference():
     for p, pruned, sigma0, policies in _differential_corpus():
         for policy in policies:
