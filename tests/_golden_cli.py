@@ -1,11 +1,12 @@
-"""The pinned CLI record of the semantic commands.
+"""The pinned CLI record of every command.
 
 ``INVOCATIONS`` lists ``pcfr`` argument vectors for ``enumerate``,
 ``simulate``, ``mdp-sup`` and ``check-embedding`` on the two fixture
 programs, in text and JSON, under the ``first``, ``seeded:3`` and
-``seeded-history:3`` policies, with and without path and step caps.
-``golden_cli.json`` holds each one's exit code, stdout and stderr;
-``test_io.test_cli_matches_golden_record`` replays them.
+``seeded-history:3`` policies, with and without path and step caps; and
+for ``refine``, ``export-dot``, ``invariants`` and ``bound`` in text,
+JSON and dot.  ``golden_cli.json`` holds each one's exit code, stdout
+and stderr; ``test_io.test_cli_matches_golden_record`` replays them.
 
 Regenerate the record (only when an output change is intended, and say
 so in the change log) from the repository root with::
@@ -52,6 +53,13 @@ def _invocations() -> list[list[str]]:
                             "--path-cap", "2"])
             out.append(["mdp-sup", *common, "--horizon", "12"])
             out.append(["mdp-sup", *common, "--horizon", "12", "--state-cap", "20"])
+    for fmt in ("text", "json", "dot"):
+        out.append(["refine", *FIG1[:3], "--format", fmt])
+        out.append(["refine", FIG2[0], *FIG2_S, "--format", fmt])
+        out.append(["export-dot", FIG1[0], "--format", fmt])
+        for program in (FIG1[0], FIG2[0]):
+            out.append(["invariants", program, "--format", fmt])
+            out.append(["bound", program, "--format", fmt])
     return out
 
 

@@ -439,7 +439,7 @@ def test_cli_seed_env_fallback(capsys, monkeypatch):
 
 
 def test_cli_matches_golden_record():
-    """The semantic commands replay the pinned record byte for byte (see
+    """Every command replays the pinned record byte for byte (see
     ``tests/_golden_cli.py``)."""
     import _golden_cli
 
