@@ -655,7 +655,6 @@ def compose_bound(
     The cover must partition the general transitions; entries whose
     certificate carries unproven conditions are rejected.
     """
-    seen: dict[str, int] = {}
     entries: list[BoundEntry] = []
     for index, (targets, plrf) in enumerate(cover):
         names = tuple(
@@ -663,11 +662,6 @@ def compose_bound(
         )
         for name in names:
             p.gt(name)
-            if name in seen:
-                raise CoverError(
-                    f"general transition '{name}' covered by entries {seen[name]} and {index}"
-                )
-            seen[name] = index
         if set(names) != set(plrf.targets):
             raise CoverError(
                 f"entry {index}: targets {sorted(names)} do not match the "
@@ -683,12 +677,26 @@ def compose_bound(
         if temps:
             raise AssertionError(f"bound mentions temporaries {temps}")
         entries.append(BoundEntry(names, plrf, bound))
+    _check_partition(p, [e.targets for e in entries])
+    return RuntimeBound(tuple(entries))
+
+
+def _check_partition(p: PIP, groups: Sequence[Iterable[str]]) -> None:
+    """Raise CoverError unless every general transition is in exactly one
+    group."""
+    seen: dict[str, int] = {}
+    for index, names in enumerate(groups):
+        for name in names:
+            if name in seen:
+                raise CoverError(
+                    f"general transition '{name}' covered by entries {seen[name]} and {index}"
+                )
+            seen[name] = index
     uncovered = [g.name for g in p.gts if g.name not in seen]
     if uncovered:
         raise CoverError(
             "general transitions not covered: " + ", ".join(sorted(uncovered))
         )
-    return RuntimeBound(tuple(entries))
 
 
 def default_cover(p: PIP) -> list[tuple[str, ...]]:
@@ -732,22 +740,25 @@ def bound_program(
     inv: InvariantMap | None = None,
 ) -> BoundReport:
     """Synthesize a certificate per cover group (constant first, affine as
-    fallback) and compose; reports every group that admits no bound."""
+    fallback) and compose; reports every group that admits no bound.
+
+    Raises CoverError, before any synthesis, unless the groups partition
+    the general transitions."""
     if inv is None:
         inv = infer(p)
     groups = [tuple(g) for g in (cover_groups or default_cover(p))]
+    _check_partition(p, groups)
     failures: list[str] = []
     cover: list[tuple[tuple[str, ...], PLRF]] = []
     with _condition_table(p, inv):
         for group in groups:
             plrf = find_constant_plrf(p, inv, group)
-            if plrf is None or plrf.taints:
+            if plrf is None:
                 try:
-                    linear_plrf = find_linear_plrf(p, inv, group)
+                    plrf = find_linear_plrf(p, inv, group)
                 except UnsupportedProgram as exc:
                     failures.append(f"{{{', '.join(group)}}}: {exc}")
                     continue
-                plrf = linear_plrf if linear_plrf is not None else plrf
             if plrf is None:
                 failures.append(
                     f"{{{', '.join(group)}}}: no constant or affine ranking certificate"

@@ -4,7 +4,12 @@ Subcommands: refine, invariants, bound, enumerate, simulate, mdp-sup,
 check-embedding, export-dot.  Every command reads a ``.pip`` program;
 analysis parameters come from flags or a ``--config`` JSON file (flags
 win).  Exit codes: 0 success, 1 analysis-negative (no bound, embedding
-counterexample), 2 usage or parse errors.
+counterexample, a tripped explosion guard), 2 usage or parse errors.
+
+Each command is a handler ``(args, config, program) -> (result, text,
+exit code)``; :func:`main` loads the inputs, runs the handler and writes
+the JSON envelope of ``result`` or ``text``.  A ``ValueError`` raised
+while reading a setting or by an analysis is a usage error.
 """
 
 from __future__ import annotations
@@ -49,12 +54,6 @@ def envelope(command: str, result: dict) -> dict:
     return {"tool": "pcfr", "version": __version__, "command": command, "result": result}
 
 
-class _CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
-
-
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -62,11 +61,11 @@ def _load_config(path: str | None) -> dict:
         with open(path, "r", encoding="utf-8") as handle:
             config = json.load(handle)
     except OSError as exc:
-        raise _CliError(f"cannot read config: {exc}")
+        raise ValueError(f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:
-        raise _CliError(f"config is not valid JSON: {exc}")
+        raise ValueError(f"config is not valid JSON: {exc}")
     if not isinstance(config, dict):
-        raise _CliError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     return config
 
 
@@ -75,32 +74,63 @@ def _load_program(path: str) -> PIP:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        raise _CliError(f"cannot read program: {exc}")
+        raise ValueError(f"cannot read program: {exc}")
     try:
         return parse_program(text)
     except (ParseError, ProgramError) as exc:
-        raise _CliError(f"{path}: {exc}")
+        raise ValueError(f"{path}: {exc}")
+
+
+# ---------------------------------------------------------------------------
+# Settings: a flag wins over the config key of the same name.  Every reader
+# raises ValueError on a value of the wrong type.
 
 
 def _setting(args, config: dict, name: str, default=None):
-    value = getattr(args, name.replace("-", "_"), None)
+    value = getattr(args, name, None)
     if value is not None:
         return value
     return config.get(name, default)
 
 
-def _seed(args, config: dict) -> int:
-    value = _setting(args, config, "seed")
-    if value is None:
-        value = os.environ.get("PCFR_SEED", "0")
-    return int(value)
+def _to_int(value, what: str) -> int:
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"expected an integer for {what}, got {value!r}")
+
+
+def _to_bool(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false for {what}, got {value!r}")
+    return value
+
+
+def _int(args, config: dict, name: str, default) -> int:
+    return _to_int(_setting(args, config, name, default), name)
+
+
+def _names(value, known, what: str, kind: str) -> list[str]:
+    """``value`` as a list of names, each one of ``known``."""
+    if not isinstance(value, list) or not all(isinstance(n, str) for n in value):
+        raise ValueError(f"{what} must be a list of names, got {value!r}")
+    unknown = [n for n in value if n not in known]
+    if unknown:
+        raise ValueError(f"{what} names unknown {kind}: {', '.join(unknown)}")
+    return value
 
 
 def _temp_values(args, config: dict) -> tuple[int, ...]:
     value = _setting(args, config, "temp_values", [0])
     if isinstance(value, str):
         value = [v for v in value.split(",") if v.strip()]
-    return tuple(int(v) for v in value)
+    if not isinstance(value, list):
+        raise ValueError(f"temp_values must be a list of integers, got {value!r}")
+    return tuple(_to_int(v, "temp_values") for v in value)
 
 
 def _policy(args, config: dict) -> Policy:
@@ -111,97 +141,86 @@ def _policy(args, config: dict) -> Policy:
         if kind == "first":
             return FirstEnabledPolicy(temp_values)
         if kind == "seeded":
-            return SeededPolicy(
-                int(spec.get("seed", 0)), temp_values, bool(spec.get("history", False))
-            )
-        raise _CliError(f"unknown policy kind {kind!r}")
+            seed = _to_int(spec.get("seed", 0), "the policy seed")
+            history = _to_bool(spec.get("history", False), "the policy history")
+            return SeededPolicy(seed, temp_values, history)
+        raise ValueError(f"unknown policy kind {kind!r}")
     if spec == "first":
         return FirstEnabledPolicy(temp_values)
-    if spec.startswith("seeded:"):
-        return SeededPolicy(int(spec.split(":", 1)[1]), temp_values)
-    if spec.startswith("seeded-history:"):
-        return SeededPolicy(int(spec.split(":", 1)[1]), temp_values, True)
-    raise _CliError(f"unknown policy {spec!r}")
+    if isinstance(spec, str) and spec.startswith(("seeded:", "seeded-history:")):
+        kind, seed = spec.split(":", 1)
+        return SeededPolicy(
+            _to_int(seed, "the policy seed"), temp_values, kind == "seeded-history"
+        )
+    raise ValueError(f"unknown policy {spec!r}")
 
 
 def _state(args, config: dict, program: PIP) -> dict:
     value = _setting(args, config, "state")
     if value is None:
-        raise _CliError("an initial state is required (--state or config 'state')")
+        raise ValueError("an initial state is required (--state or config 'state')")
     if isinstance(value, dict):
-        text = ", ".join(f"{k}={v}" for k, v in value.items())
-    else:
-        text = value
-    try:
-        return parse_state(text, program)
-    except ValueError as exc:
-        raise _CliError(str(exc))
+        value = ", ".join(f"{k}={v}" for k, v in value.items())
+    elif not isinstance(value, str):
+        raise ValueError(f"state must be an object or a string, got {value!r}")
+    return parse_state(value, program)
 
 
-def _refinement(args, config: dict, program: PIP) -> tuple[RefinementResult, object]:
+def _layer_atoms(config: dict, key: str, program: PIP) -> dict | None:
+    """Config ``alpha`` or ``alpha_extra``: location -> parsed atoms."""
+    value = config.get(key) or {}
+    if not isinstance(value, dict):
+        raise ValueError(f"config {key} must map location names to atom lists")
+    atoms = {}
+    for loc_name, atom_texts in value.items():
+        try:
+            location = program.location(loc_name)
+        except KeyError:
+            raise ValueError(f"config {key} names unknown location '{loc_name}'")
+        if not isinstance(atom_texts, list) or not all(isinstance(t, str) for t in atom_texts):
+            raise ValueError(f"config {key} of '{loc_name}' must be a list of atom strings")
+        try:
+            atoms[location] = [parse_atom(t, program) for t in atom_texts]
+        except ValueError as exc:  # a ParseError, or not a single atom
+            raise ValueError(f"config {key} of '{loc_name}': {exc}")
+    return atoms or None
+
+
+def _refinement(args, config: dict, program: PIP) -> RefinementResult:
     s_names = _setting(args, config, "S")
     if isinstance(s_names, str):
         s_names = [n.strip() for n in s_names.split(",") if n.strip()]
     if not s_names:
-        raise _CliError("a refinement set is required (--S or config 'S')")
+        raise ValueError("a refinement set is required (--S or config 'S')")
     known = {t.name for t in program.transitions}
-    unknown = [n for n in s_names if n not in known]
-    if unknown:
-        raise _CliError(f"refinement set names unknown transitions: {', '.join(unknown)}")
-    pinned = {}
-    for loc_name, atom_texts in (config.get("alpha") or {}).items():
-        try:
-            location = program.location(loc_name)
-        except KeyError:
-            raise _CliError(f"config alpha pins unknown location '{loc_name}'")
-        pinned[location] = [parse_atom(t, program) for t in atom_texts]
-    extra = {}
-    for loc_name, atom_texts in (config.get("alpha_extra") or {}).items():
-        try:
-            location = program.location(loc_name)
-        except KeyError:
-            raise _CliError(f"config alpha_extra names unknown location '{loc_name}'")
-        extra[location] = [parse_atom(t, program) for t in atom_texts]
+    s_names = _names(s_names, known, "refinement set", "transitions")
     layers = heuristic_layers(
         program,
         [program.transition(n) for n in s_names],
-        extra=extra or None,
-        pinned=pinned or None,
-        split_equalities=bool(config.get("split_equalities", False)),
+        pinned=_layer_atoms(config, "alpha", program),
+        extra=_layer_atoms(config, "alpha_extra", program),
+        split_equalities=_to_bool(config.get("split_equalities", False), "split_equalities"),
     )
-    try:
-        return refine_and_prune(program, s_names, layers)
-    except ValueError as exc:  # e.g. a refined location name clashes
-        raise _CliError(str(exc))
+    result, _inv = refine_and_prune(program, s_names, layers)
+    return result
 
 
-def _query(function, *args):
-    """Run a semantic query: a tripped cap is analysis-negative (exit 1),
-    an out-of-range argument a usage error (exit 2)."""
-    try:
-        return function(*args)
-    except StateSpaceCapExceeded as exc:
-        raise _CliError(str(exc), EXIT_NEGATIVE)
-    except ValueError as exc:
-        raise _CliError(str(exc))
-
-
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _cover(config: dict, program: PIP) -> list[list[str]] | None:
+    cover = config.get("cover")
+    if cover is None:
+        return None
+    if not isinstance(cover, list):
+        raise ValueError(f"cover must be a list of lists of names, got {cover!r}")
+    known = {g.name for g in program.gts}
+    return [_names(group, known, "cover entry", "general transitions") for group in cover]
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: (args, config, program) -> (JSON result, text, exit code)
 
 
-def _cmd_refine(args) -> int:
-    config = _load_config(args.config)
-    program = _load_program(args.program)
-    result, _inv = _refinement(args, config, program)
+def _cmd_refine(args, config: dict, program: PIP):
+    result = _refinement(args, config, program)
     stats = {
         "unrolling_steps": result.stats.unrolling_steps,
         "pruned_transitions": result.stats.pruned_transitions,
@@ -209,93 +228,63 @@ def _cmd_refine(args) -> int:
         "locations": len(result.program.locations),
         "transitions": len(result.program.transitions),
     }
-    if args.format == "json":
-        report = envelope(
-            "refine",
-            {
-                "program": print_program(result.program),
-                "origin": dict(sorted(result.origin.items())),
-                "stats": stats,
-            },
-        )
-        _emit(args, json.dumps(report, indent=2, sort_keys=True) + "\n")
-    elif args.format == "dot":
-        _emit(args, print_dot(result.program))
-    else:
-        text = print_program(result.program)
-        text += "# stats: " + ", ".join(f"{k}={v}" for k, v in sorted(stats.items())) + "\n"
-        _emit(args, text)
-    return EXIT_OK
+    data = {
+        "program": print_program(result.program),
+        "origin": dict(sorted(result.origin.items())),
+        "stats": stats,
+    }
+    if args.format == "dot":
+        return data, print_dot(result.program), EXIT_OK
+    text = data["program"]
+    text += "# stats: " + ", ".join(f"{k}={v}" for k, v in sorted(stats.items())) + "\n"
+    return data, text, EXIT_OK
 
 
-def _cmd_invariants(args) -> int:
-    config = _load_config(args.config)
-    program = _load_program(args.program)
+def _cmd_invariants(args, config: dict, program: PIP):
     inv = infer(program)
     items = {loc.display(): str(inv.of(loc)) for loc in program.locations}
-    if args.format == "json":
-        _emit(
-            args,
-            json.dumps(envelope("invariants", {"invariants": items}), indent=2, sort_keys=True) + "\n",
-        )
-    else:
-        lines = [f"{name}: {text}" for name, text in items.items()]
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    lines = [f"{name}: {text}" for name, text in items.items()]
+    return {"invariants": items}, "\n".join(lines) + "\n", EXIT_OK
 
 
-def _cmd_bound(args) -> int:
-    config = _load_config(args.config)
-    program = _load_program(args.program)
-    cover = config.get("cover")
-    report = bound_program(program, cover_groups=cover)
-    if args.format == "json":
-        if report.ok:
-            result = {
-                "ok": True,
-                "total": report.bound.render_total(),
-                "entries": [
-                    {
-                        "targets": list(e.targets),
-                        "bound": e.bound.render(),
-                        "kind": e.plrf.kind,
-                        "ranking": {
-                            loc.display(): expr.render()
-                            for loc, expr in sorted(
-                                e.plrf.values.items(), key=lambda kv: kv[0].name
-                            )
-                        },
-                    }
-                    for e in report.bound.entries
-                ],
+def _cmd_bound(args, config: dict, program: PIP):
+    report = bound_program(program, cover_groups=_cover(config, program))
+    if not report.ok:
+        lines = ["no finite bound"]
+        lines.extend(f"  {reason}" for reason in report.failures)
+        data = {"ok": False, "failures": list(report.failures)}
+        return data, "\n".join(lines) + "\n", EXIT_NEGATIVE
+    data = {
+        "ok": True,
+        "total": report.bound.render_total(),
+        "entries": [
+            {
+                "targets": list(e.targets),
+                "bound": e.bound.render(),
+                "kind": e.plrf.kind,
+                "ranking": {
+                    loc.display(): expr.render()
+                    for loc, expr in sorted(e.plrf.values.items(), key=lambda kv: kv[0].name)
+                },
             }
-        else:
-            result = {"ok": False, "failures": list(report.failures)}
-        _emit(args, json.dumps(envelope("bound", result), indent=2, sort_keys=True) + "\n")
-    else:
-        if report.ok:
-            lines = [f"expected runtime bound: {report.bound.render_total()}"]
-            for e in report.bound.entries:
-                lines.append(
-                    f"  {{{', '.join(e.targets)}}}: {e.bound.render()}"
-                    f"  via {e.plrf.kind} ranking {e.plrf.render()}"
-                )
-            _emit(args, "\n".join(lines) + "\n")
-        else:
-            lines = ["no finite bound"]
-            lines.extend(f"  {reason}" for reason in report.failures)
-            _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK if report.ok else EXIT_NEGATIVE
+            for e in report.bound.entries
+        ],
+    }
+    lines = [f"expected runtime bound: {report.bound.render_total()}"]
+    for e in report.bound.entries:
+        lines.append(
+            f"  {{{', '.join(e.targets)}}}: {e.bound.render()}"
+            f"  via {e.plrf.kind} ranking {e.plrf.render()}"
+        )
+    return data, "\n".join(lines) + "\n", EXIT_OK
 
 
-def _cmd_enumerate(args) -> int:
-    config = _load_config(args.config)
-    program = _load_program(args.program)
+def _cmd_enumerate(args, config: dict, program: PIP):
     policy = _policy(args, config)
     sigma0 = _state(args, config, program)
-    horizon = int(_setting(args, config, "horizon", 10))
-    path_cap = int(_setting(args, config, "path_cap", 100_000))
-    reports, paths, estimate = _query(sweep, program, policy, sigma0, horizon, path_cap)
+    horizon = _int(args, config, "horizon", 10)
+    path_cap = _int(args, config, "path_cap", 100_000)
+    reports, paths, estimate = sweep(program, policy, sigma0, horizon, path_cap)
     report = reports[-1]
     data = {
         "horizon": report.horizon,
@@ -308,31 +297,25 @@ def _cmd_enumerate(args) -> int:
             name: str(value) for name, value in sorted(estimate.per_gt.items())
         },
     }
-    if args.format == "json":
-        _emit(args, json.dumps(envelope("enumerate", data), indent=2, sort_keys=True) + "\n")
-    else:
-        lines = [
-            f"horizon {report.horizon}: {paths} admissible paths",
-            f"total mass: {report.total_mass}",
-            f"expected truncated runtime: {report.expected_truncated_runtime}"
-            f" (~{float(report.expected_truncated_runtime):.6f})",
-            f"terminated mass: {report.terminated_mass}",
-        ]
-        for name, value in sorted(estimate.per_gt.items()):
-            lines.append(f"  E[count {name}] = {value} (~{float(value):.6f})")
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    lines = [
+        f"horizon {report.horizon}: {paths} admissible paths",
+        f"total mass: {report.total_mass}",
+        f"expected truncated runtime: {report.expected_truncated_runtime}"
+        f" (~{float(report.expected_truncated_runtime):.6f})",
+        f"terminated mass: {report.terminated_mass}",
+    ]
+    for name, value in sorted(estimate.per_gt.items()):
+        lines.append(f"  E[count {name}] = {value} (~{float(value):.6f})")
+    return data, "\n".join(lines) + "\n", EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
-    config = _load_config(args.config)
-    program = _load_program(args.program)
+def _cmd_simulate(args, config: dict, program: PIP):
     policy = _policy(args, config)
     sigma0 = _state(args, config, program)
-    samples = int(_setting(args, config, "samples", 10_000))
-    step_cap = int(_setting(args, config, "step_cap", 1_000))
-    seed = _seed(args, config)
-    result = _query(monte_carlo, program, policy, sigma0, samples, step_cap, seed)
+    samples = _int(args, config, "samples", 10_000)
+    step_cap = _int(args, config, "step_cap", 1_000)
+    seed = _int(args, config, "seed", os.environ.get("PCFR_SEED", "0"))
+    result = monte_carlo(program, policy, sigma0, samples, step_cap, seed)
     data = {
         "mean": result.mean,
         "stderr": result.stderr,
@@ -340,47 +323,33 @@ def _cmd_simulate(args) -> int:
         "censored": result.censored,
         "seed": seed,
     }
-    if args.format == "json":
-        _emit(args, json.dumps(envelope("simulate", data), indent=2, sort_keys=True) + "\n")
-    else:
-        _emit(
-            args,
-            f"mean runtime over {result.samples} runs: {result.mean:.6f}"
-            f" (stderr {result.stderr:.6f}, censored {result.censored}, seed {seed})\n",
-        )
-    return EXIT_OK
+    text = (
+        f"mean runtime over {result.samples} runs: {result.mean:.6f}"
+        f" (stderr {result.stderr:.6f}, censored {result.censored}, seed {seed})\n"
+    )
+    return data, text, EXIT_OK
 
 
-def _cmd_mdp_sup(args) -> int:
-    config = _load_config(args.config)
-    program = _load_program(args.program)
+def _cmd_mdp_sup(args, config: dict, program: PIP):
     sigma0 = _state(args, config, program)
-    horizon = int(_setting(args, config, "horizon", 10))
+    horizon = _int(args, config, "horizon", 10)
     temp_values = _temp_values(args, config)
-    state_cap = int(_setting(args, config, "state_cap", 200_000))
-    value = _query(mdp_sup_truncated, program, sigma0, horizon, temp_values, state_cap)
+    state_cap = _int(args, config, "state_cap", 200_000)
+    value = mdp_sup_truncated(program, sigma0, horizon, temp_values, state_cap)
     data = {"horizon": horizon, "value": str(value), "value_float": float(value)}
-    if args.format == "json":
-        _emit(args, json.dumps(envelope("mdp-sup", data), indent=2, sort_keys=True) + "\n")
-    else:
-        _emit(
-            args,
-            f"sup expected truncated runtime (horizon {horizon}): {value} (~{float(value):.9f})\n",
-        )
-    return EXIT_OK
+    text = f"sup expected truncated runtime (horizon {horizon}): {value} (~{float(value):.9f})\n"
+    return data, text, EXIT_OK
 
 
-def _cmd_check_embedding(args) -> int:
-    config = _load_config(args.config)
-    program = _load_program(args.program)
-    refinement, _inv = _refinement(args, config, program)
+def _cmd_check_embedding(args, config: dict, program: PIP):
+    refinement = _refinement(args, config, program)
     policy = _policy(args, config)
     if policy.history_dependent:
-        raise _CliError("check-embedding needs a history-independent policy (first or seeded:N)")
+        raise ValueError("check-embedding needs a history-independent policy (first or seeded:N)")
     sigma0 = _state(args, config, program)
-    horizon = int(_setting(args, config, "horizon", 8))
-    path_cap = int(_setting(args, config, "path_cap", 100_000))
-    report = _query(check_embedding, program, refinement, policy, sigma0, horizon, path_cap)
+    horizon = _int(args, config, "horizon", 8)
+    path_cap = _int(args, config, "path_cap", 100_000)
+    report = check_embedding(program, refinement, policy, sigma0, horizon, path_cap)
     data = {
         "ok": report.ok,
         "horizon": report.horizon,
@@ -388,41 +357,63 @@ def _cmd_check_embedding(args) -> int:
         "failure": report.failure,
         "witness": report.witness.render() if report.witness else None,
     }
-    if args.format == "json":
-        _emit(args, json.dumps(envelope("check-embedding", data), indent=2, sort_keys=True) + "\n")
-    else:
-        if report.ok:
-            _emit(
-                args,
-                f"embedding ok: {report.checked_paths} paths matched at horizon {report.horizon}\n",
-            )
-        else:
-            lines = [f"embedding FAILED: {report.failure}"]
-            if report.witness is not None:
-                lines.append(f"counterexample: {report.witness.render()}")
-            _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK if report.ok else EXIT_NEGATIVE
+    if report.ok:
+        text = f"embedding ok: {report.checked_paths} paths matched at horizon {report.horizon}\n"
+        return data, text, EXIT_OK
+    lines = [f"embedding FAILED: {report.failure}"]
+    if report.witness is not None:
+        lines.append(f"counterexample: {report.witness.render()}")
+    return data, "\n".join(lines) + "\n", EXIT_NEGATIVE
 
 
-def _cmd_export_dot(args) -> int:
-    program = _load_program(args.program)
-    if args.format == "json":
-        _emit(args, json.dumps(envelope("export-dot", {"dot": print_dot(program)}), indent=2, sort_keys=True) + "\n")
-    else:
-        _emit(args, print_dot(program))
-    return EXIT_OK
+def _cmd_export_dot(args, config: dict, program: PIP):
+    dot = print_dot(program)
+    return {"dot": dot}, dot, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 
+# flag -> argparse options; the flag's dest is also its config key
+FLAGS = {
+    "--S": {"help": "comma-separated refinement transitions"},
+    "--state": {"help": "initial state, e.g. 'x=0, y=2'"},
+    "--horizon": {"type": int},
+    "--samples": {"type": int},
+    "--step-cap": {"type": int},
+    "--seed": {"type": int},
+    "--temp-values": {"help": "e.g. '1,2'"},
+    "--policy": {"help": "first | seeded:N | seeded-history:N"},
+    "--path-cap": {"type": int},
+    "--state-cap": {"type": int},
+}
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("program", help="path to a .pip program")
-    sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--out", help="write output to a file instead of stdout")
-    sub.add_argument(
-        "--format", choices=("text", "json", "dot"), default="text", help="output format"
-    )
+# name -> (help, flags in --help order, handler)
+COMMANDS = {
+    "refine": ("partial-evaluation refinement", ("--S",), _cmd_refine),
+    "invariants": ("per-location invariants", (), _cmd_invariants),
+    "bound": ("expected runtime bound", (), _cmd_bound),
+    "enumerate": (
+        "exact finite-horizon path enumeration",
+        ("--state", "--horizon", "--temp-values", "--policy", "--path-cap"),
+        _cmd_enumerate,
+    ),
+    "simulate": (
+        "Monte-Carlo runtime estimate",
+        ("--state", "--samples", "--step-cap", "--seed", "--temp-values", "--policy"),
+        _cmd_simulate,
+    ),
+    "mdp-sup": (
+        "supremum of truncated expected runtime",
+        ("--state", "--horizon", "--temp-values", "--state-cap"),
+        _cmd_mdp_sup,
+    ),
+    "check-embedding": (
+        "verify the path embedding into the refinement",
+        ("--S", "--state", "--horizon", "--temp-values", "--policy", "--path-cap"),
+        _cmd_check_embedding,
+    ),
+    "export-dot": ("GraphViz rendering", (), _cmd_export_dot),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -433,74 +424,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"pcfr {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("refine", help="partial-evaluation refinement")
-    _add_common(sub)
-    sub.add_argument("--S", dest="S", help="comma-separated refinement transitions")
-    sub.set_defaults(handler=_cmd_refine)
-
-    sub = commands.add_parser("invariants", help="per-location invariants")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_invariants)
-
-    sub = commands.add_parser("bound", help="expected runtime bound")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_bound)
-
-    sub = commands.add_parser("enumerate", help="exact finite-horizon path enumeration")
-    _add_common(sub)
-    sub.add_argument("--state", help="initial state, e.g. 'x=0, y=2'")
-    sub.add_argument("--horizon", type=int)
-    sub.add_argument("--temp-values", dest="temp_values", help="e.g. '1,2'")
-    sub.add_argument("--policy", help="first | seeded:N | seeded-history:N")
-    sub.add_argument("--path-cap", dest="path_cap", type=int)
-    sub.set_defaults(handler=_cmd_enumerate)
-
-    sub = commands.add_parser("simulate", help="Monte-Carlo runtime estimate")
-    _add_common(sub)
-    sub.add_argument("--state", help="initial state")
-    sub.add_argument("--samples", type=int)
-    sub.add_argument("--step-cap", dest="step_cap", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--temp-values", dest="temp_values")
-    sub.add_argument("--policy")
-    sub.set_defaults(handler=_cmd_simulate)
-
-    sub = commands.add_parser("mdp-sup", help="supremum of truncated expected runtime")
-    _add_common(sub)
-    sub.add_argument("--state", help="initial state")
-    sub.add_argument("--horizon", type=int)
-    sub.add_argument("--temp-values", dest="temp_values")
-    sub.add_argument("--state-cap", dest="state_cap", type=int)
-    sub.set_defaults(handler=_cmd_mdp_sup)
-
-    sub = commands.add_parser(
-        "check-embedding", help="verify the path embedding into the refinement"
-    )
-    _add_common(sub)
-    sub.add_argument("--S", dest="S", help="comma-separated refinement transitions")
-    sub.add_argument("--state", help="initial state")
-    sub.add_argument("--horizon", type=int)
-    sub.add_argument("--temp-values", dest="temp_values")
-    sub.add_argument("--policy")
-    sub.add_argument("--path-cap", dest="path_cap", type=int)
-    sub.set_defaults(handler=_cmd_check_embedding)
-
-    sub = commands.add_parser("export-dot", help="GraphViz rendering")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_export_dot)
-
+    for name, (help_text, flags, handler) in COMMANDS.items():
+        sub = commands.add_parser(name, help=help_text)
+        sub.add_argument("program", help="path to a .pip program")
+        sub.add_argument("--config", help="JSON config file")
+        sub.add_argument("--out", help="write output to a file instead of stdout")
+        sub.add_argument(
+            "--format", choices=("text", "json", "dot"), default="text", help="output format"
+        )
+        for flag in flags:
+            sub.add_argument(flag, **FLAGS[flag])
+        sub.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except _CliError as exc:
+        config = _load_config(args.config)
+        program = _load_program(args.program)
+        result, text, code = args.handler(args, config, program)
+    except StateSpaceCapExceeded as exc:
         print(f"pcfr: {exc}", file=sys.stderr)
-        return exc.code
+        return EXIT_NEGATIVE
+    except ValueError as exc:
+        print(f"pcfr: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.format == "json":
+        text = json.dumps(envelope(args.command, result), indent=2, sort_keys=True) + "\n"
+    if not args.out:
+        sys.stdout.write(text)
+        return code
+    try:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"pcfr: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -147,10 +147,9 @@ def refine(
     if steps > bound:
         raise AssertionError(f"unrolling used {steps} steps, bound is {bound}")
 
-    ordered_locations = tuple(variants[key] for key in _creation_order(variants))
     program = PIP(
         p.program_vars,
-        ordered_locations,
+        tuple(variants.values()),  # worklist creation order
         variants[(p.initial.name, TRUE)],
         tuple(new_gts),
     )
@@ -163,11 +162,6 @@ def _check_fresh(name: str, taken: dict[str, str], kind: str, base: str, src: Lo
             f"refined {kind} name '{name}' of '{base}' from {src.display()} "
             f"collides with the copy of '{taken[name]}'"
         )
-
-
-def _creation_order(variants: dict) -> list:
-    # dicts preserve insertion order, which is the worklist creation order
-    return list(variants.keys())
 
 
 def prune(r: RefinementResult, inv: InvariantMap) -> RefinementResult:

@@ -466,10 +466,6 @@ class Update:
     def __setattr__(self, *_):
         raise AttributeError("Update is immutable")
 
-    @property
-    def images(self) -> dict[Variable, Polynomial]:
-        return dict(self._images)
-
     def is_identity(self) -> bool:
         return not self._images
 
@@ -483,14 +479,8 @@ class Update:
     def assigned(self) -> frozenset[Variable]:
         return frozenset(v for v, _ in self._images)
 
-    def apply_to_poly(self, p: Polynomial) -> Polynomial:
-        return p.substitute(dict(self._images))
-
     def apply_to_atom(self, a: Atom) -> Atom:
         return a.substitute(dict(self._images))
-
-    def apply_to_constraint(self, c: Constraint) -> Constraint:
-        return c.substitute(dict(self._images))
 
     def apply_to_state(
         self, state: Mapping[Variable, int], program_vars: Iterable[Variable]

@@ -325,6 +325,46 @@ def test_cli_check_embedding_negative_path_cap_exits_2(capsys):
     assert err == "pcfr: path_cap must be nonnegative\n"
 
 
+FIG1_RUN = ("programs/fig1.pip", "--state", "x=0, y=2")
+FIG1_S = {"S": ["t1a", "t1b", "t2", "t3"]}
+BAD_SETTINGS = [
+    pytest.param(("enumerate", *FIG1_RUN, "--temp-values", "a"), None, None, id="temp-values"),
+    pytest.param(("enumerate", *FIG1_RUN, "--policy", "seeded:x"), None, None, id="policy-seed"),
+    pytest.param(("simulate", *FIG1_RUN, "--samples", "5"), None, "abc", id="PCFR_SEED"),
+    pytest.param(("enumerate", *FIG1_RUN), {"horizon": "x"}, None, id="horizon"),
+    pytest.param(("enumerate", *FIG1_RUN), {"policy": 3}, None, id="policy"),
+    pytest.param(("enumerate", *FIG1_RUN), {"policy": {"kind": "seeded", "history": "false"}},
+                 None, id="policy-history"),
+    pytest.param(("refine", "programs/fig1.pip"), {**FIG1_S, "split_equalities": "no"}, None,
+                 id="split-equalities"),
+    pytest.param(("refine", "programs/fig1.pip"), {**FIG1_S, "alpha": {"l1": ["x = = 0"]}},
+                 None, id="alpha-atom"),
+    pytest.param(("refine", "programs/fig1.pip"), {**FIG1_S, "alpha": {"l0": "x = 0"}},
+                 None, id="alpha-string"),
+    pytest.param(("bound", "programs/fig2.pip"), {"cover": [["nope"]]}, None, id="cover-name"),
+    pytest.param(("bound", "programs/fig2.pip"), {"cover": [["t2p"]]}, None,
+                 id="cover-partition"),
+    pytest.param(("bound", "programs/fig1.pip"), {"cover": [["coin", "t2", "t3"], ["coin"]]},
+                 None, id="cover-overlap"),
+    pytest.param(("bound", "programs/fig2.pip"), {"cover": "t2p"}, None, id="cover-string"),
+    pytest.param(("export-dot", "programs/fig1.pip", "--config", "missing.json"), None, None,
+                 id="export-dot-config"),
+]
+
+
+@pytest.mark.parametrize("argv,config,seed_env", BAD_SETTINGS)
+def test_cli_bad_setting_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, config, seed_env):
+    monkeypatch.chdir(ROOT)
+    if seed_env is not None:
+        monkeypatch.setenv("PCFR_SEED", seed_env)
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = (*argv, "--config", str(path))
+    err = _usage_error(capsys, *argv)
+    assert err.startswith("pcfr: ") and err.count("\n") == 1, err
+
+
 def test_cli_deterministic_output(capsys):
     args = (
         "mdp-sup",
