@@ -32,6 +32,33 @@ the multiplier system onto the location constants, so the feasible
 constants, and the LP optimum over them, are those of the Farkas
 encoding.
 
+The canonical certificate is a solution of least total magnitude
+``sum |k|`` over the template values ``k`` (after pinning the initial
+constant, for a constant template): the vertex that Bland's rule reaches
+on the explicit formulation, where each multiplier of an inequality has
+a row ``lam >= 0``, each template value a bound ``b_k >= k``, ``b_k >=
+-k``, the objective is ``sum b_k``, and every column is split into x+ and
+x-.  Synthesis first solves a smaller LP with the same optimal template
+values: the sign rows become nonnegative columns and the bounds go, with
+``|k|`` priced as the sum of ``k``'s two halves (:mod:`pcfr.ratlp`).
+Both LPs have the same feasible (template, multiplier) points, and an
+optimal solution of the small one never has both halves of a ``k``
+positive, so its optimal template values are exactly those of the
+explicit one.  From its final tableau :func:`pcfr.ratlp.solve_lp` then
+finds the optimal face: the solutions that leave every nonbasic column
+with positive reduced cost at 0, which are moves of the zero-cost
+nonbasic columns within the cone that the degenerate rows allow.  One
+probe LP over that cone shows, or fails to show, that no such move
+changes a template value.  When it shows it, every optimal solution has
+the returned template values, the explicit vertex among them, so the
+certificate is the canonical one without the explicit solve.  When it
+does not, the optimum may tie: several template vectors have the least
+magnitude, and only the explicit pivot path says which one is canonical,
+so synthesis falls back to the explicit LP and takes its vertex.  A wrong
+verdict of the probe could only print another optimal certificate, never
+an unsound one: whichever vertex is taken, :func:`verify_plrf` re-checks
+every condition of the certificate below.
+
 Synthesis and verification share one condition table per public call
 (:class:`_ConditionTable`).  It holds each general transition's premise,
 built once; its unsatisfiability verdict, computed on first use, which
@@ -531,6 +558,20 @@ def _synthesize(
     return PLRF(plrf.values, plrf.targets, plrf.kind, taints)
 
 
+def _sign_restricted(
+    constraints: Sequence[ratlp.LinearConstraint],
+) -> tuple[list[ratlp.LinearConstraint], list]:
+    """The rows other than a sign row ``k >= 0`` (one per Farkas multiplier
+    of an inequality), and the keys those rows restrict to be nonnegative."""
+    rows, nonnegative = [], []
+    for con in constraints:
+        if con.rel == ">=" and not con.rhs and len(con.coeffs) == 1 and con.coeffs[0][1] == 1:
+            nonnegative.append(con.coeffs[0][0])
+        else:
+            rows.append(con)
+    return rows, nonnegative
+
+
 def _abs_objective(
     constraints: list[ratlp.LinearConstraint], keys: Sequence
 ) -> dict:
@@ -550,11 +591,22 @@ def _abs_objective(
 def _solve_min_abs(
     constraints: list[ratlp.LinearConstraint], keys: Sequence
 ) -> dict | None:
+    """A solution of least ``sum |k|`` over the template keys: the vertex
+    of the explicit formulation, or a vertex with the same key values when
+    the sign-restricted solve proves them fixed (module docstring)."""
+    rows, nonnegative = _sign_restricted(constraints)
+    result = ratlp.solve_lp(
+        rows, extra_variables=keys, nonnegative=nonnegative, magnitude=keys
+    )
+    if result.status != ratlp.OPTIMAL:
+        return None
+    if result.fixed:
+        return result.assignment
     work = list(constraints)
     objective = _abs_objective(work, keys)
     result = ratlp.solve_lp(work, objective, extra_variables=keys)
     if result.status != ratlp.OPTIMAL:
-        return None
+        raise AssertionError(f"explicit magnitude LP is {result.status}")
     return result.assignment
 
 
@@ -562,21 +614,26 @@ def _solve_constant(
     constraints: list[ratlp.LinearConstraint], keys: Sequence, init_key
 ) -> dict | None:
     """Two-phase canonical solve: minimal value at the initial location
-    first, then minimal total magnitude."""
-    first = ratlp.solve_lp(constraints, {init_key: Fraction(1)}, extra_variables=keys)
+    first, then minimal total magnitude.  The first solve, and the capped
+    one, yield only their optimum, so they run on sign-restricted columns."""
+    rows, nonnegative = _sign_restricted(constraints)
+    first = ratlp.solve_lp(
+        rows, {init_key: Fraction(1)}, extra_variables=keys, nonnegative=nonnegative
+    )
     if first.status == ratlp.INFEASIBLE:
         return None
     if first.status == ratlp.OPTIMAL:
-        init_value = first.assignment[init_key]
+        init_value = first.objective
     else:
         # Unbounded below: any nonpositive value gives the same zero bound;
         # pick the largest feasible one up to zero.
-        capped = list(constraints)
-        capped.append(ratlp.LinearConstraint.of({init_key: 1}, "<=", 0))
-        second = ratlp.solve_lp(capped, {init_key: Fraction(-1)}, extra_variables=keys)
+        rows.append(ratlp.LinearConstraint.of({init_key: 1}, "<=", 0))
+        second = ratlp.solve_lp(
+            rows, {init_key: Fraction(-1)}, extra_variables=keys, nonnegative=nonnegative
+        )
         if second.status != ratlp.OPTIMAL:
             raise AssertionError(f"capped constant LP is {second.status}")
-        init_value = second.assignment[init_key]
+        init_value = -second.objective
     pinned = list(constraints)
     pinned.append(ratlp.LinearConstraint.of({init_key: 1}, "=", init_value))
     result = _solve_min_abs(pinned, keys)

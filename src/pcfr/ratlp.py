@@ -2,12 +2,35 @@
 
 A two-phase simplex with Bland's rule: the first improving column enters,
 and ratio ties leave by the smallest basic column, so it terminates.
-Variables are free (unrestricted sign) and identified by arbitrary
-hashable keys; internally each is the difference of two nonnegative
-columns, laid out as [x+ block | x- block | slack or surplus |
-artificials].  A row whose <=-form right side is nonnegative starts with
-its slack basic; only equalities and flipped rows get an artificial.
-Phase one minimizes the artificials, phase two the caller's objective.
+Variables are identified by arbitrary hashable keys.  A key is free
+(unrestricted sign) unless the caller lists it as nonnegative.  A free
+key is the difference of two nonnegative columns, x+ and its twin x-; a
+nonnegative key is its x+ column alone, so its sign needs no row.  The
+columns are laid out as [x+ block, one column per key | x- block, one per
+free key, in key order | slack or surplus | artificials].  With no
+nonnegative key this is the plain [x+ | x- | slack | artificials] layout.
+A row whose <=-form right side is nonnegative starts with its slack
+basic; only equalities and flipped rows get an artificial.  Phase one
+minimizes the artificials, phase two the caller's objective.
+
+The objective may add ``sum |k|`` over some keys.  It prices x+ and x-
+of each such key at 1 each, so its optimum is that of the explicit
+encoding (a bound ``b_k >= k``, ``b_k >= -k`` per key, minimizing the
+``b_k``): an optimal solution never has both halves positive, since
+lowering both keeps every row and lowers the cost, so x+ + x- is |k|
+there.  The optimum can tie, so such a solve also reports whether every
+optimal solution gives those keys the values of the returned vertex.
+Phase two ends with reduced costs ``r >= 0``, and a solution is optimal
+exactly when it leaves every nonbasic column with ``r > 0`` at zero.  So
+the optimal solutions are the feasible moves of the zero-reduced-cost
+nonbasic columns ``d >= 0`` alone, and each lies in the cone where every
+degenerate row (right side 0) keeps its basic column nonnegative.  One
+probe LP maximizes, over that cone, the sum of the ``d`` of the columns
+that change some key's value; the cone is closed under scaling, so the
+maximum is 0 or unbounded.  At 0, no optimal solution moves a key.  If
+it is unbounded, some move of such a column stays optimal, but moves of
+several columns may still cancel on every key; the verdict is then
+"not proven", never "tied".
 
 The tableau holds integers only, and no gcd is ever taken.  A row is a
 sparse map from column to integer (column -1 is the right-hand side)
@@ -68,15 +91,23 @@ class LPResult:
     status: str
     assignment: dict[Key, Fraction] | None = None
     objective: Fraction | None = None
+    # With ``magnitude`` keys, at an optimum: True only if every optimal
+    # solution gives those keys the values in ``assignment``.
+    fixed: bool | None = None
 
 
 def solve_lp(
     constraints: Sequence[LinearConstraint],
     objective: Mapping[Key, Fraction | int] | None = None,
     extra_variables: Iterable[Key] = (),
+    nonnegative: Iterable[Key] = (),
+    magnitude: Iterable[Key] = (),
 ) -> LPResult:
-    """Minimize ``objective`` subject to ``constraints`` (free variables)."""
+    """Minimize ``objective`` plus ``sum |k|`` over the ``magnitude`` keys
+    subject to ``constraints``; keys in ``nonnegative`` are >= 0, the
+    others free."""
     objective = {k: Fraction(v) for k, v in (objective or {}).items()}
+    magnitude = list(magnitude)
     keys: list[Key] = []
     seen = set()
     for con in constraints:
@@ -84,15 +115,21 @@ def solve_lp(
             if k not in seen:
                 seen.add(k)
                 keys.append(k)
-    for k in list(objective) + list(extra_variables):
+    for k in [*objective, *magnitude, *extra_variables]:
         if k not in seen:
             seen.add(k)
             keys.append(k)
 
     n_vars = len(keys)
     m = len(constraints)
-    n_cols = 2 * n_vars + m
     col_of = {k: i for i, k in enumerate(keys)}
+    restricted = set(nonnegative)
+    twin_of: dict[Key, int] = {}  # x- column of each free key
+    for k in keys:
+        if k not in restricted:
+            twin_of[k] = n_vars + len(twin_of)
+    n_struct = n_vars + len(twin_of)
+    n_cols = n_struct + m
     d = prod(
         lcm(con.rhs.denominator, *(v.denominator for _, v in con.coeffs))
         for con in constraints
@@ -108,16 +145,17 @@ def solve_lp(
         for k, v in con.coeffs:
             entry = sign * v.numerator * (d // v.denominator)
             row[col_of[k]] = row.get(col_of[k], 0) + entry
-            row[n_vars + col_of[k]] = row.get(n_vars + col_of[k], 0) - entry
+            if k in twin_of:
+                row[twin_of[k]] = row.get(twin_of[k], 0) - entry
         row[-1] = sign * con.rhs.numerator * (d // con.rhs.denominator)
         if con.rel != "=":
-            row[2 * n_vars + r] = -d if flip else d  # surplus or slack
+            row[n_struct + r] = -d if flip else d  # surplus or slack
         if flip or con.rel == "=":
             row[art] = d  # artificial
             basis.append(art)
             art += 1
         else:
-            basis.append(2 * n_vars + r)
+            basis.append(n_struct + r)
         rows.append((d, {j: v for j, v in row.items() if v}))
 
     if art > n_cols:
@@ -135,10 +173,15 @@ def solve_lp(
     scale = lcm(*(v.denominator for v in objective.values()))
     costs: dict[int, int] = {}
     for k, v in objective.items():
-        if v:
-            costs[col_of[k]] = v.numerator * (scale // v.denominator)
-            costs[n_vars + col_of[k]] = -costs[col_of[k]]
-    rows.append(_cost_row(rows, basis, costs, d))
+        c = v.numerator * (scale // v.denominator)
+        costs[col_of[k]] = costs.get(col_of[k], 0) + c
+        if k in twin_of:
+            costs[twin_of[k]] = costs.get(twin_of[k], 0) - c
+    for k in magnitude:
+        for col in (col_of[k], twin_of.get(k)):
+            if col is not None:
+                costs[col] = costs.get(col, 0) + scale
+    rows.append(_cost_row(rows, basis, {j: c for j, c in costs.items() if c}, d))
     if _simplex(rows, basis, d) is None:
         return LPResult(UNBOUNDED)
 
@@ -146,10 +189,54 @@ def solve_lp(
     for col, (e, row) in zip(basis, rows):
         solution[col] = Fraction(row.get(-1, 0), e)
     assignment = {
-        k: solution[col_of[k]] - solution[n_vars + col_of[k]] for k in keys
+        k: solution[col_of[k]] - (solution[twin_of[k]] if k in twin_of else 0)
+        for k in keys
     }
     e, cost = rows[-1]
-    return LPResult(OPTIMAL, assignment, Fraction(-cost.get(-1, 0), e * scale))
+    fixed = None
+    if magnitude:
+        columns = [(col_of[k], twin_of.get(k)) for k in magnitude]
+        fixed = _keys_fixed(rows, basis, columns, n_cols)
+    return LPResult(OPTIMAL, assignment, Fraction(-cost.get(-1, 0), e * scale), fixed)
+
+
+def _keys_fixed(
+    tableau: list[Row], basis: list[int], columns: list[tuple[int, int | None]], n_cols: int
+) -> bool:
+    """True only if no optimal solution moves a key off the final vertex
+    (the probe of the module docstring).  ``columns`` gives each key's x+
+    and x- column (None for a nonnegative key); the last row of the
+    tableau holds the reduced costs."""
+    *rows, (_, cost) = tableau
+    row_of = {col: r for r, col in enumerate(basis)}
+    free = {j for j in range(n_cols) if j not in row_of and not cost.get(j)}
+    moving: set[int] = set()
+    for plus, minus in columns:
+        change: dict[int, Fraction] = {}  # the key's change per unit move of a free column
+        for col, sign in ((plus, 1), (minus, -1)):
+            if col in free:
+                change[col] = change.get(col, 0) + sign
+            elif col in row_of:
+                e, row = rows[row_of[col]]
+                for j, v in row.items():
+                    if j in free:
+                        change[j] = change.get(j, 0) - sign * Fraction(v, e)
+        moving.update(j for j, v in change.items() if v)
+    if not moving:
+        return True
+    # Each degenerate row's basic column, ``-sum row[j]/e * d_j``, must stay
+    # nonnegative: ``sum row[j] * d_j + s = 0`` with a slack ``s >= 0``
+    # (column n_cols + r), which starts basic.
+    probe: list[Row] = []
+    probe_basis: list[int] = []
+    for r, (_, row) in enumerate(rows):
+        entries = {j: v for j, v in row.items() if j in free}
+        if entries and not row.get(-1):
+            entries[n_cols + r] = 1
+            probe.append((1, entries))
+            probe_basis.append(n_cols + r)
+    probe.append((1, dict.fromkeys(moving, -1)))  # minimize -sum of the moving d
+    return _simplex(probe, probe_basis, 1) is not None
 
 
 def _cost_row(rows: list[Row], basis: list[int], costs: dict[int, int], d: int) -> Row:

@@ -144,3 +144,34 @@ def random_pip(rng: random.Random, max_locations: int = 3, max_vars: int = 2) ->
 
 def random_sigma0(rng: random.Random, p: PIP) -> dict:
     return {v: rng.randint(-3, 3) for v in p.program_vars}
+
+
+def chain(k: int) -> str:
+    """k copies of fig1's coin/countdown gadget in sequence, as ``.pip``
+    text: gadget i is entered through ``e{i}`` and left through ``out{i}``."""
+    names = ", ".join(f"x{i}, y{i}" for i in range(k))
+    lines = [f"vars {names};", "start a0;"]
+    for i in range(k):
+        after = f"a{i + 1}" if i + 1 < k else "done"
+        lines += [
+            f"trans e{i} {{ from a{i}; guard u > 0; update x{i} := u; to c{i}; }}",
+            f"gt coin{i} {{ from c{i}; guard x{i} > 0;",
+            f"  branch h{i} p=1/2 {{}} -> c{i};",
+            f"  branch z{i} p=1/2 {{ x{i} := 0 }} -> c{i}; }}",
+            f"trans d{i} {{ from c{i}; guard y{i} > 0 && x{i} = 0; to w{i}; }}",
+            f"trans s{i} {{ from w{i}; update y{i} := y{i} - 1; to c{i}; }}",
+            f"trans out{i} {{ from c{i}; guard y{i} <= 0 && x{i} = 0; to {after}; }}",
+        ]
+    return "\n".join(lines) + "\n"
+
+
+def refined_chain(k: int) -> PIP:
+    """:func:`chain` refined on every transition but the entries, with
+    heuristic layers."""
+    from pcfr.abstraction import heuristic_layers
+    from pcfr.refine import refine_and_prune
+
+    p = parse_program(chain(k))
+    s = [t for t in p.transitions if not t.name.startswith("e")]
+    refined, _ = refine_and_prune(p, [t.name for t in s], heuristic_layers(p, s))
+    return refined.program

@@ -330,7 +330,9 @@ def test_certificates_are_pinned(fig2):
 
 
 # Runs under ``python -O``: the worked bound must still come out, and a
-# certificate built from a corrupted LP vertex must still be rejected.
+# certificate built from a corrupted LP vertex must still be rejected, both
+# from the sign-restricted magnitude solve (fig2) and from the explicit
+# formulation it falls back to on a tie (the unsatisfiable-guard program).
 _OPTIMIZED_PIPELINE = """
 import sys
 from pathlib import Path
@@ -338,36 +340,87 @@ from pcfr import bounds, ratlp
 from pcfr.textfmt import parse_program
 
 fig2 = parse_program(Path(sys.argv[1]).read_text())
+unsat_guard = parse_program(sys.argv[2])
 print(sys.flags.optimize, bounds.bound_program(fig2).bound.render_total())
 solve_lp = ratlp.solve_lp
 
-def corrupted(constraints, objective=None, extra_variables=()):
-    result = solve_lp(constraints, objective, extra_variables)
-    # zero the vertex of each synthesis' last, magnitude-minimising solve
-    if result.assignment is not None and len(objective) > 1:
-        result.assignment = dict.fromkeys(result.assignment, 0)
-    return result
+# the sign-restricted magnitude solve, and the explicit one a tie falls back to
+SOLVES = {
+    "magnitude": lambda objective, kwargs: bool(kwargs.get("magnitude")),
+    "explicit": lambda objective, kwargs: len(objective or ()) > 1,
+}
 
-ratlp.solve_lp = corrupted
-try:
-    bounds.bound_program(fig2)
-except AssertionError as exc:
-    print("rejected:", exc)
+def corrupting(kind):
+    def corrupted(constraints, objective=None, extra_variables=(), **kwargs):
+        result = solve_lp(constraints, objective, extra_variables, **kwargs)
+        # zero the vertex of each synthesis' last, magnitude-minimising solve
+        if result.assignment is not None and SOLVES[kind](objective, kwargs):
+            result.assignment = dict.fromkeys(result.assignment, 0)
+            print("corrupted", kind)
+        return result
+    return corrupted
+
+for kind, program in (("magnitude", fig2), ("explicit", unsat_guard)):
+    ratlp.solve_lp = corrupting(kind)
+    try:
+        bounds.bound_program(program)
+    except AssertionError as exc:
+        print("rejected:", exc)
 """
 
 
 def test_certificate_recheck_survives_optimized_mode():
     env = {**os.environ, "PYTHONPATH": str(_corpus.PROGRAMS.parent / "src")}
     run = subprocess.run(
-        [sys.executable, "-O", "-c", _OPTIMIZED_PIPELINE, str(_corpus.PROGRAMS / "fig2.pip")],
+        [
+            sys.executable, "-O", "-c", _OPTIMIZED_PIPELINE,
+            str(_corpus.PROGRAMS / "fig2.pip"), _UNSAT_GUARD,
+        ],
         capture_output=True, text=True, env=env, timeout=300, check=True,
     )
     first, *rest = run.stdout.splitlines()
     assert first == "1 3 + 2*y"
-    assert rest and rest[0].startswith(
-        "rejected: synthesized ranking function failed independent verification"
-    ), run.stdout
+    rejected = "rejected: synthesized ranking function failed independent verification"
+    assert rest[0] == "corrupted magnitude" and rest[1].startswith(rejected), run.stdout
+    assert rest[2] == "corrupted explicit" and rest[3].startswith(rejected), run.stdout
+    assert len(rest) == 4, run.stdout
 
+
+def _magnitude_solves(monkeypatch, program):
+    """The (row count, keys proven fixed) of each magnitude solve, and the
+    row count of each explicit fallback, that ``bound_program`` makes on
+    ``program``."""
+    solves, fallbacks = [], []
+    solve_lp = bounds.ratlp.solve_lp
+
+    def recording(constraints, objective=None, extra_variables=(), **kwargs):
+        result = solve_lp(constraints, objective, extra_variables, **kwargs)
+        if kwargs.get("magnitude"):
+            solves.append((len(constraints), result.fixed))
+        elif objective and any(key[0] == "abs" for key in objective):
+            fallbacks.append(len(constraints))
+        return result
+
+    monkeypatch.setattr(bounds.ratlp, "solve_lp", recording)
+    bound_program(program)
+    monkeypatch.undo()
+    return solves, fallbacks
+
+
+def test_magnitude_solves_do_not_fall_back(monkeypatch, fig2):
+    """On fig2 and the refined chain for k = 1, 2 every magnitude solve
+    proves its template values fixed, so none falls back to the explicit
+    formulation; and chain k = 2's largest synthesis LP keeps fewer than
+    half of the 222 rows it had with ``|x|`` bound rows and multiplier
+    sign rows."""
+    for program in (fig2, _corpus.refined_chain(1), _corpus.refined_chain(2)):
+        solves, fallbacks = _magnitude_solves(monkeypatch, program)
+        assert solves and all(fixed for _, fixed in solves)
+        assert not fallbacks
+    assert max(rows for rows, _ in solves) < 222 // 2
+    # the unsatisfiable-guard program's affine LP ties, and falls back once
+    solves, fallbacks = _magnitude_solves(monkeypatch, parse_program(_UNSAT_GUARD))
+    assert [fixed for _, fixed in solves].count(False) == len(fallbacks) == 1
 
 
 def test_corrupted_unsat_verdict_is_rejected(monkeypatch, fig2):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import _corpus
 import _reference_simplex
 from pcfr import ratlp
 from pcfr.linear import Satisfiability
@@ -165,3 +166,134 @@ def test_feasibility_agrees_with_elimination_engine():
             assert fm is Satisfiability.UNSAT
         else:
             assert fm is Satisfiability.SAT
+
+
+def _explicit_magnitude(rows, nonnegative, keys):
+    """The explicit formulation of ``min sum |k|``: a row ``k >= 0`` per
+    nonnegative key, a bound ``b_k >= k``, ``b_k >= -k`` per magnitude key,
+    the bounds as the objective, and every column split into x+ and x-."""
+    work = [C({k: 1}, ">=", 0) for k in nonnegative] + list(rows)
+    objective = {}
+    for k in keys:
+        work += [C({("abs", k): 1, k: -1}, ">=", 0), C({("abs", k): 1, k: 1}, ">=", 0)]
+        objective[("abs", k)] = 1
+    return work, objective
+
+
+def _key_ranges(rows, nonnegative, keys, optimum):
+    """(min, max) of each key over the optimal solutions of ``min sum |k|``,
+    from the explicit formulation with its objective capped at ``optimum``."""
+    work, objective = _explicit_magnitude(rows, nonnegative, keys)
+    work.append(C(objective, "<=", optimum))
+    ranges = {}
+    for k in keys:
+        low = ratlp.solve_lp(work, {k: 1}, keys)
+        high = ratlp.solve_lp(work, {k: -1}, keys)
+        ranges[k] = (low.objective, -high.objective)
+    return ranges
+
+
+def _compare_magnitude_solves(rows, nonnegative, keys):
+    """The sign-restricted magnitude solve against the explicit
+    formulation: the same status and optimum, and, when the new solve
+    proves the keys fixed, the explicit vertex's key values.  Returns the
+    new solve's result."""
+    work, objective = _explicit_magnitude(rows, nonnegative, keys)
+    want = ratlp.solve_lp(work, objective, keys)
+    got = ratlp.solve_lp(rows, extra_variables=keys, nonnegative=nonnegative, magnitude=keys)
+    assert got.status == want.status, (rows, nonnegative, keys)
+    if got.status == ratlp.OPTIMAL:
+        assert got.objective == want.objective
+        assert all(got.assignment.get(k, 0) >= 0 for k in nonnegative)
+        if got.fixed:
+            assert {k: got.assignment[k] for k in keys} == {
+                k: want.assignment[k] for k in keys
+            }, (rows, nonnegative, keys)
+    return got
+
+
+def test_magnitude_solve_matches_explicit_formulation_on_random_lps():
+    """On seeded random LPs over free template keys and nonnegative
+    multipliers; where the keys are proven fixed, the explicit formulation
+    with the optimum as a cap also gives every key one value."""
+    rng = random.Random(2718)
+    verdicts = set()
+    for _ in range(300):
+        keys = ["k0", "k1", "k2"][: rng.randint(1, 3)]
+        nonnegative = [("lam", i) for i in range(rng.randint(0, 3))]
+        variables = keys + nonnegative
+        rows = []
+        for _ in range(rng.randint(1, 4)):
+            coeffs = {
+                k: Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
+                for k in variables
+                if rng.random() < 0.6
+            }
+            rhs = 0 if rng.random() < 0.4 else rng.randint(-3, 3)
+            rows.append(C(coeffs, rng.choice(("<=", ">=", "=")), rhs))
+        got = _compare_magnitude_solves(rows, nonnegative, keys)
+        if got.fixed:
+            ranges = _key_ranges(rows, nonnegative, keys, got.objective)
+            assert all(low == high for low, high in ranges.values()), rows
+        verdicts.add((got.status, got.fixed))
+    assert verdicts == {(ratlp.INFEASIBLE, None), (ratlp.OPTIMAL, True), (ratlp.OPTIMAL, False)}
+
+
+def _synthesis_lps(monkeypatch, program):
+    """The (constraints, template keys) of every magnitude solve that
+    ``bound_program`` makes on ``program``."""
+    from pcfr import bounds
+
+    calls = []
+    solve = bounds._solve_min_abs
+
+    def recording(constraints, keys):
+        calls.append((list(constraints), list(keys)))
+        return solve(constraints, keys)
+
+    monkeypatch.setattr(bounds, "_solve_min_abs", recording)
+    bounds.bound_program(program)
+    monkeypatch.undo()
+    return calls
+
+
+def test_magnitude_solve_matches_explicit_formulation_on_synthesis_lps(monkeypatch, fig2):
+    """The synthesis LPs of fig2 and the refined chain for k = 1, 2: the
+    sign rows of the Farkas multipliers become nonnegative columns and the
+    |k| bounds go, and every solve proves its template values fixed."""
+    from pcfr.bounds import _sign_restricted
+
+    programs = [fig2, _corpus.refined_chain(1), _corpus.refined_chain(2)]
+    solves = 0
+    for program in programs:
+        for constraints, keys in _synthesis_lps(monkeypatch, program):
+            rows, nonnegative = _sign_restricted(constraints)
+            assert len(rows) + len(nonnegative) == len(constraints)
+            got = _compare_magnitude_solves(rows, nonnegative, keys)
+            assert got.status == ratlp.OPTIMAL and got.fixed
+            solves += 1
+    assert solves >= 10
+
+
+def test_unsat_guard_affine_lp_is_a_real_tie(monkeypatch):
+    """``_UNSAT_GUARD``'s affine LP has optimal solutions that give q0
+    ``-1/3*a - 1/3*b`` and ``1/3 - 1/3*b``, both of magnitude 2/3, so the
+    magnitude solve must not call its keys fixed."""
+    from pcfr.bounds import _sign_restricted
+    from pcfr.textfmt import parse_program
+    from test_bounds import _UNSAT_GUARD
+
+    affine = [
+        (constraints, keys)
+        for constraints, keys in _synthesis_lps(monkeypatch, parse_program(_UNSAT_GUARD))
+        if any(key[0] == "a" for key in keys)
+    ]
+    assert len(affine) == 1
+    rows, nonnegative = _sign_restricted(affine[0][0])
+    keys = affine[0][1]
+    got = _compare_magnitude_solves(rows, nonnegative, keys)
+    assert got.status == ratlp.OPTIMAL and got.fixed is False
+    ranges = _key_ranges(rows, nonnegative, keys, got.objective)
+    assert ranges[("c", "q0")] == (0, Fraction(1, 3))
+    assert ranges[("a", "q0", "a")] == (Fraction(-1, 3), 0)
+    assert ranges[("a", "q0", "b")] == (Fraction(-1, 3), Fraction(-1, 3))
