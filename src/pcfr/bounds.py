@@ -127,7 +127,7 @@ class TaintedCertificateError(ValueError):
     """A cover entry's ranking function has unproven non-increase conditions."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffineExpr:
     """Affine expression with rational coefficients over variables."""
 
@@ -222,7 +222,7 @@ class AffineExpr:
         return self.render()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PLRF:
     """A verified probabilistic linear ranking function."""
 
@@ -672,7 +672,7 @@ def find_linear_plrf(
 # Bound composition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundEntry:
     targets: tuple[str, ...]
     plrf: PLRF
@@ -682,7 +682,7 @@ class BoundEntry:
         return max(Fraction(0), self.bound.evaluate(state))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuntimeBound:
     entries: tuple[BoundEntry, ...]
 
@@ -784,7 +784,7 @@ def default_cover(p: PIP) -> list[tuple[str, ...]]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundReport:
     ok: bool
     bound: RuntimeBound | None

@@ -9,6 +9,38 @@ is atom-set intersection, the initial location stays ``true``, and
 locations without incoming transitions keep the full (typically
 contradictory) universe, which is exactly what unreachable-location
 pruning wants.
+
+Two shortcuts skip work whose answer is already known; each returns
+exactly what the full computation returns, so invariants and atom
+universes are unchanged.
+
+*Frame queries.*  Atom ``psi`` holds at a target if the source's
+invariant and the guard entail ``psi`` with the update substituted in.
+When the update assigns none of ``psi``'s variables, that image is
+``psi`` itself (the substitution rebuilds the same canonical atom), so
+no substitution is made.  If ``psi`` is moreover an atom of the
+source's invariant or of the guard, it is kept without building the
+premise or calling :func:`pcfr.linear.entails`: ``entails`` answers
+True for a conclusion that is an atom of a linear premise.  The premise
+must be linear for that, because ``entails`` answers False on any
+nonlinear premise even when the conclusion is one of its atoms; so the
+rule applies only when the guard and every universe atom are linear.
+A trivially true ``psi`` is entailed by every premise and is dropped
+from the premise, so it needs no separate case.  Every other query still
+goes to ``entails``, with the premise built once per transition and
+only when some atom needs it.
+
+*Identity post-images.*  Under the identity update the post-state is the
+pre-state, so the projection in :func:`post_image_atoms` eliminates each
+old variable through its equality ``v__post = v`` and returns the atom
+with every variable primed, which renames back to the atom.  It is
+returned as it is for a linear, non-constant atom over program
+variables.  A constant atom is not: the projection drops a trivially
+true one and turns a false equality into ``1 <= 0``.  Neither is an
+atom over a temporary, whose rows the projection drops.  Only the
+identity update qualifies: an update that assigns some other variable
+adds that variable's equality to the post-state, so ``0 <= b`` under
+``a := b + 1`` gives ``a = b + 1`` and ``0 <= b``.
 """
 
 from __future__ import annotations
@@ -36,10 +68,16 @@ def post_image_atoms(atom_in: Atom, update: Update, program_vars) -> list[Atom]:
 
     Encodes ``atom(old) and new_v = eta_v(old)`` and projects onto the
     new variables.  Temporaries in update images are projected away.
-    Returns [] when anything goes nonlinear.
+    Returns [] when anything goes nonlinear.  Under the identity update a
+    linear, non-constant atom over program variables is its own image
+    (see the module docstring).
     """
     if not atom_in.is_linear():
         return []
+    if update.is_identity():
+        variables = atom_in.variables()
+        if variables and variables <= set(program_vars):
+            return [atom_in]
     primed = {v: Variable(f"{v.name}__post", v.kind) for v in program_vars}
     atoms = [atom_in]
     for v in program_vars:
@@ -82,24 +120,39 @@ def infer(p: PIP, universe: frozenset[Atom] | None = None) -> InvariantMap:
     current: dict[Location, set[Atom]] = {
         loc: (set() if loc == p.initial else set(universe)) for loc in p.locations
     }
-    incoming_index: dict[Location, tuple[Transition, ...]] = {
-        loc: incoming(p, loc) for loc in p.locations
-    }
+    atom_vars = {psi: psi.variables() for psi in universe}
+    linear_universe = all(psi.is_linear() for psi in universe)
+
+    def frame(t: Transition):
+        """The transition, the variables its update assigns, and the guard
+        atoms that decide a frame query by membership (None when the
+        premise can be nonlinear, where entails proves nothing)."""
+        linear = linear_universe and t.guard.is_linear()
+        return t, t.update.assigned(), frozenset(t.guard.atoms) if linear else None
+
+    incoming_index = {loc: [frame(t) for t in incoming(p, loc)] for loc in p.locations}
     changed = True
     while changed:
         changed = False
         for loc in p.locations:
             if loc == p.initial or not current[loc]:
                 continue
-            for t in incoming_index[loc]:
-                premise = Constraint(
-                    tuple(current[t.source]) + t.guard.atoms
-                )
-                kept = {
-                    psi
-                    for psi in current[loc]
-                    if entails(premise, t.update.apply_to_atom(psi))
-                }
+            for t, assigned, guard_atoms in incoming_index[loc]:
+                source = current[t.source]
+                premise = None
+                kept = set()
+                for psi in current[loc]:
+                    if atom_vars[psi].isdisjoint(assigned):
+                        if guard_atoms is not None and (psi in source or psi in guard_atoms):
+                            kept.add(psi)
+                            continue
+                        image = psi
+                    else:
+                        image = t.update.apply_to_atom(psi)
+                    if premise is None:
+                        premise = Constraint(tuple(source) + t.guard.atoms)
+                    if entails(premise, image):
+                        kept.add(psi)
                 if kept != current[loc]:
                     current[loc] = kept
                     changed = True

@@ -17,7 +17,7 @@ from .linear import Satisfiability, constraint_satisfiability
 from .syntax import Constraint, Update, Variable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Location:
     """A control location; refined programs carry a base name and label."""
 
@@ -38,7 +38,7 @@ class Location:
 TERMINAL = Location("<terminal>")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
     name: str
     source: Location
@@ -51,7 +51,7 @@ class Transition:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeneralTransition:
     name: str
     members: tuple[Transition, ...]

@@ -1,6 +1,7 @@
 import random
 
 import _corpus
+import _reference_invariants
 from pcfr.invariants import atom_universe, infer, post_image_atoms
 from pcfr.linear import entails
 from pcfr.semantics import SeededPolicy, enumerate_paths
@@ -123,3 +124,141 @@ def test_termination_bound():
                 assert inv.of(loc).is_true()
             else:
                 assert set(inv.of(loc).atoms) <= set(universe)
+
+
+# ---------------------------------------------------------------------------
+# The frame and identity shortcuts against the reference inference
+
+
+def _assert_same_as_reference(p, universe=None):
+    assert atom_universe(p) == _reference_invariants.atom_universe(p)
+    assert infer(p, universe).inv == _reference_invariants.infer(p, universe).inv
+
+
+def _refined_before_pruning(p, s=None):
+    from pcfr.abstraction import heuristic_layers
+    from pcfr.refine import refine
+
+    s = list(p.transitions) if s is None else s
+    return refine(p, [t.name for t in s], heuristic_layers(p, s)).program
+
+
+def test_infer_matches_reference_on_figures_and_chains(fig1, fig1_parsed, fig2, fig2_parsed):
+    from pcfr.textfmt import parse_program
+
+    programs = [fig1, fig1_parsed, fig2, fig2_parsed]
+    for k in range(1, 5):
+        p = parse_program(_corpus.chain(k))
+        entries_kept = [t for t in p.transitions if not t.name.startswith("e")]
+        programs += [p, _refined_before_pruning(p, entries_kept)]
+    for p in programs:
+        _assert_same_as_reference(p)
+
+
+def test_infer_matches_reference_on_random_programs():
+    rng = random.Random(2024)
+    for _ in range(300):
+        p = _corpus.random_pip(rng)
+        _assert_same_as_reference(p)
+        _assert_same_as_reference(_refined_before_pruning(p))
+
+
+def _program(edges):
+    """A program over x, y and locations l0..ln from (source, guard atoms, update,
+    target) edges, one general transition each; l0 is initial."""
+    from fractions import Fraction
+
+    from pcfr.model import PIP, GeneralTransition, Location, Transition
+    from pcfr.syntax import Constraint
+
+    names = sorted({e[0] for e in edges} | {e[3] for e in edges})
+    locs = {n: Location(n) for n in names}
+    gts = [
+        GeneralTransition(
+            f"g{i}",
+            (Transition(f"t{i}", locs[s], Constraint(g), Fraction(1), u, locs[d]),),
+        )
+        for i, (s, g, u, d) in enumerate(edges)
+    ]
+    return PIP((X, Y), locs.values(), locs["l0"], gts), locs
+
+
+def test_frame_atom_dropped_under_nonlinear_guard_as_reference():
+    # x >= 1 holds at l1 and y := y + 1 leaves it alone, but the guard
+    # y*y >= 1 into l2 is nonlinear, so entails proves nothing there
+    from pcfr.syntax import Constraint
+
+    x_pos = Atom(PX, ">=", 1)
+    square = Atom(PY * PY, ">=", 1)
+    p, locs = _program(
+        [
+            ("l0", [x_pos], Update(), "l1"),
+            ("l1", [square], Update({Y: PY + 1}), "l2"),
+        ]
+    )
+    assert not entails(Constraint([x_pos, square]), x_pos)
+    inv = infer(p)
+    assert x_pos in inv.of(locs["l1"]).atoms
+    assert inv.of(locs["l2"]).is_true()
+    _assert_same_as_reference(p)
+
+
+def test_trivial_universe_atoms_as_reference():
+    # l3 has no incoming transition, so it keeps the whole universe, and
+    # l4 keeps the false atom by membership in l3's invariant
+    true_atom, false_atom = Atom(0, "<=", 0), Atom(1, "<=", 0)
+    false_eq = Atom(1, "=", 0)
+    assert true_atom.is_trivially_true() and false_atom.is_trivially_false()
+    x_pos = Atom(PX, ">=", 1)
+    p, locs = _program(
+        [
+            ("l0", [x_pos], Update(), "l1"),
+            ("l1", [], Update({X: PX - 1}), "l2"),
+            ("l3", [x_pos], Update({Y: PY + 1}), "l4"),
+        ]
+    )
+    universe = atom_universe(p) | {true_atom, false_atom, false_eq}
+    inv = infer(p, universe)
+    assert false_atom not in inv.of(locs["l1"]).atoms
+    assert {false_atom, false_eq} <= set(inv.of(locs["l3"]).atoms)
+    assert {false_atom, false_eq} <= set(inv.of(locs["l4"]).atoms)
+    _assert_same_as_reference(p, universe)
+
+
+def test_identity_post_image_is_the_atom_as_reference():
+    from pcfr.syntax import IDENTITY
+
+    atoms = [
+        Atom(-PX + PY, "=", 0),
+        Atom(-2 * PX - 4 * PY, "=", 6),
+        Atom(-PY, "=", 3),
+        Atom(3 * PX - 6 * PY, "<=", 4),
+        Atom(-PX, ">", 2),
+    ]
+    for a in atoms:
+        assert post_image_atoms(a, IDENTITY, (X, Y)) == [a]
+        assert _reference_invariants.post_image_atoms(a, IDENTITY, (X, Y)) == [a]
+    # the projection drops a true constant and an atom over a temporary,
+    # and turns a false equality into 1 <= 0
+    u = Polynomial.var(tmp("u"))
+    false_atom = Atom(1, "<=", 0)
+    for a, image in (
+        (Atom(0, "<=", 0), []),
+        (false_atom, [false_atom]),
+        (Atom(1, "=", 0), [false_atom]),
+        (Atom(PX + u, ">=", 0), []),
+    ):
+        assert post_image_atoms(a, IDENTITY, (X, Y)) == image
+        assert _reference_invariants.post_image_atoms(a, IDENTITY, (X, Y)) == image
+
+
+def test_frame_update_still_projects_as_reference():
+    # a := b + 1 leaves 0 <= b alone, yet the post-image also records a's
+    # new value, so only the identity update returns the atom itself
+    a, b = pv("a"), pv("b")
+    pa, pb = Polynomial.var(a), Polynomial.var(b)
+    atom = Atom(pb, ">=", 0)
+    update = Update({a: pb + 1})
+    got = post_image_atoms(atom, update, (a, b))
+    assert got == _reference_invariants.post_image_atoms(atom, update, (a, b))
+    assert set(got) == {Atom(pa, "=", pb + 1), atom}
