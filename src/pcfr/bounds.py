@@ -59,16 +59,44 @@ verdict of the probe could only print another optimal certificate, never
 an unsound one: whichever vertex is taken, :func:`verify_plrf` re-checks
 every condition of the certificate below.
 
+A constant template minimises the initial value first; its canonical
+certificate is the explicit vertex of the LP with the initial constant
+pinned to that least value.  Synthesis reaches it in one lexicographic
+run (:mod:`pcfr.ratlp`).  Phase two minimises the initial value.  The
+solutions that keep it least are exactly those that leave every
+nonbasic column of positive reduced cost at 0, so dropping those
+columns leaves the pinned LP's feasible set, over which the same
+tableau then minimises the magnitude; the probe above runs on its final
+tableau.  When the probe shows the template values fixed, every
+solution of least magnitude with the least initial value has the run's
+template values, the explicit pinned vertex among them.  When it does
+not, or the initial value is unbounded below, synthesis pins the
+initial value and solves the magnitude LP as above, so the certificate
+is the same either way.
+
 Synthesis and verification share one condition table per public call
-(:class:`_ConditionTable`).  It holds each general transition's premise,
-built once; its unsatisfiability verdict, computed on first use, which
-only synthesis reads; and verification's own memo: the supremum of each
-(premise, expression) pair it bounds, and its own unsatisfiability
-verdict per premise.  The table is made on entry to the outermost of
-:func:`bound_program`, :func:`find_constant_plrf`,
-:func:`find_linear_plrf` and :func:`verify_plrf`, shared by the calls
-nested in it on the same program and invariants, and dropped when that
-call returns, so nothing is cached from one call to the next.
+(:class:`_ConditionTable`).  Per general transition it holds the
+premise, built once, and its unsatisfiability verdict, computed on
+first use, which only synthesis reads.  Per (general transition, target
+or not) it holds the compiled rows: the conditions, the constant rows,
+and the Farkas block of each affine condition, encoded once under block
+id 0 from template forms composed once per (location, update).  Each
+cover group assembles its LP from these entries and renames a block's
+multipliers ``("lam", 0, i)`` to ``("lam", b, i)`` for the group's
+block id ``b``.  The renamed row is the row
+:func:`pcfr.linear.farkas_block` builds under ``b``, with its keys in
+the same order: :meth:`pcfr.ratlp.LinearConstraint.of` sorts keys by
+``repr``, the template keys ``("a", ...)`` and ``("c", ...)`` sort
+before every ``("lam", ...)``, and the multipliers of one row share a
+block id, so they sort by their index alone.  Every group's LP is
+therefore the one encoded afresh, constraint for constraint.  The table
+also holds verification's own memo: the supremum of each (premise,
+expression) pair it bounds, and its own unsatisfiability verdict per
+premise.  It is made on entry to the outermost of :func:`bound_program`,
+:func:`find_constant_plrf`, :func:`find_linear_plrf` and
+:func:`verify_plrf`, shared by the calls nested in it on the same
+program and invariants, and dropped when that call returns, so nothing,
+compiled rows included, is cached from one call to the next.
 
 Every certificate is re-verified condition by condition by
 :func:`verify_plrf`, which reads only the supremum of each condition's
@@ -168,26 +196,6 @@ class AffineExpr:
     def __sub__(self, other: "AffineExpr") -> "AffineExpr":
         return self + other.scale(Fraction(-1))
 
-    def compose(self, update: Update) -> "AffineExpr":
-        """The expression's value after the update (substitution).
-
-        Raises UnsupportedProgram when an update image is nonlinear.
-        The result may mention temporary variables.
-        """
-        coeffs: dict[Variable, Fraction] = {}
-        const = self.const
-        for v, c in self.coeffs:
-            image = update.image_of(v)
-            if not image.is_linear():
-                raise UnsupportedProgram(
-                    f"nonlinear update image for '{v.name}'"
-                )
-            lin, b = image.linear_form()
-            const += c * b
-            for w, a in lin.items():
-                coeffs[w] = coeffs.get(w, Fraction(0)) + c * a
-        return AffineExpr.make(coeffs, const)
-
     def scaled_integer_poly(self) -> Polynomial:
         """The expression times the LCD of its coefficients, as an integer
         polynomial (same sign everywhere)."""
@@ -250,14 +258,21 @@ class PLRF:
 class _ConditionTable:
     """What the ranking conditions of one call on ``(p, inv)`` share (see
     the module docstring): premises and synthesis's unsatisfiability
-    verdicts per general transition, and verification's memo of
-    :func:`pcfr.linear.expression_sup` keyed on (premise, scaled
-    polynomial) and of its own unsatisfiability verdicts per premise."""
+    verdicts per general transition; per (general transition, target or
+    not) the conditions, the constant rows and the Farkas blocks under
+    block id 0, with the composed template forms they are built from;
+    and verification's memo of :func:`pcfr.linear.expression_sup` keyed
+    on (premise, scaled polynomial) and of its own unsatisfiability
+    verdicts per premise."""
 
     def __init__(self, p: PIP, inv: InvariantMap):
         self.p, self.inv = p, inv
         self._premises: dict[str, tuple[Constraint, Atom | None]] = {}
         self._unsat: dict[str, bool] = {}
+        self._conditions: dict[tuple[str, bool], list] = {}
+        self._constant_rows: dict[tuple[str, bool], list[ratlp.LinearConstraint]] = {}
+        self._blocks: dict[tuple[str, bool], list[list[ratlp.LinearConstraint]]] = {}
+        self._forms: dict[tuple[Location, Update | None], tuple[dict, dict]] = {}
         self._sups: dict[tuple[Constraint, Polynomial], Fraction | None] = {}
         self._refuted: dict[Constraint, bool] = {}
 
@@ -286,6 +301,75 @@ class _ConditionTable:
             verdict = constraint_satisfiability(premise) is Satisfiability.UNSAT
             self._unsat[g.name] = verdict
         return verdict
+
+    def conditions(self, g: GeneralTransition, is_target: bool) -> list:
+        """:func:`_gt_conditions`, once per (general transition, target or not)."""
+        key = (g.name, is_target)
+        if key not in self._conditions:
+            self._conditions[key] = _gt_conditions(g, is_target)
+        return self._conditions[key]
+
+    def constant_rows(
+        self, g: GeneralTransition, is_target: bool
+    ) -> list[ratlp.LinearConstraint]:
+        """The rows of the conditions over constant templates, without
+        those that hold whatever the constants (no coefficient, ``0 <= 0``)."""
+        key = (g.name, is_target)
+        rows = self._constant_rows.get(key)
+        if rows is None:
+            rows = [
+                _constant_row(tag, combination)
+                for tag, combination in self.conditions(g, is_target)
+            ]
+            rows = self._constant_rows[key] = [
+                row for row in rows if row.coeffs or row.rhs < 0
+            ]
+        return rows
+
+    def farkas_blocks(
+        self, g: GeneralTransition, is_target: bool
+    ) -> list[list[ratlp.LinearConstraint]]:
+        """The Farkas block of each affine condition under block id 0, or
+        none when the premise is certified unsatisfiable.  Raises
+        UnsupportedProgram on a nonlinear premise or update image."""
+        key = (g.name, is_target)
+        blocks = self._blocks.get(key)
+        if blocks is not None:
+            return blocks
+        premise = self.premise(g, strict=True)
+        conclusions = []
+        for tag, combination in self.conditions(g, is_target):
+            conclusion_vars: dict[Variable, dict] = {}
+            conclusion_const: dict = {
+                LIT: Fraction(1) if tag == "decrease" else Fraction(0)
+            }
+            for factor, location, update in combination:
+                var_forms, const_form = self._composed(location, update)
+                _form_add(conclusion_const, const_form, factor)
+                for v, form in var_forms.items():
+                    _form_add(conclusion_vars.setdefault(v, {}), form, factor)
+            conclusions.append((conclusion_vars, conclusion_const))
+        # An unsatisfiable premise entails every conclusion.  Its templates
+        # are still composed above, so that a nonlinear update is reported
+        # here and not by the re-check.
+        blocks = []
+        if not self.unsat(g):
+            for conclusion_vars, conclusion_const in conclusions:
+                rows: list[ratlp.LinearConstraint] = []
+                farkas_block(0, premise, conclusion_vars, conclusion_const, rows)
+                blocks.append(rows)
+        self._blocks[key] = blocks
+        return blocks
+
+    def _composed(self, location: Location, update: Update | None) -> tuple[dict, dict]:
+        """:func:`_composed_template`, once per (location, update)."""
+        key = (location, update)
+        forms = self._forms.get(key)
+        if forms is None:
+            forms = self._forms[key] = _composed_template(
+                location, update, self.p.program_vars
+            )
+        return forms
 
     def sup(self, premise: Constraint, poly: Polynomial) -> Fraction | None:
         """Verification's :func:`pcfr.linear.expression_sup`, once per pair."""
@@ -351,18 +435,34 @@ def _gt_conditions(
     return out
 
 
-def _combination_expr(
-    plrf_values: Mapping[Location, AffineExpr],
+def _condition_expr(
+    values: Mapping[Location, AffineExpr],
+    tag: str,
     combination: Sequence[tuple[Fraction, Location, Update | None]],
-    extra_const: Fraction,
 ) -> AffineExpr:
-    total = AffineExpr.constant(extra_const)
+    """The condition's composed expression, ``sum factor * value(location)
+    (after update) + (1 if decrease)``, accumulated in one pass.
+
+    Raises UnsupportedProgram when an update image the value reads is
+    nonlinear.  The result may mention temporary variables."""
+    coeffs: dict[Variable, Fraction] = {}
+    const = Fraction(1) if tag == "decrease" else Fraction(0)
     for factor, location, update in combination:
-        expr = plrf_values[location]
-        if update is not None:
-            expr = expr.compose(update)
-        total = total + expr.scale(factor)
-    return total
+        value = values[location]
+        const += factor * value.const
+        for v, c in value.coeffs:
+            c *= factor
+            if update is None:
+                coeffs[v] = coeffs.get(v, 0) + c
+                continue
+            image = update.image_of(v)
+            if not image.is_linear():
+                raise UnsupportedProgram(f"nonlinear update image for '{v.name}'")
+            lin, b = image.linear_form()
+            const += c * b
+            for w, a in lin.items():
+                coeffs[w] = coeffs.get(w, 0) + c * a
+    return AffineExpr.make(coeffs, const)
 
 
 def _update_temporaries(p: PIP, g: GeneralTransition) -> list[str]:
@@ -398,10 +498,9 @@ def verify_plrf(
     with _condition_table(p, inv) as table:
         for g in p.gts:
             premise = table.premise(g, strict=False)
-            for tag, combination in _gt_conditions(g, g.name in plrf.targets):
-                extra = Fraction(1) if tag == "decrease" else Fraction(0)
+            for tag, combination in table.conditions(g, g.name in plrf.targets):
                 try:
-                    expr = _combination_expr(plrf.values, combination, extra)
+                    expr = _condition_expr(plrf.values, tag, combination)
                 except UnsupportedProgram as exc:
                     failures.append(f"{g.name}/{tag}: {exc}")
                     continue
@@ -468,6 +567,30 @@ def _constant_row(
     return ratlp.LinearConstraint.of(coeffs, "<=", -1 if tag == "decrease" else 0)
 
 
+def _renumbered(
+    rows: list[ratlp.LinearConstraint], block_id: int
+) -> list[ratlp.LinearConstraint]:
+    """A Farkas block's rows with its multipliers ``("lam", 0, i)`` renamed
+    ``("lam", block_id, i)``.  Each row keeps its order of keys, the order
+    :meth:`pcfr.ratlp.LinearConstraint.of` gives the renamed row: it sorts
+    keys by ``repr``, the template keys ``("a", ...)`` and ``("c", ...)``
+    come before every ``("lam", ...)``, and the multipliers of one row
+    share a block id, so they are ordered by their index alone."""
+    if not block_id:
+        return rows
+    return [
+        ratlp.LinearConstraint(
+            tuple(
+                (("lam", block_id, key[2]) if key[0] == "lam" else key, value)
+                for key, value in row.coeffs
+            ),
+            row.rel,
+            row.rhs,
+        )
+        for row in rows
+    ]
+
+
 def _synthesize(
     p: PIP,
     table: _ConditionTable,
@@ -491,12 +614,10 @@ def _synthesize(
     block_id = 0
     for g in p.gts:
         is_target = g.name in target_names
-        conditions = _gt_conditions(g, is_target)
         if not linear:
             # premise |= c <= 0 for a constant c holds iff the premise is
             # unsatisfiable or c <= 0 (see the module docstring)
-            rows = [_constant_row(tag, combination) for tag, combination in conditions]
-            rows = [row for row in rows if row.coeffs or row.rhs < 0]
+            rows = table.constant_rows(g, is_target)
             if rows and not table.unsat(g):
                 constraints.extend(rows)
             continue
@@ -507,27 +628,8 @@ def _synthesize(
             # will taint the certificate if it stays unprovable.
             skipped.add(g.name)
             continue
-        premise = table.premise(g, strict=True)
-        for tag, combination in conditions:
-            conclusion_vars: dict[Variable, dict] = {}
-            conclusion_const: dict = {
-                LIT: Fraction(1) if tag == "decrease" else Fraction(0)
-            }
-            for factor, location, update in combination:
-                var_forms, const_form = _composed_template(
-                    location, update, p.program_vars
-                )
-                _form_add(conclusion_const, const_form, factor)
-                for v, form in var_forms.items():
-                    _form_add(conclusion_vars.setdefault(v, {}), form, factor)
-            # An unsatisfiable premise entails every conclusion.  Its
-            # templates are still composed above, so that a nonlinear
-            # update is reported here and not by the re-check.
-            if table.unsat(g):
-                continue
-            farkas_block(
-                block_id, premise, conclusion_vars, conclusion_const, constraints
-            )
+        for rows in table.farkas_blocks(g, is_target):
+            constraints.extend(_renumbered(rows, block_id))
             block_id += 1
 
     init_key = ("c", p.initial.name)
@@ -613,16 +715,25 @@ def _solve_min_abs(
 def _solve_constant(
     constraints: list[ratlp.LinearConstraint], keys: Sequence, init_key
 ) -> dict | None:
-    """Two-phase canonical solve: minimal value at the initial location
-    first, then minimal total magnitude.  The first solve, and the capped
-    one, yield only their optimum, so they run on sign-restricted columns."""
+    """Canonical solve: minimal value at the initial location first, then
+    minimal total magnitude among those solutions, in one lexicographic
+    run on sign-restricted columns.  When that run cannot prove the key
+    values fixed, or the first objective is unbounded, the initial value
+    is pinned and the magnitude solved again (module docstring)."""
     rows, nonnegative = _sign_restricted(constraints)
     first = ratlp.solve_lp(
-        rows, {init_key: Fraction(1)}, extra_variables=keys, nonnegative=nonnegative
+        rows,
+        {init_key: Fraction(1)},
+        extra_variables=keys,
+        nonnegative=nonnegative,
+        magnitude=keys,
+        lexicographic=True,
     )
     if first.status == ratlp.INFEASIBLE:
         return None
     if first.status == ratlp.OPTIMAL:
+        if first.fixed:
+            return first.assignment
         init_value = first.objective
     else:
         # Unbounded below: any nonpositive value gives the same zero bound;
@@ -656,14 +767,19 @@ def find_linear_plrf(
     """Affine ranking values per location, or None if infeasible.
 
     Tries the fully-verified system first (temporaries universally
-    quantified everywhere); if that is infeasible, retries with
-    temporary-assigning non-increase conditions deferred, which can
-    only produce a tainted certificate.  Raises UnsupportedProgram on
-    nonlinear guards or updates.
+    quantified everywhere); if that is infeasible and some non-target
+    general transition assigns a temporary, retries with those
+    non-increase conditions deferred, which can only produce a tainted
+    certificate.  Raises UnsupportedProgram on nonlinear guards or
+    updates.
     """
+    targets = [item if isinstance(item, str) else item.name for item in targets]
     with _condition_table(p, inv) as table:
         plrf = _synthesize(p, table, targets, linear=True)
-        if plrf is not None:
+        if plrf is not None or not any(
+            g.name not in targets and _update_temporaries(p, g) for g in p.gts
+        ):
+            # without a deferred condition the retry's LP is the same
             return plrf
         return _synthesize(p, table, targets, linear=True, skip_temp_nonincrease=True)
 

@@ -32,6 +32,19 @@ it is unbounded, some move of such a column stays optimal, but moves of
 several columns may still cancel on every key; the verdict is then
 "not proven", never "tied".
 
+A lexicographic solve minimizes the objective first and then ``sum |k|``
+among its optimal solutions, in one run.  When phase two ends on the
+objective, a solution keeps the optimum exactly when it leaves every
+nonbasic column with positive reduced cost at zero.  So those columns
+are dropped from the tableau, which then describes the optimal face
+with the same basis still feasible, and the run goes on from there with
+the magnitude costs alone.  Its vertex has the least ``sum |k|`` on the
+face, and the probe above, on the final tableau, sees only the
+remaining columns: a dropped column has no entries left, so no move
+counts it.  The result reports the first objective's optimum, and
+whether the keys are fixed among the solutions of least magnitude on
+the face.  An unbounded first objective ends the run as unbounded.
+
 The tableau holds integers only, and no gcd is ever taken.  A row is a
 sparse map from column to integer (column -1 is the right-hand side)
 over a positive denominator ``e``: the exact entry is ``row[j] / e``.
@@ -102,10 +115,13 @@ def solve_lp(
     extra_variables: Iterable[Key] = (),
     nonnegative: Iterable[Key] = (),
     magnitude: Iterable[Key] = (),
+    lexicographic: bool = False,
 ) -> LPResult:
     """Minimize ``objective`` plus ``sum |k|`` over the ``magnitude`` keys
     subject to ``constraints``; keys in ``nonnegative`` are >= 0, the
-    others free."""
+    others free.  With ``lexicographic``, minimize ``objective`` first and
+    then ``sum |k|`` over its optimal solutions; the result's ``objective``
+    is the first optimum."""
     objective = {k: Fraction(v) for k, v in (objective or {}).items()}
     magnitude = list(magnitude)
     keys: list[Key] = []
@@ -177,6 +193,17 @@ def solve_lp(
         costs[col_of[k]] = costs.get(col_of[k], 0) + c
         if k in twin_of:
             costs[twin_of[k]] = costs.get(twin_of[k], 0) - c
+    if lexicographic:
+        rows.append(_cost_row(rows, basis, {j: c for j, c in costs.items() if c}, d))
+        d = _simplex(rows, basis, d)
+        if d is None:
+            return LPResult(UNBOUNDED)
+        e, cost = rows.pop()
+        value = Fraction(-cost.get(-1, 0), e * scale)
+        # the optimal face: every column with positive reduced cost stays 0
+        dropped = {j for j, v in cost.items() if v > 0 and j >= 0}
+        rows = [(e, {j: v for j, v in row.items() if j not in dropped}) for e, row in rows]
+        costs, scale = {}, 1
     for k in magnitude:
         for col in (col_of[k], twin_of.get(k)):
             if col is not None:
@@ -197,7 +224,9 @@ def solve_lp(
     if magnitude:
         columns = [(col_of[k], twin_of.get(k)) for k in magnitude]
         fixed = _keys_fixed(rows, basis, columns, n_cols)
-    return LPResult(OPTIMAL, assignment, Fraction(-cost.get(-1, 0), e * scale), fixed)
+    if not lexicographic:
+        value = Fraction(-cost.get(-1, 0), e * scale)
+    return LPResult(OPTIMAL, assignment, value, fixed)
 
 
 def _keys_fixed(

@@ -2,11 +2,13 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
 
 import _corpus
+import _reference_bounds
 from pcfr import bounds
 from pcfr.abstraction import heuristic_layers
 from pcfr.bounds import (
@@ -157,6 +159,31 @@ def test_linear_candidate_on_original_coin_is_tainted(fig1):
     l1_value = plrf.values[fig1.location("l1")]
     assert l1_value.render() == "2*x"
     assert "t0" in plrf.taints  # x is instantiated from the temporary u
+
+
+def test_linear_retry_only_with_a_deferred_condition(monkeypatch, fig1):
+    """The retry with deferred non-increase conditions runs only when a
+    non-target general transition of the group assigns a temporary;
+    otherwise its LP would be the first attempt's."""
+    attempts = []
+    synthesize = bounds._synthesize
+
+    def recording(p, table, targets, linear, skip_temp_nonincrease=False):
+        attempts.append(skip_temp_nonincrease)
+        return synthesize(p, table, targets, linear, skip_temp_nonincrease)
+
+    monkeypatch.setattr(bounds, "_synthesize", recording)
+    # t0 assigns x from the temporary u
+    assert find_linear_plrf(fig1, infer(fig1), ["coin"]).taints
+    assert attempts == [False, True]
+    attempts.clear()
+    spin = parse_program(
+        "vars x; start q0;\n"
+        "trans t0 { from q0; to q1; }\n"
+        "trans t1 { from q1; guard x > 0; to q1; }\n"
+    )
+    assert find_linear_plrf(spin, infer(spin), ["t1"]) is None
+    assert attempts == [False]
 
 
 def test_textbook_countdown_loop():
@@ -387,8 +414,9 @@ def test_certificate_recheck_survives_optimized_mode():
 
 
 def _magnitude_solves(monkeypatch, program):
-    """The (row count, keys proven fixed) of each magnitude solve, and the
-    row count of each explicit fallback, that ``bound_program`` makes on
+    """The (row count, keys proven fixed) of each optimal magnitude solve,
+    the lexicographic runs of constant synthesis among them, and the row
+    count of each explicit fallback, that ``bound_program`` makes on
     ``program``."""
     solves, fallbacks = [], []
     solve_lp = bounds.ratlp.solve_lp
@@ -396,7 +424,8 @@ def _magnitude_solves(monkeypatch, program):
     def recording(constraints, objective=None, extra_variables=(), **kwargs):
         result = solve_lp(constraints, objective, extra_variables, **kwargs)
         if kwargs.get("magnitude"):
-            solves.append((len(constraints), result.fixed))
+            if result.status == bounds.ratlp.OPTIMAL:
+                solves.append((len(constraints), result.fixed))
         elif objective and any(key[0] == "abs" for key in objective):
             fallbacks.append(len(constraints))
         return result
@@ -408,14 +437,17 @@ def _magnitude_solves(monkeypatch, program):
 
 
 def test_magnitude_solves_do_not_fall_back(monkeypatch, fig2):
-    """On fig2 and the refined chain for k = 1, 2 every magnitude solve
-    proves its template values fixed, so none falls back to the explicit
-    formulation; and chain k = 2's largest synthesis LP keeps fewer than
-    half of the 222 rows it had with ``|x|`` bound rows and multiplier
-    sign rows."""
+    """On fig2 and the refined chain for k = 1, 2 every optimal magnitude
+    solve, the lexicographic run of each constant certificate included,
+    proves its template values fixed, so none is solved again with the
+    initial value pinned (one optimal solve per cover group) and none
+    falls back to the explicit formulation; and chain k = 2's largest
+    synthesis LP keeps fewer than half of the 222 rows it had with ``|x|``
+    bound rows and multiplier sign rows."""
     for program in (fig2, _corpus.refined_chain(1), _corpus.refined_chain(2)):
         solves, fallbacks = _magnitude_solves(monkeypatch, program)
         assert solves and all(fixed for _, fixed in solves)
+        assert len(solves) == len(default_cover(program))
         assert not fallbacks
     assert max(rows for rows, _ in solves) < 222 // 2
     # the unsatisfiable-guard program's affine LP ties, and falls back once
@@ -434,24 +466,105 @@ def test_corrupted_unsat_verdict_is_rejected(monkeypatch, fig2):
 
 
 def test_condition_table_lives_for_one_call(monkeypatch, fig2):
-    """The re-check's memo is shared inside one call and starts empty in
-    the next, so a repeated call does the same work."""
-    calls = []
+    """The re-check's memo and the compiled Farkas rows are shared inside
+    one call and start empty in the next, so a repeated call does the same
+    work: every compiled row is unreachable once the call returns, and the
+    next call encodes the same conditions again."""
+    calls, encoded = [], []
     original = bounds.expression_sup
+    encode = bounds.farkas_block
 
     def counted(premise, poly):
         calls.append((premise, poly))
         return original(premise, poly)
 
+    def encoding(block_id, premise, conclusion_vars, conclusion_const, constraints):
+        encode(block_id, premise, conclusion_vars, conclusion_const, constraints)
+        encoded.append((repr((premise, conclusion_vars, conclusion_const)), constraints[-1]))
+
     monkeypatch.setattr(bounds, "expression_sup", counted)
-    inv = infer(fig2)
-    bound_program(fig2, inv=inv)
-    first = len(calls)
-    assert first > 0
-    assert first == len(set(calls))  # each (premise, expression) once per call
-    bound_program(fig2, inv=inv)
-    assert len(calls) == 2 * first
-    assert bounds._ACTIVE_TABLE.get() is None
+    monkeypatch.setattr(bounds, "farkas_block", encoding)
+    for program in (fig2, _corpus.refined_chain(2)):
+        calls.clear()
+        inv = infer(program)
+        bound_program(program, inv=inv)
+        first = len(calls)
+        assert first > 0
+        assert first == len(set(calls))  # each (premise, expression) once per call
+        conditions = [condition for condition, _ in encoded]
+        assert conditions
+        rows = [weakref.ref(row) for _, row in encoded]
+        encoded.clear()
+        assert all(row() is None for row in rows)
+        bound_program(program, inv=inv)
+        assert len(calls) == 2 * first
+        assert [condition for condition, _ in encoded] == conditions
+        encoded.clear()
+        assert bounds._ACTIVE_TABLE.get() is None
+
+
+# --- compiled rows and lexicographic runs against the reference synthesis
+
+
+def _report_and_affine_lps(monkeypatch, run, program):
+    """``run(program)``'s report and every affine LP it hands to
+    ``ratlp.solve_lp``, as (constraints, objective, keys, options)."""
+    lps = []
+    solve_lp = bounds.ratlp.solve_lp
+
+    def recording(constraints, objective=None, extra_variables=(), **kwargs):
+        if any(isinstance(key, tuple) and key[0] == "a" for key in extra_variables):
+            lps.append((list(constraints), objective, list(extra_variables), kwargs))
+        return solve_lp(constraints, objective, extra_variables, **kwargs)
+
+    monkeypatch.setattr(bounds.ratlp, "solve_lp", recording)
+    try:
+        report = run(program)
+    finally:
+        monkeypatch.undo()
+    return report, lps
+
+
+def _assert_same_as_reference(monkeypatch, program):
+    """Identical reports (certificates, kinds, taints, failures) and
+    identical affine LPs, constraint for constraint, to the reference's.
+    The reference retries an infeasible LP even when no condition is
+    deferred, so its retry repeats the LP before it; ``pcfr.bounds`` skips
+    that retry.  Returns the report, the affine LPs and the number of
+    skipped retries."""
+    got, lps = _report_and_affine_lps(monkeypatch, bound_program, program)
+    want, want_lps = _report_and_affine_lps(
+        monkeypatch, _reference_bounds.bound_program, program
+    )
+    assert got == want, program
+    distinct = [lp for i, lp in enumerate(want_lps) if not i or lp != want_lps[i - 1]]
+    assert lps == distinct, program
+    return got, lps, len(want_lps) - len(distinct)
+
+
+def test_bound_program_matches_reference_on_figures_and_chains(monkeypatch, fig1, fig2):
+    programs = [fig1, fig2, parse_program(_DEAD_GUARD), parse_program(_UNSAT_GUARD)]
+    programs += [_corpus.refined_chain(k) for k in range(1, 4)]
+    affine = 0
+    for program in programs:
+        _, lps, _ = _assert_same_as_reference(monkeypatch, program)
+        affine += len(lps)
+    assert affine >= 8
+
+
+def test_bound_program_matches_reference_on_random_programs(monkeypatch):
+    rng = random.Random(2024)
+    bounded = affine = skipped = 0
+    for _ in range(300):
+        p = _corpus.random_pip(rng)
+        s = list(p.transitions)
+        refined, _ = refine_and_prune(p, [t.name for t in s], heuristic_layers(p, s))
+        for q in (p, refined.program):
+            report, lps, retries = _assert_same_as_reference(monkeypatch, q)
+            bounded += report.ok
+            affine += len(lps)
+            skipped += retries
+    assert bounded >= 100 and affine >= 100 and skipped >= 10
 
 
 # --- empirical soundness -------------------------------------------------------

@@ -212,6 +212,24 @@ def _compare_magnitude_solves(rows, nonnegative, keys):
     return got
 
 
+def _random_template_lp(rng: random.Random):
+    """Rows over up to three free template keys and three nonnegative
+    multipliers, with the multipliers and the keys."""
+    keys = ["k0", "k1", "k2"][: rng.randint(1, 3)]
+    nonnegative = [("lam", i) for i in range(rng.randint(0, 3))]
+    variables = keys + nonnegative
+    rows = []
+    for _ in range(rng.randint(1, 4)):
+        coeffs = {
+            k: Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
+            for k in variables
+            if rng.random() < 0.6
+        }
+        rhs = 0 if rng.random() < 0.4 else rng.randint(-3, 3)
+        rows.append(C(coeffs, rng.choice(("<=", ">=", "=")), rhs))
+    return rows, nonnegative, keys
+
+
 def test_magnitude_solve_matches_explicit_formulation_on_random_lps():
     """On seeded random LPs over free template keys and nonnegative
     multipliers; where the keys are proven fixed, the explicit formulation
@@ -219,18 +237,7 @@ def test_magnitude_solve_matches_explicit_formulation_on_random_lps():
     rng = random.Random(2718)
     verdicts = set()
     for _ in range(300):
-        keys = ["k0", "k1", "k2"][: rng.randint(1, 3)]
-        nonnegative = [("lam", i) for i in range(rng.randint(0, 3))]
-        variables = keys + nonnegative
-        rows = []
-        for _ in range(rng.randint(1, 4)):
-            coeffs = {
-                k: Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
-                for k in variables
-                if rng.random() < 0.6
-            }
-            rhs = 0 if rng.random() < 0.4 else rng.randint(-3, 3)
-            rows.append(C(coeffs, rng.choice(("<=", ">=", "=")), rhs))
+        rows, nonnegative, keys = _random_template_lp(rng)
         got = _compare_magnitude_solves(rows, nonnegative, keys)
         if got.fixed:
             ranges = _key_ranges(rows, nonnegative, keys, got.objective)
@@ -257,14 +264,38 @@ def _synthesis_lps(monkeypatch, program):
     return calls
 
 
+def _lexicographic_runs(monkeypatch, program):
+    """The (rows, objective, nonnegative keys, template keys) of every
+    lexicographic run that ``bound_program`` makes on ``program``."""
+    from pcfr import bounds
+
+    calls = []
+    solve_lp = bounds.ratlp.solve_lp
+
+    def recording(constraints, objective=None, extra_variables=(), **kwargs):
+        if kwargs.get("lexicographic"):
+            calls.append(
+                (list(constraints), objective, list(kwargs["nonnegative"]), list(extra_variables))
+            )
+        return solve_lp(constraints, objective, extra_variables, **kwargs)
+
+    monkeypatch.setattr(bounds.ratlp, "solve_lp", recording)
+    bounds.bound_program(program)
+    monkeypatch.undo()
+    return calls
+
+
 def test_magnitude_solve_matches_explicit_formulation_on_synthesis_lps(monkeypatch, fig2):
     """The synthesis LPs of fig2 and the refined chain for k = 1, 2: the
     sign rows of the Farkas multipliers become nonnegative columns and the
-    |k| bounds go, and every solve proves its template values fixed."""
+    |k| bounds go, every affine solve proves its template values fixed,
+    and so does every lexicographic run of a constant certificate that
+    has an optimum, with the values of the explicit formulation pinned at
+    its first optimum."""
     from pcfr.bounds import _sign_restricted
 
     programs = [fig2, _corpus.refined_chain(1), _corpus.refined_chain(2)]
-    solves = 0
+    solves = runs = 0
     for program in programs:
         for constraints, keys in _synthesis_lps(monkeypatch, program):
             rows, nonnegative = _sign_restricted(constraints)
@@ -272,7 +303,11 @@ def test_magnitude_solve_matches_explicit_formulation_on_synthesis_lps(monkeypat
             got = _compare_magnitude_solves(rows, nonnegative, keys)
             assert got.status == ratlp.OPTIMAL and got.fixed
             solves += 1
-    assert solves >= 10
+        for rows, objective, nonnegative, keys in _lexicographic_runs(monkeypatch, program):
+            got = _compare_lexicographic_run(rows, objective, nonnegative, keys)
+            assert got.status == ratlp.INFEASIBLE or got.fixed
+            runs += got.status == ratlp.OPTIMAL
+    assert solves >= 4 and runs >= 10
 
 
 def test_unsat_guard_affine_lp_is_a_real_tie(monkeypatch):
@@ -297,3 +332,87 @@ def test_unsat_guard_affine_lp_is_a_real_tie(monkeypatch):
     assert ranges[("c", "q0")] == (0, Fraction(1, 3))
     assert ranges[("a", "q0", "a")] == (Fraction(-1, 3), 0)
     assert ranges[("a", "q0", "b")] == (Fraction(-1, 3), Fraction(-1, 3))
+
+
+# --- lexicographic runs: the objective first, then sum |k| on its optimal face
+
+
+def _holds(row, x) -> bool:
+    value = sum(v * x.get(k, 0) for k, v in row.coeffs)
+    return {"<=": value <= row.rhs, ">=": value >= row.rhs, "=": value == row.rhs}[row.rel]
+
+
+def _compare_lexicographic_run(rows, objective, nonnegative, keys):
+    """The lexicographic run against separate solves: the same status and
+    first optimum as the objective alone, a vertex with that objective
+    value and the least ``sum |k|`` among such solutions, which the
+    explicit formulation pinned at that value also finds, and, when the
+    run proves the keys fixed, that formulation's key values.  Returns the
+    run's result."""
+    got = ratlp.solve_lp(
+        rows, objective, keys, nonnegative=nonnegative, magnitude=keys, lexicographic=True
+    )
+    alone = ratlp.solve_lp(rows, objective, keys, nonnegative=nonnegative)
+    assert got.status == alone.status, (rows, objective)
+    if got.status != ratlp.OPTIMAL:
+        assert got.fixed is None
+        return got
+    assert got.objective == alone.objective
+    x = got.assignment
+    assert all(x.get(k, 0) >= 0 for k in nonnegative)
+    assert all(_holds(row, x) for row in rows)
+    assert sum(v * x.get(k, 0) for k, v in objective.items()) == got.objective
+    pinned = [*rows, C(objective, "=", got.objective)]
+    work, magnitude = _explicit_magnitude(pinned, nonnegative, keys)
+    want = ratlp.solve_lp(work, magnitude, keys)
+    assert want.status == ratlp.OPTIMAL
+    assert sum(abs(x[k]) for k in keys) == want.objective
+    if got.fixed:
+        assert {k: x[k] for k in keys} == {k: want.assignment[k] for k in keys}, (
+            rows, objective
+        )
+    return got
+
+
+def test_lexicographic_run_matches_separate_solves_on_random_lps():
+    """On seeded random LPs with a random first objective over the keys
+    and multipliers; where the keys are proven fixed, the explicit
+    formulation pinned at the first optimum, with its magnitude optimum
+    as a cap, also gives every key one value."""
+    rng = random.Random(1618)
+    verdicts = set()
+    for _ in range(300):
+        rows, nonnegative, keys = _random_template_lp(rng)
+        objective = {
+            k: Fraction(rng.randint(-2, 2), rng.choice((1, 2)))
+            for k in keys + nonnegative
+            if rng.random() < 0.5
+        }
+        got = _compare_lexicographic_run(rows, objective, nonnegative, keys)
+        if got.fixed:
+            pinned = [*rows, C(objective, "=", got.objective)]
+            magnitude = sum(abs(got.assignment[k]) for k in keys)
+            ranges = _key_ranges(pinned, nonnegative, keys, magnitude)
+            assert all(low == high for low, high in ranges.values()), (rows, objective)
+        verdicts.add((got.status, got.fixed))
+    assert verdicts == {
+        (ratlp.INFEASIBLE, None),
+        (ratlp.UNBOUNDED, None),
+        (ratlp.OPTIMAL, True),
+        (ratlp.OPTIMAL, False),
+    }
+
+
+def test_lexicographic_probe_reads_only_the_optimal_face():
+    """min -c - k, then min |c| + |k|, subject to 3k + 3l <= 1 and
+    6c - 6k - l = -2 over a multiplier l >= 0.  The first optimum -1/3
+    holds only at c = 0, k = 1/3, l = 0, so the keys are fixed.  The
+    first row's slack has positive reduced cost for the first objective
+    and leaves with the face; at the final vertex its magnitude reduced
+    cost is 0, and moving it would trade |k| for |c|.  A probe that still
+    counted it as a free column would not prove the keys fixed."""
+    rows = [C({"k": 3, "l": 3}, "<=", 1), C({"c": 6, "k": -6, "l": -1}, "=", -2)]
+    got = _compare_lexicographic_run(rows, {"c": -1, "k": -1}, ["l"], ["c", "k"])
+    assert got.objective == Fraction(-1, 3)
+    assert got.assignment == {"c": 0, "k": Fraction(1, 3), "l": 0}
+    assert got.fixed
