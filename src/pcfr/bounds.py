@@ -81,15 +81,9 @@ first use, which only synthesis reads.  Per (general transition, target
 or not) it holds the compiled rows: the conditions, the constant rows,
 and the Farkas block of each affine condition, encoded once under block
 id 0 from template forms composed once per (location, update).  Each
-cover group assembles its LP from these entries and renames a block's
-multipliers ``("lam", 0, i)`` to ``("lam", b, i)`` for the group's
-block id ``b``.  The renamed row is the row
-:func:`pcfr.linear.farkas_block` builds under ``b``, with its keys in
-the same order: :meth:`pcfr.ratlp.LinearConstraint.of` sorts keys by
-``repr``, the template keys ``("a", ...)`` and ``("c", ...)`` sort
-before every ``("lam", ...)``, and the multipliers of one row share a
-block id, so they sort by their index alone.  Every group's LP is
-therefore the one encoded afresh, constraint for constraint.  The table
+cover group assembles its LP from these entries and renames the block-0
+multipliers to its own block ids, which gives the LP encoded afresh,
+constraint for constraint (see :func:`_renumbered`).  The table
 also holds verification's own memo: the supremum of each (premise,
 expression) pair it bounds, and its own unsatisfiability verdict per
 premise.  It is made on entry to the outermost of :func:`bound_program`,
@@ -727,7 +721,6 @@ def _solve_constant(
         extra_variables=keys,
         nonnegative=nonnegative,
         magnitude=keys,
-        lexicographic=True,
     )
     if first.status == ratlp.INFEASIBLE:
         return None

@@ -32,8 +32,9 @@ it is unbounded, some move of such a column stays optimal, but moves of
 several columns may still cancel on every key; the verdict is then
 "not proven", never "tied".
 
-A lexicographic solve minimizes the objective first and then ``sum |k|``
-among its optimal solutions, in one run.  When phase two ends on the
+With both an objective and magnitude keys, the solve is lexicographic:
+it minimizes the objective first and then ``sum |k|`` among its optimal
+solutions, in one run.  When phase two ends on the
 objective, a solution keeps the optimum exactly when it leaves every
 nonbasic column with positive reduced cost at zero.  So those columns
 are dropped from the tableau, which then describes the optimal face
@@ -115,15 +116,14 @@ def solve_lp(
     extra_variables: Iterable[Key] = (),
     nonnegative: Iterable[Key] = (),
     magnitude: Iterable[Key] = (),
-    lexicographic: bool = False,
 ) -> LPResult:
-    """Minimize ``objective`` plus ``sum |k|`` over the ``magnitude`` keys
-    subject to ``constraints``; keys in ``nonnegative`` are >= 0, the
-    others free.  With ``lexicographic``, minimize ``objective`` first and
-    then ``sum |k|`` over its optimal solutions; the result's ``objective``
-    is the first optimum."""
+    """Minimize ``objective`` subject to ``constraints``, then ``sum |k|``
+    over the ``magnitude`` keys among its optimal solutions; keys in
+    ``nonnegative`` are >= 0, the others free.  The result's ``objective``
+    is the optimum of ``objective``, or of ``sum |k|`` if none is given."""
     objective = {k: Fraction(v) for k, v in (objective or {}).items()}
     magnitude = list(magnitude)
+    lexicographic = bool(objective and magnitude)
     keys: list[Key] = []
     seen = set()
     for con in constraints:

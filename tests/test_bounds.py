@@ -552,6 +552,31 @@ def test_bound_program_matches_reference_on_figures_and_chains(monkeypatch, fig1
     assert affine >= 8
 
 
+def test_unproven_lexicographic_run_falls_back_to_the_reference_certificate(
+    monkeypatch, fig2
+):
+    """When a constant certificate's lexicographic run does not prove its
+    template values fixed, synthesis pins the run's least initial value
+    and solves the magnitude again; the report is still the reference's.
+    Every optimal lexicographic run is made to report "not proven"."""
+    programs = [fig2] + [_corpus.refined_chain(k) for k in range(1, 4)]
+    want = [_reference_bounds.bound_program(program) for program in programs]
+    solve_lp = bounds.ratlp.solve_lp
+    runs = []
+
+    def unproven(constraints, objective=None, extra_variables=(), **kwargs):
+        result = solve_lp(constraints, objective, extra_variables, **kwargs)
+        if objective and kwargs.get("magnitude") and result.status == bounds.ratlp.OPTIMAL:
+            runs.append(result.objective)
+            result.fixed = False
+        return result
+
+    monkeypatch.setattr(bounds.ratlp, "solve_lp", unproven)
+    got = [bound_program(program) for program in programs]
+    assert got == want
+    assert len(runs) >= 10 and len(set(runs)) >= 2
+
+
 def test_bound_program_matches_reference_on_random_programs(monkeypatch):
     rng = random.Random(2024)
     bounded = affine = skipped = 0

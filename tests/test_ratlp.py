@@ -273,7 +273,7 @@ def _lexicographic_runs(monkeypatch, program):
     solve_lp = bounds.ratlp.solve_lp
 
     def recording(constraints, objective=None, extra_variables=(), **kwargs):
-        if kwargs.get("lexicographic"):
+        if objective and kwargs.get("magnitude"):
             calls.append(
                 (list(constraints), objective, list(kwargs["nonnegative"]), list(extra_variables))
             )
@@ -304,7 +304,7 @@ def test_magnitude_solve_matches_explicit_formulation_on_synthesis_lps(monkeypat
             assert got.status == ratlp.OPTIMAL and got.fixed
             solves += 1
         for rows, objective, nonnegative, keys in _lexicographic_runs(monkeypatch, program):
-            got = _compare_lexicographic_run(rows, objective, nonnegative, keys)
+            got, _ = _compare_lexicographic_run(rows, objective, nonnegative, keys)
             assert got.status == ratlp.INFEASIBLE or got.fixed
             runs += got.status == ratlp.OPTIMAL
     assert solves >= 4 and runs >= 10
@@ -347,31 +347,36 @@ def _compare_lexicographic_run(rows, objective, nonnegative, keys):
     first optimum as the objective alone, a vertex with that objective
     value and the least ``sum |k|`` among such solutions, which the
     explicit formulation pinned at that value also finds, and, when the
-    run proves the keys fixed, that formulation's key values.  Returns the
-    run's result."""
+    run proves the keys fixed, that formulation's key values.  With an
+    empty objective every feasible point is optimal and the solve is a
+    plain magnitude solve, whose reported optimum is the least ``sum |k|``.
+    Returns the run's result and its first optimum."""
     got = ratlp.solve_lp(
-        rows, objective, keys, nonnegative=nonnegative, magnitude=keys, lexicographic=True
+        rows, objective, keys, nonnegative=nonnegative, magnitude=keys
     )
     alone = ratlp.solve_lp(rows, objective, keys, nonnegative=nonnegative)
     assert got.status == alone.status, (rows, objective)
     if got.status != ratlp.OPTIMAL:
         assert got.fixed is None
-        return got
-    assert got.objective == alone.objective
+        return got, None
+    first = got.objective if objective else Fraction(0)
+    assert first == alone.objective
     x = got.assignment
     assert all(x.get(k, 0) >= 0 for k in nonnegative)
     assert all(_holds(row, x) for row in rows)
-    assert sum(v * x.get(k, 0) for k, v in objective.items()) == got.objective
-    pinned = [*rows, C(objective, "=", got.objective)]
+    assert sum(v * x.get(k, 0) for k, v in objective.items()) == first
+    pinned = [*rows, C(objective, "=", first)]
     work, magnitude = _explicit_magnitude(pinned, nonnegative, keys)
     want = ratlp.solve_lp(work, magnitude, keys)
     assert want.status == ratlp.OPTIMAL
     assert sum(abs(x[k]) for k in keys) == want.objective
+    if not objective:
+        assert got.objective == want.objective
     if got.fixed:
         assert {k: x[k] for k in keys} == {k: want.assignment[k] for k in keys}, (
             rows, objective
         )
-    return got
+    return got, first
 
 
 def test_lexicographic_run_matches_separate_solves_on_random_lps():
@@ -388,9 +393,9 @@ def test_lexicographic_run_matches_separate_solves_on_random_lps():
             for k in keys + nonnegative
             if rng.random() < 0.5
         }
-        got = _compare_lexicographic_run(rows, objective, nonnegative, keys)
+        got, first = _compare_lexicographic_run(rows, objective, nonnegative, keys)
         if got.fixed:
-            pinned = [*rows, C(objective, "=", got.objective)]
+            pinned = [*rows, C(objective, "=", first)]
             magnitude = sum(abs(got.assignment[k]) for k in keys)
             ranges = _key_ranges(pinned, nonnegative, keys, magnitude)
             assert all(low == high for low, high in ranges.values()), (rows, objective)
@@ -412,7 +417,7 @@ def test_lexicographic_probe_reads_only_the_optimal_face():
     cost is 0, and moving it would trade |k| for |c|.  A probe that still
     counted it as a free column would not prove the keys fixed."""
     rows = [C({"k": 3, "l": 3}, "<=", 1), C({"c": 6, "k": -6, "l": -1}, "=", -2)]
-    got = _compare_lexicographic_run(rows, {"c": -1, "k": -1}, ["l"], ["c", "k"])
+    got, _ = _compare_lexicographic_run(rows, {"c": -1, "k": -1}, ["l"], ["c", "k"])
     assert got.objective == Fraction(-1, 3)
     assert got.assignment == {"c": 0, "k": Fraction(1, 3), "l": 0}
     assert got.fixed
