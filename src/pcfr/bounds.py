@@ -44,35 +44,40 @@ values: the sign rows become nonnegative columns and the bounds go, with
 Both LPs have the same feasible (template, multiplier) points, and an
 optimal solution of the small one never has both halves of a ``k``
 positive, so its optimal template values are exactly those of the
-explicit one.  From its final tableau :func:`pcfr.ratlp.solve_lp` then
-finds the optimal face: the solutions that leave every nonbasic column
-with positive reduced cost at 0, which are moves of the zero-cost
-nonbasic columns within the cone that the degenerate rows allow.  One
-probe LP over that cone shows, or fails to show, that no such move
-changes a template value.  When it shows it, every optimal solution has
-the returned template values, the explicit vertex among them, so the
-certificate is the canonical one without the explicit solve.  When it
-does not, the optimum may tie: several template vectors have the least
+explicit one.  :func:`pcfr.ratlp.solve_lp` presolves that fast solve:
+it eliminates template values that an equality fixes to 0 or ties to
+another one, and equality multipliers that occur in one row only, which
+keeps the feasible template vectors and their ``sum |k|``, so the
+optimal template values are still those of the explicit LP.  From its
+final tableau it then finds the optimal face: the solutions that leave
+every nonbasic column with positive reduced cost at 0, which are moves
+of the zero-cost nonbasic columns within the cone that the degenerate
+rows allow.  Probe LPs over that cone show whether any such move changes
+a template value.  When none does, every optimal solution has the
+returned template values, the explicit vertex among them, so the
+certificate is the canonical one without the explicit solve.  When one
+does, the optimum ties: several template vectors have the least
 magnitude, and only the explicit pivot path says which one is canonical,
-so synthesis falls back to the explicit LP and takes its vertex.  A wrong
-verdict of the probe could only print another optimal certificate, never
-an unsound one: whichever vertex is taken, :func:`verify_plrf` re-checks
-every condition of the certificate below.
+so synthesis falls back to the explicit LP, which is not presolved, and
+takes its vertex.  A wrong verdict of the probes could only print
+another optimal certificate, never an unsound one: whichever vertex is
+taken, :func:`verify_plrf` re-checks every condition of the certificate
+below.
 
 A constant template minimises the initial value first; its canonical
 certificate is the explicit vertex of the LP with the initial constant
 pinned to that least value.  Synthesis reaches it in one lexicographic
-run (:mod:`pcfr.ratlp`).  Phase two minimises the initial value.  The
-solutions that keep it least are exactly those that leave every
-nonbasic column of positive reduced cost at 0, so dropping those
-columns leaves the pinned LP's feasible set, over which the same
-tableau then minimises the magnitude; the probe above runs on its final
-tableau.  When the probe shows the template values fixed, every
-solution of least magnitude with the least initial value has the run's
-template values, the explicit pinned vertex among them.  When it does
-not, or the initial value is unbounded below, synthesis pins the
-initial value and solves the magnitude LP as above, so the certificate
-is the same either way.
+run (:mod:`pcfr.ratlp`) on the LP presolved as above.  Phase two
+minimises the initial value.  The solutions that keep it least are
+exactly those that leave every nonbasic column of positive reduced cost
+at 0, so dropping those columns leaves the pinned LP's feasible set,
+over which the same tableau then minimises the magnitude; the probes
+run on its final tableau.  When they show the template values fixed,
+every solution of least magnitude with the least initial value has the
+run's template values, the explicit pinned vertex among them.  When
+they do not, or the initial value is unbounded below, synthesis pins
+the initial value and solves the magnitude LP as above, so the
+certificate is the same either way.
 
 Synthesis and verification share one condition table per public call
 (:class:`_ConditionTable`).  Per general transition it holds the

@@ -24,13 +24,15 @@ Phase two ends with reduced costs ``r >= 0``, and a solution is optimal
 exactly when it leaves every nonbasic column with ``r > 0`` at zero.  So
 the optimal solutions are the feasible moves of the zero-reduced-cost
 nonbasic columns ``d >= 0`` alone, and each lies in the cone where every
-degenerate row (right side 0) keeps its basic column nonnegative.  One
-probe LP maximizes, over that cone, the sum of the ``d`` of the columns
-that change some key's value; the cone is closed under scaling, so the
+degenerate row (right side 0) keeps its basic column nonnegative; each
+direction of that cone, scaled down, is an optimal solution.  One probe
+LP maximizes, over that cone, the sum of the ``d`` of the columns that
+change some key's value; the cone is closed under scaling, so the
 maximum is 0 or unbounded.  At 0, no optimal solution moves a key.  If
 it is unbounded, some move of such a column stays optimal, but moves of
-several columns may still cancel on every key; the verdict is then
-"not proven", never "tied".
+several columns may still cancel on every key.  So two more probes per
+key then maximize its change and its negated change over the same cone:
+the keys are fixed exactly when every one of these is bounded.
 
 With both an objective and magnitude keys, the solve is lexicographic:
 it minimizes the objective first and then ``sum |k|`` among its optimal
@@ -40,11 +42,42 @@ nonbasic column with positive reduced cost at zero.  So those columns
 are dropped from the tableau, which then describes the optimal face
 with the same basis still feasible, and the run goes on from there with
 the magnitude costs alone.  Its vertex has the least ``sum |k|`` on the
-face, and the probe above, on the final tableau, sees only the
+face, and the probes above, on the final tableau, see only the
 remaining columns: a dropped column has no entries left, so no move
 counts it.  The result reports the first objective's optimum, and
 whether the keys are fixed among the solutions of least magnitude on
 the face.  An unbounded first objective ends the run as unbounded.
+
+A solve with magnitude keys first presolves its LP (after Andersen &
+Andersen, "Presolving in linear programming", 1995).  Each rule removes
+a key and a row, and substitutes the key away in the other rows and the
+objective, until none fires:
+
+(a) a one-key equality ``a*k = 0`` fixes ``k`` to 0;
+(b) a two-key equality ``a*r + b*k = 0`` over free magnitude keys ties
+    ``k = g*r`` with ``g = -a/b``; ``r`` then carries ``k``'s magnitude,
+    its weight raised by ``|g|`` times ``k``'s;
+(c) a free key that is neither a magnitude nor an objective key, and
+    occurs in one row only, goes with that row.
+
+Each rule keeps the set of feasible values of the remaining keys, the
+objective and ``sum |k|``: (a) and (b) are substitutions of an equation
+that every feasible point satisfies, and under (b) ``|k| = |g|*|r|``
+exactly; under (c) any values of the row's other keys satisfy the row
+with a suitable value of the key.  A tie to a nonnegative key is left
+alone, because substituting it would drop the key's sign.  The reduced
+LP minimizes ``sum w_r |r|`` over the remaining magnitude keys, the
+weights scaled by the LCD of their denominators so that the costs stay
+integers; that scaling keeps the optimal solutions, and the optimum
+over the LCD is ``sum |k|`` of the original keys.  Its optimal
+solutions are those of the original LP with the eliminated keys
+dropped, so its probes are the original's: an eliminated magnitude key
+is 0 or ``g`` times a key that the probes cover, hence fixed when the
+remaining keys are, and the keys of rule (c) are no magnitude keys.
+The eliminated values are rebuilt in reverse order, each from its row
+as an equation, so every original row holds exactly; a run with an
+objective reports it evaluated on the rebuilt assignment.  A solve
+without magnitude keys is not presolved.
 
 The tableau holds integers only, and no gcd is ever taken.  A row is a
 sparse map from column to integer (column -1 is the right-hand side)
@@ -68,6 +101,7 @@ is that of the same simplex over ``fractions.Fraction``.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
@@ -105,8 +139,8 @@ class LPResult:
     status: str
     assignment: dict[Key, Fraction] | None = None
     objective: Fraction | None = None
-    # With ``magnitude`` keys, at an optimum: True only if every optimal
-    # solution gives those keys the values in ``assignment``.
+    # With ``magnitude`` keys, at an optimum: True exactly when every
+    # optimal solution gives those keys the values in ``assignment``.
     fixed: bool | None = None
 
 
@@ -120,10 +154,39 @@ def solve_lp(
     """Minimize ``objective`` subject to ``constraints``, then ``sum |k|``
     over the ``magnitude`` keys among its optimal solutions; keys in
     ``nonnegative`` are >= 0, the others free.  The result's ``objective``
-    is the optimum of ``objective``, or of ``sum |k|`` if none is given."""
+    is the optimum of ``objective``, or of ``sum |k|`` if none is given.
+    A solve with ``magnitude`` keys runs on the presolved LP (module
+    docstring)."""
     objective = {k: Fraction(v) for k, v in (objective or {}).items()}
     magnitude = list(magnitude)
-    lexicographic = bool(objective and magnitude)
+    restricted = set(nonnegative)
+    keys = _keys(constraints, [*objective, *magnitude, *extra_variables])
+    if not magnitude:
+        return _solve(constraints, objective, keys, restricted, {})
+    presolved = _presolve(constraints, objective, restricted, magnitude, keys)
+    if presolved is None:
+        return LPResult(INFEASIBLE)
+    rows, reduced, weights, steps = presolved
+    eliminated = {k for _, k, _, _ in steps}
+    survivors = [k for k in keys if k not in eliminated]
+    result = _solve(rows, reduced, survivors, restricted, weights)
+    if result.status != OPTIMAL or not steps:
+        return result
+    x = result.assignment
+    for _, k, coeffs, rhs in reversed(steps):
+        for j, v in coeffs.items():
+            if j != k and x[j]:
+                rhs -= v * x[j]
+        x[k] = rhs / coeffs[k]
+    value = result.objective
+    if objective:  # its reduced form may have lost every key
+        value = sum((v * x[k] for k, v in objective.items()), Fraction(0))
+    # with every magnitude key fixed to 0 by rule (a), nothing can move one
+    return LPResult(OPTIMAL, x, value, result.fixed if weights else True)
+
+
+def _keys(constraints: Sequence[LinearConstraint], more: Iterable[Key]) -> list[Key]:
+    """The keys of the rows in order of first occurrence, then ``more``."""
     keys: list[Key] = []
     seen = set()
     for con in constraints:
@@ -131,15 +194,138 @@ def solve_lp(
             if k not in seen:
                 seen.add(k)
                 keys.append(k)
-    for k in [*objective, *magnitude, *extra_variables]:
+    for k in more:
         if k not in seen:
             seen.add(k)
             keys.append(k)
+    return keys
+
+
+def _presolve(
+    constraints: Sequence[LinearConstraint],
+    objective: dict[Key, Fraction],
+    restricted: set[Key],
+    magnitude: Sequence[Key],
+    keys: Sequence[Key],
+) -> tuple[Sequence[LinearConstraint], dict[Key, Fraction], dict, list] | None:
+    """Rules (a)-(c) of the module docstring over ``keys``, applied until
+    none fires; ``restricted`` holds the nonnegative keys.  Returns the
+    remaining rows, the objective over the remaining keys, the magnitude
+    weight of each remaining magnitude key, and the eliminations in order,
+    each as ``(rule, key, row coefficients, right side)``: the key takes
+    the value that makes that row an equality.  Returns None if a row
+    reduces to a false ``0 rel c``."""
+    objective = dict(objective)
+    weight: dict[Key, Fraction | int] = {}
+    for k in magnitude:
+        weight[k] = weight.get(k, 0) + 1
+    # the rows and keys that a rule may fire on, first come first
+    pending_rows = [
+        r for r in range(len(constraints) - 1, -1, -1)
+        if not constraints[r].coeffs or (constraints[r].rel == "=" and not constraints[r].rhs)
+    ]
+    pending_keys = [
+        k for k in reversed(keys) if k not in restricted and k not in weight and k not in objective
+    ]
+    lone = set(pending_keys)  # the keys that rule (c) may eliminate
+    if not pending_rows and not pending_keys:
+        return constraints, objective, weight, []
+    rows: list[dict[Key, Fraction] | None] = []
+    occurs: defaultdict[Key, set[int]] = defaultdict(set)  # the rows of each key
+    for r, con in enumerate(constraints):
+        coeffs = dict(con.coeffs)
+        if len(coeffs) < len(con.coeffs) or not all(coeffs.values()):
+            coeffs = {}  # a key listed twice, or with coefficient 0
+            for k, v in con.coeffs:
+                _accumulate(coeffs, k, v)
+        rows.append(coeffs)
+        for k in coeffs:
+            occurs[k].add(r)
+    steps: list = []
+    changed: set[int] = set()
+
+    def eliminate(rule: str, k: Key, r: int, rep: Key | None = None, gamma=0) -> None:
+        """Record ``k`` as solved from row ``r``, which goes, and replace it
+        by ``gamma * rep`` (by 0 without ``rep``) in every other row."""
+        steps.append((rule, k, rows[r], constraints[r].rhs))
+        for j in rows[r]:
+            occurs[j].discard(r)
+            if j in lone:
+                pending_keys.append(j)
+        rows[r] = None
+        for s in occurs.pop(k):
+            coeffs = rows[s]
+            c = coeffs.pop(k)
+            if rep is not None:
+                if _accumulate(coeffs, rep, gamma * c):
+                    occurs[rep].add(s)
+                else:
+                    occurs[rep].discard(s)
+            changed.add(s)
+            pending_rows.append(s)
+
+    while pending_rows or pending_keys:
+        if not pending_rows:
+            k = pending_keys.pop()
+            if len(occurs.get(k, ())) == 1:
+                (r,) = occurs[k]
+                eliminate("c", k, r)  # (c): k absorbs its one row
+            continue
+        r = pending_rows.pop()
+        coeffs, con = rows[r], constraints[r]
+        if coeffs is None:
+            continue
+        if not coeffs:
+            if not {"=": con.rhs == 0, "<=": con.rhs >= 0, ">=": con.rhs <= 0}[con.rel]:
+                return None
+            rows[r] = None
+        elif con.rel != "=" or con.rhs:
+            continue
+        elif len(coeffs) == 1:
+            (k,) = coeffs  # (a): k = 0
+            objective.pop(k, None)
+            weight.pop(k, None)
+            eliminate("a", k, r)
+        elif len(coeffs) == 2 and all(k in weight and k not in restricted for k in coeffs):
+            (rep, a), (k, b) = coeffs.items()  # (b): k = gamma * rep
+            gamma = -a / b
+            if k in objective:
+                _accumulate(objective, rep, gamma * objective.pop(k))
+            weight[rep] += abs(gamma) * weight.pop(k)
+            eliminate("b", k, r, rep, gamma)
+    remaining = [
+        LinearConstraint(tuple(coeffs.items()), con.rel, con.rhs) if r in changed else con
+        for r, (coeffs, con) in enumerate(zip(rows, constraints))
+        if coeffs is not None
+    ]
+    return remaining, objective, weight, steps
+
+
+def _accumulate(form: dict[Key, Fraction], key: Key, value: Fraction) -> bool:
+    """Add ``value`` to ``form[key]``, deleting the key at 0; True if it stays."""
+    value += form.get(key, 0)
+    if value:
+        form[key] = value
+    else:
+        form.pop(key, None)
+    return bool(value)
+
+
+def _solve(
+    constraints: Sequence[LinearConstraint],
+    objective: dict[Key, Fraction],
+    keys: list[Key],
+    restricted: set[Key],
+    weights: dict[Key, Fraction | int],
+) -> LPResult:
+    """The simplex of :func:`solve_lp` over ``keys``, the ``restricted``
+    ones nonnegative, with ``sum w_k |k|`` as the magnitude; lexicographic
+    when both costs are given."""
+    lexicographic = bool(objective and weights)
 
     n_vars = len(keys)
     m = len(constraints)
     col_of = {k: i for i, k in enumerate(keys)}
-    restricted = set(nonnegative)
     twin_of: dict[Key, int] = {}  # x- column of each free key
     for k in keys:
         if k not in restricted:
@@ -203,11 +389,13 @@ def solve_lp(
         # the optimal face: every column with positive reduced cost stays 0
         dropped = {j for j, v in cost.items() if v > 0 and j >= 0}
         rows = [(e, {j: v for j, v in row.items() if j not in dropped}) for e, row in rows]
-        costs, scale = {}, 1
-    for k in magnitude:
+        costs = {}
+    if weights:  # the magnitude costs alone, the weights over their LCD
+        scale = lcm(*(w.denominator for w in weights.values()))
+    for k, w in weights.items():
         for col in (col_of[k], twin_of.get(k)):
             if col is not None:
-                costs[col] = costs.get(col, 0) + scale
+                costs[col] = costs.get(col, 0) + w.numerator * (scale // w.denominator)
     rows.append(_cost_row(rows, basis, {j: c for j, c in costs.items() if c}, d))
     if _simplex(rows, basis, d) is None:
         return LPResult(UNBOUNDED)
@@ -221,8 +409,8 @@ def solve_lp(
     }
     e, cost = rows[-1]
     fixed = None
-    if magnitude:
-        columns = [(col_of[k], twin_of.get(k)) for k in magnitude]
+    if weights:
+        columns = [(col_of[k], twin_of.get(k)) for k in weights]
         fixed = _keys_fixed(rows, basis, columns, n_cols)
     if not lexicographic:
         value = Fraction(-cost.get(-1, 0), e * scale)
@@ -232,14 +420,15 @@ def solve_lp(
 def _keys_fixed(
     tableau: list[Row], basis: list[int], columns: list[tuple[int, int | None]], n_cols: int
 ) -> bool:
-    """True only if no optimal solution moves a key off the final vertex
-    (the probe of the module docstring).  ``columns`` gives each key's x+
-    and x- column (None for a nonnegative key); the last row of the
-    tableau holds the reduced costs."""
+    """True exactly when no optimal solution moves a key off the final
+    vertex (the probes of the module docstring).  ``columns`` gives each
+    key's x+ and x- column (None for a nonnegative key); the last row of
+    the tableau holds the reduced costs."""
     *rows, (_, cost) = tableau
     row_of = {col: r for r, col in enumerate(basis)}
     free = {j for j in range(n_cols) if j not in row_of and not cost.get(j)}
     moving: set[int] = set()
+    changes: list[dict[int, Fraction]] = []
     for plus, minus in columns:
         change: dict[int, Fraction] = {}  # the key's change per unit move of a free column
         for col, sign in ((plus, 1), (minus, -1)):
@@ -251,6 +440,7 @@ def _keys_fixed(
                     if j in free:
                         change[j] = change.get(j, 0) - sign * Fraction(v, e)
         moving.update(j for j, v in change.items() if v)
+        changes.append(change)
     if not moving:
         return True
     # Each degenerate row's basic column, ``-sum row[j]/e * d_j``, must stay
@@ -264,8 +454,15 @@ def _keys_fixed(
             entries[n_cols + r] = 1
             probe.append((1, entries))
             probe_basis.append(n_cols + r)
-    probe.append((1, dict.fromkeys(moving, -1)))  # minimize -sum of the moving d
-    return _simplex(probe, probe_basis, 1) is not None
+    if _simplex([*probe, (1, dict.fromkeys(moving, -1))], list(probe_basis), 1) is not None:
+        return True  # minimizing -sum of the moving d is bounded
+    for change in changes:
+        scale = lcm(*(v.denominator for v in change.values()))
+        for sign in (scale, -scale):
+            costs = {j: int(v * sign) for j, v in change.items() if v}
+            if _simplex([*probe, (1, costs)], list(probe_basis), 1) is None:
+                return False  # some optimal solution moves this key
+    return True
 
 
 def _cost_row(rows: list[Row], basis: list[int], costs: dict[int, int], d: int) -> Row:

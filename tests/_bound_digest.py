@@ -4,11 +4,12 @@ of programs, to show that a change to bound synthesis keeps its output.
 The programs are the 750 programs of the benchmark's ``refine-corpus``
 population (``perfbench/inputs.py``), 300 ``_corpus.random_pip``
 programs from ``random.Random(777)``, each unrefined and refined (S =
-every transition, heuristic layers), and the gadget chain for k = 1..4,
-refined on every transition but the entries.  For each family it prints
-the number of programs and a SHA-256 over each program's verdict: the
-rendered certificate, kind, targets and taints of every cover entry, or
-the failure messages.  It also counts the magnitude solves of
+every transition, heuristic layers), and the gadget chain, refined on
+every transition but the entries, for k = 1..4 and, as a family of its
+own, for k = 5, 6, where the presolve of magnitude solves removes the
+most rows.  For each family it prints the number of programs and a
+SHA-256 over each program's verdict: the rendered certificate, kind,
+targets and taints of every cover entry, or the failure messages.  It also counts the magnitude solves of
 ``ratlp.solve_lp`` whose key values were not proven fixed.
 
 Run it from the repository root on each tree and compare the lines::
@@ -66,6 +67,11 @@ def _refined(p, s=None):
     return refined.program
 
 
+def _refined_chain(k: int):
+    p = parse_program(inputs.chain(k))
+    return _refined(p, [t for t in p.transitions if not t.name.startswith("e")])
+
+
 def families():
     rng = random.Random("refine-corpus")  # the population of inputs.corpus
     population = [parse_program(inputs.random_program(rng)) for _ in range(750)]
@@ -75,11 +81,8 @@ def families():
     random_pips = [_corpus.random_pip(rng) for _ in range(300)]
     yield "random_pip(Random(777))", random_pips
     yield "random_pip(Random(777)), refined", [_refined(p) for p in random_pips]
-    chains = []
-    for k in range(1, 5):
-        p = parse_program(inputs.chain(k))
-        chains.append(_refined(p, [t for t in p.transitions if not t.name.startswith("e")]))
-    yield "chain k = 1..4, refined", chains
+    yield "chain k = 1..4, refined", [_refined_chain(k) for k in range(1, 5)]
+    yield "chain k = 5, 6, refined", [_refined_chain(k) for k in (5, 6)]
 
 
 def main() -> None:

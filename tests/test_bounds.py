@@ -455,6 +455,34 @@ def test_magnitude_solves_do_not_fall_back(monkeypatch, fig2):
     assert [fixed for _, fixed in solves].count(False) == len(fallbacks) == 1
 
 
+# The proven-fixed solves of the test below before magnitude solves were
+# presolved (CHANGES.md): 141 of 550 ``_solve_min_abs`` LPs.
+_PROVEN_FIXED_WITHOUT_PRESOLVE = 141
+
+
+def test_presolved_synthesis_solves_match_explicit_formulation(monkeypatch, fig1, fig2):
+    """Every ``_solve_min_abs`` LP of fig1, fig2, the refined chain for
+    k = 1..4 and 300 ``random_pip(Random(2024))`` programs, unrefined and
+    refined, runs on the presolved LP; where it proves the template values
+    fixed they are the explicit formulation's, and it proves no fewer
+    solves fixed than the solve without the presolve did."""
+    from test_ratlp import _compare_magnitude_solves, _synthesis_lps
+
+    programs = [fig1, fig2] + [_corpus.refined_chain(k) for k in range(1, 5)]
+    rng = random.Random(2024)
+    for _ in range(300):
+        p = _corpus.random_pip(rng)
+        s = list(p.transitions)
+        refined, _ = refine_and_prune(p, [t.name for t in s], heuristic_layers(p, s))
+        programs += [p, refined.program]
+    proven = 0
+    for program in programs:
+        for constraints, keys in _synthesis_lps(monkeypatch, program):
+            rows, nonnegative = bounds._sign_restricted(constraints)
+            proven += bool(_compare_magnitude_solves(rows, nonnegative, keys).fixed)
+    assert proven >= _PROVEN_FIXED_WITHOUT_PRESOLVE
+
+
 def test_corrupted_unsat_verdict_is_rejected(monkeypatch, fig2):
     """Synthesis drops the conditions of a premise its condition table
     calls unsatisfiable; if every verdict lies, the re-check, which never

@@ -421,3 +421,185 @@ def test_lexicographic_probe_reads_only_the_optimal_face():
     assert got.objective == Fraction(-1, 3)
     assert got.assignment == {"c": 0, "k": Fraction(1, 3), "l": 0}
     assert got.fixed
+
+
+# --- the presolve of magnitude solves: rules (a)-(c) of the module docstring
+
+
+def _random_presolve_lp(rng: random.Random):
+    """Rows over free template keys (one sometimes nonnegative),
+    nonnegative multipliers and free equality multipliers, with planted
+    equalities of right side 0: one-key rows, two-key rows over template
+    keys, and sometimes one between a template key and a nonnegative key,
+    which is no tie.  Sometimes a planted pair ``a*i + b*j = 0``, ``a*i +
+    b*j = c`` with ``c != 0``, which substitution turns into ``0 = c``.
+    Returns the rows, the nonnegative keys, the template keys and the free
+    multipliers."""
+
+    def number() -> Fraction:
+        return Fraction(rng.choice((-2, -1, -1, 1, 1, 2)), rng.choice((1, 1, 2)))
+
+    free_keys = [f"k{i}" for i in range(rng.randint(2, 4))]
+    nonnegative = [("lam", i) for i in range(rng.randint(0, 3))]
+    keys = list(free_keys)
+    if rng.random() < 0.3:
+        keys.append("n")
+        nonnegative.append("n")
+    multipliers = [("mu", i) for i in range(rng.randint(0, 3))]
+    variables = free_keys + nonnegative + multipliers
+    rows = []
+    for _ in range(rng.randint(1, 4)):
+        coeffs = {k: number() for k in variables if rng.random() < 0.4}
+        rhs = 0 if rng.random() < 0.3 else rng.randint(-3, 3)
+        rows.append(C(coeffs, rng.choice(("<=", ">=", "=")), rhs))
+    for _ in range(rng.randint(0, 2)):
+        rows.append(C({rng.choice(variables): number()}, "=", 0))
+    for _ in range(rng.randint(0, 2)):
+        i, j = rng.sample(free_keys, 2)
+        rows.append(C({i: number(), j: number()}, "=", 0))
+    if rng.random() < 0.3:
+        nonnegative = list(dict.fromkeys([*nonnegative, ("lam", 0)]))
+        rows.append(C({rng.choice(free_keys): number(), rng.choice(nonnegative): 1}, "=", 0))
+    if rng.random() < 0.15:
+        i, j = rng.sample(free_keys, 2)
+        a, b = number(), number()
+        rows += [C({i: a, j: b}, "=", 0), C({i: a, j: b}, "=", rng.choice((-2, -1, 1, 2)))]
+    rng.shuffle(rows)
+    return rows, nonnegative, keys, multipliers
+
+
+def test_presolve_fires_every_rule_on_random_lps():
+    """``ratlp._presolve`` on seeded random LPs: rule (a) eliminates only a
+    key of a one-key equality of right side 0; (b) only a free template
+    key tied, by a two-key equality of right side 0, to another free
+    template key, never to a nonnegative one; (c) only a free key outside
+    the magnitude and the objective, whose row holds every occurrence
+    left.  Each rule fires, and some planted ``0 = c`` row is found."""
+    rng = random.Random(31337)
+    fired = {"a": 0, "b": 0, "c": 0, "infeasible": 0}
+    for _ in range(300):
+        rows, nonnegative, keys, multipliers = _random_presolve_lp(rng)
+        objective = {k: Fraction(1) for k in multipliers if rng.random() < 0.3}
+        all_keys = ratlp._keys(rows, [*objective, *keys])
+        presolved = ratlp._presolve(rows, objective, set(nonnegative), keys, all_keys)
+        if presolved is None:
+            fired["infeasible"] += 1
+            assert ratlp.solve_lp(rows, extra_variables=keys).status == ratlp.INFEASIBLE
+            continue
+        remaining, reduced, weights, steps = presolved
+        eliminated = set()
+        for rule, k, coeffs, rhs in steps:
+            fired[rule] += 1
+            assert k in coeffs and k not in eliminated
+            assert not eliminated & set(coeffs)
+            eliminated.add(k)
+            if rule in "ab":
+                assert not rhs and len(coeffs) == {"a": 1, "b": 2}[rule]
+            if rule == "b":
+                assert all(j in keys and j not in nonnegative for j in coeffs)
+            if rule == "c":
+                assert k in multipliers and k not in objective
+        left = {k for row in remaining for k, _ in row.coeffs}
+        assert not left & eliminated
+        assert set(weights) == set(keys) - eliminated and all(w > 0 for w in weights.values())
+        assert set(reduced) <= set(objective) - eliminated
+        assert len(remaining) + len(steps) <= len(rows)
+    assert all(fired.values()), fired
+
+
+def test_presolved_solves_match_explicit_formulation_on_random_lps():
+    """A magnitude solve and a lexicographic run of each of seeded random
+    LPs that the presolve reduces: each agrees with the explicit
+    formulation, its full assignment satisfies every original row
+    exactly, and its keys are proven fixed exactly when the explicit
+    formulation, capped at the optimum, gives every key one value."""
+    rng = random.Random(8128)
+    verdicts = set()
+    for _ in range(300):
+        rows, nonnegative, keys, _ = _random_presolve_lp(rng)
+        objective = {
+            k: Fraction(rng.randint(-2, 2), rng.choice((1, 2)))
+            for k in keys + nonnegative
+            if rng.random() < 0.3
+        }
+        runs = [(_compare_magnitude_solves(rows, nonnegative, keys), rows, False)]
+        got, first = _compare_lexicographic_run(rows, objective, nonnegative, keys)
+        runs.append((got, rows if first is None else [*rows, C(objective, "=", first)], True))
+        for got, pinned, lexicographic in runs:
+            verdicts.add((lexicographic, got.status, got.fixed))
+            if got.status != ratlp.OPTIMAL:
+                continue
+            x = got.assignment
+            assert set(x) >= {k for row in rows for k, _ in row.coeffs} | set(keys)
+            assert all(_holds(row, x) for row in rows), rows
+            magnitude = sum(abs(x[k]) for k in keys)
+            ranges = _key_ranges(pinned, nonnegative, keys, magnitude)
+            assert got.fixed == all(low == high for low, high in ranges.values()), (
+                rows, objective
+            )
+    assert verdicts >= {
+        (False, ratlp.INFEASIBLE, None),
+        (False, ratlp.OPTIMAL, True),
+        (False, ratlp.OPTIMAL, False),
+        (True, ratlp.INFEASIBLE, None),
+        (True, ratlp.UNBOUNDED, None),
+        (True, ratlp.OPTIMAL, True),
+    }
+
+
+def test_per_key_probes_see_moves_that_cancel(monkeypatch):
+    """The affine LP of ``random_pip(Random(777))`` program 158, refined on
+    every transition: its optimal face has moves of columns that change
+    template values, so the one probe over their sum is unbounded, but
+    those moves cancel on every key.  The per-key probes prove the keys
+    fixed, and the explicit formulation, capped at the optimum, agrees."""
+    from pcfr.abstraction import heuristic_layers
+    from pcfr.bounds import _sign_restricted
+    from pcfr.refine import refine_and_prune
+
+    rng = random.Random(777)
+    for _ in range(159):
+        p = _corpus.random_pip(rng)
+    s = [t.name for t in p.transitions]
+    refined, _ = refine_and_prune(p, s, heuristic_layers(p, list(p.transitions)))
+    lps = _synthesis_lps(monkeypatch, refined.program)
+    probes, verdicts = [], []
+    simplex, keys_fixed = ratlp._simplex, ratlp._keys_fixed
+
+    def recording(*args):
+        before = len(probes)
+        fixed = keys_fixed(*args)
+        verdicts.append((fixed, len(probes) - before))
+        return fixed
+
+    monkeypatch.setattr(ratlp, "_simplex", lambda *args: probes.append(1) or simplex(*args))
+    monkeypatch.setattr(ratlp, "_keys_fixed", recording)
+    cancelling = 0
+    for constraints, keys in lps:
+        rows, nonnegative = _sign_restricted(constraints)
+        verdicts.clear()
+        got = _compare_magnitude_solves(rows, nonnegative, keys)
+        if got.fixed and verdicts and verdicts[0][1] > 1:  # more than the one probe
+            cancelling += 1
+            ranges = _key_ranges(rows, nonnegative, keys, got.objective)
+            assert all(low == high for low, high in ranges.values())
+    assert cancelling == 1
+
+
+def test_per_key_probes_read_both_signs():
+    """min |k0| + |k1| + |k3| subject to -k0 - 2*k1 - 2*k3 - l/2 = -1,
+    -2*k0 - k1 + 2*k3 + 2*l <= 3 and k1 - k3 >= 3 over a multiplier
+    l >= 0 ties: k1 from 19/15 to 7/4 with k3 = k1 - 3 all have magnitude
+    3.  The vertex has k1 = 19/15, so the moves along the tie raise both
+    keys; a probe that only asked how far each key can fall would call
+    them fixed."""
+    rows = [
+        C({"k0": -1, "k1": -2, "k3": -2, "l": Fraction(-1, 2)}, "=", -1),
+        C({"k0": -2, "k1": -1, "k3": 2, "l": 2}, "<=", 3),
+        C({"k1": 1, "k3": -1}, ">=", 3),
+    ]
+    keys = ["k0", "k1", "k3"]
+    got = _compare_magnitude_solves(rows, ["l"], keys)
+    assert got.assignment["k1"] == Fraction(19, 15) and got.fixed is False
+    ranges = _key_ranges(rows, ["l"], keys, got.objective)
+    assert ranges["k1"] == (Fraction(19, 15), Fraction(7, 4))
