@@ -74,10 +74,14 @@ solutions are those of the original LP with the eliminated keys
 dropped, so its probes are the original's: an eliminated magnitude key
 is 0 or ``g`` times a key that the probes cover, hence fixed when the
 remaining keys are, and the keys of rule (c) are no magnitude keys.
-The eliminated values are rebuilt in reverse order, each from its row
-as an equation, so every original row holds exactly; a run with an
-objective reports it evaluated on the rebuilt assignment.  A solve
-without magnitude keys is not presolved.
+The reduced LP lists its nonnegative keys first (in a synthesis LP,
+the multipliers before the template values), which shortens Bland's
+path there.  The order changes the pivots, not the answer: the probes
+are exact, and keys proven fixed have the same values at every optimal
+solution.  The eliminated values are rebuilt in reverse order, each
+from its row as an equation, so every original row holds exactly; a
+run with an objective reports it evaluated on the rebuilt assignment.
+A solve without magnitude keys is not presolved.
 
 The tableau holds integers only, and no gcd is ever taken.  A row is a
 sparse map from column to integer (column -1 is the right-hand side)
@@ -168,7 +172,8 @@ def solve_lp(
         return LPResult(INFEASIBLE)
     rows, reduced, weights, steps = presolved
     eliminated = {k for _, k, _, _ in steps}
-    survivors = [k for k in keys if k not in eliminated]
+    survivors = [k for k in keys if k in restricted and k not in eliminated]
+    survivors += [k for k in keys if k not in restricted and k not in eliminated]
     result = _solve(rows, reduced, survivors, restricted, weights)
     if result.status != OPTIMAL or not steps:
         return result
