@@ -33,51 +33,14 @@ constants, and the LP optimum over them, are those of the Farkas
 encoding.
 
 The canonical certificate is a solution of least total magnitude
-``sum |k|`` over the template values ``k`` (after pinning the initial
-constant, for a constant template): the vertex that Bland's rule reaches
-on the explicit formulation, where each multiplier of an inequality has
-a row ``lam >= 0``, each template value a bound ``b_k >= k``, ``b_k >=
--k``, the objective is ``sum b_k``, and every column is split into x+ and
-x-.  Synthesis first solves a smaller LP with the same optimal template
-values: the sign rows become nonnegative columns and the bounds go, with
-``|k|`` priced as the sum of ``k``'s two halves (:mod:`pcfr.ratlp`).
-Both LPs have the same feasible (template, multiplier) points, and an
-optimal solution of the small one never has both halves of a ``k``
-positive, so its optimal template values are exactly those of the
-explicit one.  :func:`pcfr.ratlp.solve_lp` presolves that fast solve:
-it eliminates template values that an equality fixes to 0 or ties to
-another one, and equality multipliers that occur in one row only, which
-keeps the feasible template vectors and their ``sum |k|``, so the
-optimal template values are still those of the explicit LP.  From its
-final tableau it then finds the optimal face: the solutions that leave
-every nonbasic column with positive reduced cost at 0, which are moves
-of the zero-cost nonbasic columns within the cone that the degenerate
-rows allow.  Probe LPs over that cone show whether any such move changes
-a template value.  When none does, every optimal solution has the
-returned template values, the explicit vertex among them, so the
-certificate is the canonical one without the explicit solve.  When one
-does, the optimum ties: several template vectors have the least
-magnitude, and only the explicit pivot path says which one is canonical,
-so synthesis falls back to the explicit LP, which is not presolved, and
-takes its vertex.  A wrong verdict of the probes could only print
-another optimal certificate, never an unsound one: whichever vertex is
-taken, :func:`verify_plrf` re-checks every condition of the certificate
-below.
-
-A constant template minimises the initial value first; its canonical
-certificate is the explicit vertex of the LP with the initial constant
-pinned to that least value.  Synthesis reaches it in one lexicographic
-run (:mod:`pcfr.ratlp`) on the LP presolved as above.  Phase two
-minimises the initial value.  The solutions that keep it least are
-exactly those that leave every nonbasic column of positive reduced cost
-at 0, so dropping those columns leaves the pinned LP's feasible set,
-over which the same tableau then minimises the magnitude; the probes
-run on its final tableau.  When they show the template values fixed,
-every solution of least magnitude with the least initial value has the
-run's template values, the explicit pinned vertex among them.  When
-they do not, or the initial value is unbounded below, synthesis pins
-the initial value and solves the magnitude LP as above, so the
-certificate is the same either way.
+``sum |k|`` over the template values ``k``; a constant template first
+minimises the initial value, and ranks by magnitude only among the
+solutions that keep it least.  :func:`pcfr.ratlp.solve_lp` picks that
+vertex, tie-breaks included (see :mod:`pcfr.ratlp`).  When the initial
+value is unbounded below, synthesis pins the largest feasible value up
+to zero and minimises the magnitude alone.  A wrong vertex could only
+print another optimal certificate, never an unsound one:
+:func:`verify_plrf` re-checks every condition of the certificate below.
 
 Synthesis and verification share one condition table per public call
 (:class:`_ConditionTable`).  Per general transition it holds the
@@ -633,7 +596,9 @@ def _synthesize(
 
     init_key = ("c", p.initial.name)
     if linear:
-        solution = _solve_min_abs(constraints, template_keys)
+        solution = ratlp.solve_lp(
+            constraints, extra_variables=template_keys, magnitude=template_keys
+        ).assignment
     else:
         solution = _solve_constant(constraints, template_keys, init_key)
     if solution is None:
@@ -659,96 +624,29 @@ def _synthesize(
     return PLRF(plrf.values, plrf.targets, plrf.kind, taints)
 
 
-def _sign_restricted(
-    constraints: Sequence[ratlp.LinearConstraint],
-) -> tuple[list[ratlp.LinearConstraint], list]:
-    """The rows other than a sign row ``k >= 0`` (one per Farkas multiplier
-    of an inequality), and the keys those rows restrict to be nonnegative."""
-    rows, nonnegative = [], []
-    for con in constraints:
-        if con.rel == ">=" and not con.rhs and len(con.coeffs) == 1 and con.coeffs[0][1] == 1:
-            nonnegative.append(con.coeffs[0][0])
-        else:
-            rows.append(con)
-    return rows, nonnegative
-
-
-def _abs_objective(
-    constraints: list[ratlp.LinearConstraint], keys: Sequence
-) -> dict:
-    objective: dict = {}
-    for key in keys:
-        bound_key = ("abs", *key) if isinstance(key, tuple) else ("abs", key)
-        constraints.append(
-            ratlp.LinearConstraint.of({bound_key: 1, key: -1}, ">=", 0)
-        )
-        constraints.append(
-            ratlp.LinearConstraint.of({bound_key: 1, key: 1}, ">=", 0)
-        )
-        objective[bound_key] = Fraction(1)
-    return objective
-
-
-def _solve_min_abs(
-    constraints: list[ratlp.LinearConstraint], keys: Sequence
-) -> dict | None:
-    """A solution of least ``sum |k|`` over the template keys: the vertex
-    of the explicit formulation, or a vertex with the same key values when
-    the sign-restricted solve proves them fixed (module docstring)."""
-    rows, nonnegative = _sign_restricted(constraints)
-    result = ratlp.solve_lp(
-        rows, extra_variables=keys, nonnegative=nonnegative, magnitude=keys
-    )
-    if result.status != ratlp.OPTIMAL:
-        return None
-    if result.fixed:
-        return result.assignment
-    work = list(constraints)
-    objective = _abs_objective(work, keys)
-    result = ratlp.solve_lp(work, objective, extra_variables=keys)
-    if result.status != ratlp.OPTIMAL:
-        raise AssertionError(f"explicit magnitude LP is {result.status}")
-    return result.assignment
-
-
 def _solve_constant(
     constraints: list[ratlp.LinearConstraint], keys: Sequence, init_key
 ) -> dict | None:
     """Canonical solve: minimal value at the initial location first, then
     minimal total magnitude among those solutions, in one lexicographic
-    run on sign-restricted columns.  When that run cannot prove the key
-    values fixed, or the first objective is unbounded, the initial value
-    is pinned and the magnitude solved again (module docstring)."""
-    rows, nonnegative = _sign_restricted(constraints)
+    run.  When the first objective is unbounded, the initial value is
+    pinned and the magnitude solved alone (module docstring)."""
     first = ratlp.solve_lp(
-        rows,
-        {init_key: Fraction(1)},
-        extra_variables=keys,
-        nonnegative=nonnegative,
-        magnitude=keys,
+        constraints, {init_key: Fraction(1)}, extra_variables=keys, magnitude=keys
     )
-    if first.status == ratlp.INFEASIBLE:
-        return None
-    if first.status == ratlp.OPTIMAL:
-        if first.fixed:
-            return first.assignment
-        init_value = first.objective
-    else:
-        # Unbounded below: any nonpositive value gives the same zero bound;
-        # pick the largest feasible one up to zero.
-        rows.append(ratlp.LinearConstraint.of({init_key: 1}, "<=", 0))
-        second = ratlp.solve_lp(
-            rows, {init_key: Fraction(-1)}, extra_variables=keys, nonnegative=nonnegative
-        )
-        if second.status != ratlp.OPTIMAL:
-            raise AssertionError(f"capped constant LP is {second.status}")
-        init_value = -second.objective
-    pinned = list(constraints)
-    pinned.append(ratlp.LinearConstraint.of({init_key: 1}, "=", init_value))
-    result = _solve_min_abs(pinned, keys)
-    if result is None:
+    if first.status != ratlp.UNBOUNDED:
+        return first.assignment
+    # Unbounded below: any nonpositive value gives the same zero bound;
+    # pick the largest feasible one up to zero.
+    capped = [*constraints, ratlp.LinearConstraint.of({init_key: 1}, "<=", 0)]
+    second = ratlp.solve_lp(capped, {init_key: Fraction(-1)}, extra_variables=keys)
+    if second.status != ratlp.OPTIMAL:
+        raise AssertionError(f"capped constant LP is {second.status}")
+    pin = ratlp.LinearConstraint.of({init_key: 1}, "=", -second.objective)
+    result = ratlp.solve_lp([*constraints, pin], extra_variables=keys, magnitude=keys)
+    if result.status != ratlp.OPTIMAL:
         raise AssertionError("pinned constant LP has no optimum")
-    return result
+    return result.assignment
 
 
 def find_constant_plrf(
@@ -873,29 +771,15 @@ def _check_partition(p: PIP, groups: Sequence[Iterable[str]]) -> None:
 def default_cover(p: PIP) -> list[tuple[str, ...]]:
     """One entry per location component containing cyclic general
     transitions, plus a singleton entry per acyclic general transition
-    (those can fire at most once)."""
+    (those can fire at most once), in order of first occurrence."""
     comp = location_sccs(p)
-    groups: dict[int, list[str]] = {}
-    singles: list[tuple[str, ...]] = []
-    order: list[tuple[str, ...] | int] = []
+    groups: dict[int | str, list[str]] = {}  # by SCC id, or by the acyclic one's name
     for g in p.gts:
-        cyclic = any(comp[t.source] == comp[t.target] for t in g.members)
-        if cyclic:
-            scc = comp[g.source]
-            if scc not in groups:
-                groups[scc] = []
-                order.append(scc)
-            groups[scc].append(g.name)
+        if any(comp[t.source] == comp[t.target] for t in g.members):
+            groups.setdefault(comp[g.source], []).append(g.name)
         else:
-            singles.append((g.name,))
-            order.append((g.name,))
-    out: list[tuple[str, ...]] = []
-    for item in order:
-        if isinstance(item, int):
-            out.append(tuple(groups[item]))
-        else:
-            out.append(item)
-    return out
+            groups[g.name] = [g.name]
+    return [tuple(names) for names in groups.values()]
 
 
 @dataclass(frozen=True, slots=True)

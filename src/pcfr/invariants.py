@@ -113,10 +113,9 @@ def atom_universe(p: PIP) -> frozenset[Atom]:
     return frozenset(universe)
 
 
-def infer(p: PIP, universe: frozenset[Atom] | None = None) -> InvariantMap:
+def infer(p: PIP) -> InvariantMap:
     """Greatest fixpoint of provable universe atoms at every location."""
-    if universe is None:
-        universe = atom_universe(p)
+    universe = atom_universe(p)
     current: dict[Location, set[Atom]] = {
         loc: (set() if loc == p.initial else set(universe)) for loc in p.locations
     }

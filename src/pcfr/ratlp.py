@@ -2,12 +2,15 @@
 
 A two-phase simplex with Bland's rule: the first improving column enters,
 and ratio ties leave by the smallest basic column, so it terminates.
-Variables are identified by arbitrary hashable keys.  A key is free
-(unrestricted sign) unless the caller lists it as nonnegative.  A free
-key is the difference of two nonnegative columns, x+ and its twin x-; a
-nonnegative key is its x+ column alone, so its sign needs no row.  The
-columns are laid out as [x+ block, one column per key | x- block, one per
-free key, in key order | slack or surplus | artificials].  With no
+Variables are identified by arbitrary hashable keys, each free
+(unrestricted sign) unless it is nonnegative.  A solve with magnitude
+keys (below) makes a key nonnegative for each sign row ``k >= 0`` of its
+LP (one key, coefficient 1, right side 0), which it takes out of the
+rows; every other solve keeps its rows as given and its keys free.  A
+free key is the difference of two nonnegative columns, x+ and its twin
+x-; a nonnegative key is its x+ column alone, so its sign needs no row.
+The columns are laid out as [x+ block, one column per key | x- block, one
+per free key, in key order | slack or surplus | artificials].  With no
 nonnegative key this is the plain [x+ | x- | slack | artificials] layout.
 A row whose <=-form right side is nonnegative starts with its slack
 basic; only equalities and flipped rows get an artificial.  Phase one
@@ -83,6 +86,26 @@ from its row as an equation, so every original row holds exactly; a
 run with an objective reports it evaluated on the rebuilt assignment.
 A solve without magnitude keys is not presolved.
 
+The vertex that a solve with magnitude keys returns is canonical: that
+of the explicit formulation.  That LP is the caller's rows as given,
+sign rows included; for a lexicographic run, the row ``objective =
+optimum``; then per magnitude key ``k`` the rows ``b_k - k >= 0`` and
+``b_k + k >= 0`` over a bound key ``b_k``, named ``("abs", *k)`` (or
+``("abs", k)`` for a key that is no tuple).  It minimizes ``sum b_k``
+with every key free, and is not presolved.  The fast solve above has
+the same feasible points on the caller's keys: each sign row becomes a
+nonnegative column and the bound rows go.  Its optimal solutions never
+have both halves of a magnitude key positive, so their key values are
+exactly the explicit optimal ones, and the presolve keeps them.  So when
+the probes prove the keys fixed, every optimal solution has the
+returned key values, the explicit vertex among them, and the fast
+vertex is returned.  When they do not, the optimum ties: several key
+vectors have the least magnitude, and only the explicit pivot path says
+which one is canonical.  The solve then falls back to the explicit LP
+and returns its vertex, without the bound keys, with ``fixed`` False.
+An explicit LP without an optimum is a fault, raised as AssertionError
+even under ``python -O``.
+
 The tableau holds integers only, and no gcd is ever taken.  A row is a
 sparse map from column to integer (column -1 is the right-hand side)
 over a positive denominator ``e``: the exact entry is ``row[j] / e``.
@@ -144,7 +167,8 @@ class LPResult:
     assignment: dict[Key, Fraction] | None = None
     objective: Fraction | None = None
     # With ``magnitude`` keys, at an optimum: True exactly when every
-    # optimal solution gives those keys the values in ``assignment``.
+    # optimal solution gives those keys the values in ``assignment``;
+    # when False, ``assignment`` is the explicit formulation's vertex.
     fixed: bool | None = None
 
 
@@ -152,22 +176,25 @@ def solve_lp(
     constraints: Sequence[LinearConstraint],
     objective: Mapping[Key, Fraction | int] | None = None,
     extra_variables: Iterable[Key] = (),
-    nonnegative: Iterable[Key] = (),
     magnitude: Iterable[Key] = (),
 ) -> LPResult:
     """Minimize ``objective`` subject to ``constraints``, then ``sum |k|``
-    over the ``magnitude`` keys among its optimal solutions; keys in
-    ``nonnegative`` are >= 0, the others free.  The result's ``objective``
-    is the optimum of ``objective``, or of ``sum |k|`` if none is given.
-    A solve with ``magnitude`` keys runs on the presolved LP (module
+    over the ``magnitude`` keys among its optimal solutions.  The result's
+    ``objective`` is the optimum of ``objective``, or of ``sum |k|`` if
+    none is given.  A solve with ``magnitude`` keys runs on the presolved
+    LP with its sign rows as nonnegative keys, and returns the explicit
+    formulation's vertex when it cannot prove the keys fixed (module
     docstring)."""
     objective = {k: Fraction(v) for k, v in (objective or {}).items()}
     magnitude = list(magnitude)
-    restricted = set(nonnegative)
-    keys = _keys(constraints, [*objective, *magnitude, *extra_variables])
+    more = [*objective, *magnitude, *extra_variables]
     if not magnitude:
-        return _solve(constraints, objective, keys, restricted, {})
-    presolved = _presolve(constraints, objective, restricted, magnitude, keys)
+        return _solve(constraints, objective, _keys(constraints, more), set(), {})
+    signs = [_sign_key(con) for con in constraints]
+    rows = [con for con, k in zip(constraints, signs) if k is None]
+    restricted = set(signs) - {None}
+    keys = _keys(rows, more)
+    presolved = _presolve(rows, objective, restricted, magnitude, keys)
     if presolved is None:
         return LPResult(INFEASIBLE)
     rows, reduced, weights, steps = presolved
@@ -175,7 +202,7 @@ def solve_lp(
     survivors = [k for k in keys if k in restricted and k not in eliminated]
     survivors += [k for k in keys if k not in restricted and k not in eliminated]
     result = _solve(rows, reduced, survivors, restricted, weights)
-    if result.status != OPTIMAL or not steps:
+    if result.status != OPTIMAL:
         return result
     x = result.assignment
     for _, k, coeffs, rhs in reversed(steps):
@@ -187,7 +214,29 @@ def solve_lp(
     if objective:  # its reduced form may have lost every key
         value = sum((v * x[k] for k, v in objective.items()), Fraction(0))
     # with every magnitude key fixed to 0 by rule (a), nothing can move one
-    return LPResult(OPTIMAL, x, value, result.fixed if weights else True)
+    if not weights or result.fixed:
+        return LPResult(OPTIMAL, x, value, True)
+    explicit = list(constraints)
+    if objective:
+        explicit.append(LinearConstraint.of(objective, "=", value))
+    bound_keys: dict[Key, Fraction] = {}
+    for k in magnitude:
+        b = ("abs", *k) if isinstance(k, tuple) else ("abs", k)
+        explicit.append(LinearConstraint.of({b: 1, k: -1}, ">=", 0))
+        explicit.append(LinearConstraint.of({b: 1, k: 1}, ">=", 0))
+        bound_keys[b] = Fraction(1)
+    result = _solve(explicit, bound_keys, _keys(explicit, more), set(), {})
+    if result.status != OPTIMAL:
+        raise AssertionError(f"explicit magnitude LP is {result.status}")
+    x = {k: v for k, v in result.assignment.items() if k not in bound_keys}
+    return LPResult(OPTIMAL, x, value, False)
+
+
+def _sign_key(con: LinearConstraint) -> Key | None:
+    """The key of a sign row ``k >= 0``, else None."""
+    if con.rel == ">=" and not con.rhs and len(con.coeffs) == 1 and con.coeffs[0][1] == 1:
+        return con.coeffs[0][0]
+    return None
 
 
 def _keys(constraints: Sequence[LinearConstraint], more: Iterable[Key]) -> list[Key]:

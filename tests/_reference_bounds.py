@@ -14,8 +14,10 @@ once per call and renumbers it, solves a constant certificate in one
 lexicographic run, composes each condition in one accumulation and
 skips a retry whose LP would be the same, so on every input the two must
 give identical reports and identical affine LPs.  Tests only; the bodies
-are kept as they were, and they share the premises, condition shapes,
-magnitude solve and result types of ``pcfr.bounds``.
+are kept as they were, except that each magnitude solve is one call of
+:func:`pcfr.ratlp.solve_lp`, which takes the sign rows and breaks ties
+itself; they share the premises, condition shapes and result types of
+``pcfr.bounds``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from pcfr import bounds, ratlp
+from pcfr import ratlp
 from pcfr.bounds import (
     PLRF,
     AffineExpr,
@@ -35,7 +37,6 @@ from pcfr.bounds import (
     _constant_row,
     _form_add,
     _gt_conditions,
-    _sign_restricted,
     _update_temporaries,
     compose_bound,
     default_cover,
@@ -163,7 +164,9 @@ def _synthesize(
 
     init_key = ("c", p.initial.name)
     if linear:
-        solution = bounds._solve_min_abs(constraints, template_keys)
+        solution = ratlp.solve_lp(
+            constraints, extra_variables=template_keys, magnitude=template_keys
+        ).assignment
     else:
         solution = _solve_constant(constraints, template_keys, init_key)
     if solution is None:
@@ -192,28 +195,23 @@ def _synthesize(
 def _solve_constant(
     constraints: list[ratlp.LinearConstraint], keys: Sequence, init_key
 ) -> dict | None:
-    rows, nonnegative = _sign_restricted(constraints)
-    first = ratlp.solve_lp(
-        rows, {init_key: Fraction(1)}, extra_variables=keys, nonnegative=nonnegative
-    )
+    first = ratlp.solve_lp(constraints, {init_key: Fraction(1)}, extra_variables=keys)
     if first.status == ratlp.INFEASIBLE:
         return None
     if first.status == ratlp.OPTIMAL:
         init_value = first.objective
     else:
-        rows.append(ratlp.LinearConstraint.of({init_key: 1}, "<=", 0))
-        second = ratlp.solve_lp(
-            rows, {init_key: Fraction(-1)}, extra_variables=keys, nonnegative=nonnegative
-        )
+        capped = [*constraints, ratlp.LinearConstraint.of({init_key: 1}, "<=", 0)]
+        second = ratlp.solve_lp(capped, {init_key: Fraction(-1)}, extra_variables=keys)
         if second.status != ratlp.OPTIMAL:
             raise AssertionError(f"capped constant LP is {second.status}")
         init_value = -second.objective
     pinned = list(constraints)
     pinned.append(ratlp.LinearConstraint.of({init_key: 1}, "=", init_value))
-    result = bounds._solve_min_abs(pinned, keys)
-    if result is None:
+    result = ratlp.solve_lp(pinned, extra_variables=keys, magnitude=keys)
+    if result.status != ratlp.OPTIMAL:
         raise AssertionError("pinned constant LP has no optimum")
-    return result
+    return result.assignment
 
 
 def find_constant_plrf(

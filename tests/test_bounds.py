@@ -358,8 +358,8 @@ def test_certificates_are_pinned(fig2):
 
 # Runs under ``python -O``: the worked bound must still come out, and a
 # certificate built from a corrupted LP vertex must still be rejected, both
-# from the sign-restricted magnitude solve (fig2) and from the explicit
-# formulation it falls back to on a tie (the unsatisfiable-guard program).
+# from the magnitude solve (fig2) and from the explicit formulation it
+# falls back to on a tie (the unsatisfiable-guard program).
 _OPTIMIZED_PIPELINE = """
 import sys
 from pathlib import Path
@@ -371,17 +371,17 @@ unsat_guard = parse_program(sys.argv[2])
 print(sys.flags.optimize, bounds.bound_program(fig2).bound.render_total())
 solve_lp = ratlp.solve_lp
 
-# the sign-restricted magnitude solve, and the explicit one a tie falls back to
+# every magnitude solve, and those that a tie sends to the explicit formulation
 SOLVES = {
-    "magnitude": lambda objective, kwargs: bool(kwargs.get("magnitude")),
-    "explicit": lambda objective, kwargs: len(objective or ()) > 1,
+    "magnitude": lambda result, kwargs: bool(kwargs.get("magnitude")),
+    "explicit": lambda result, kwargs: result.fixed is False,
 }
 
 def corrupting(kind):
     def corrupted(constraints, objective=None, extra_variables=(), **kwargs):
         result = solve_lp(constraints, objective, extra_variables, **kwargs)
         # zero the vertex of each synthesis' last, magnitude-minimising solve
-        if result.assignment is not None and SOLVES[kind](objective, kwargs):
+        if result.assignment is not None and SOLVES[kind](result, kwargs):
             result.assignment = dict.fromkeys(result.assignment, 0)
             print("corrupted", kind)
         return result
@@ -416,18 +416,19 @@ def test_certificate_recheck_survives_optimized_mode():
 def _magnitude_solves(monkeypatch, program):
     """The (row count, keys proven fixed) of each optimal magnitude solve,
     the lexicographic runs of constant synthesis among them, and the row
-    count of each explicit fallback, that ``bound_program`` makes on
-    ``program``."""
+    count of each that falls back to the explicit formulation (``fixed``
+    False), that ``bound_program`` makes on ``program``.  The row count
+    leaves out the sign rows, which the solve makes nonnegative columns."""
     solves, fallbacks = [], []
     solve_lp = bounds.ratlp.solve_lp
 
     def recording(constraints, objective=None, extra_variables=(), **kwargs):
         result = solve_lp(constraints, objective, extra_variables, **kwargs)
-        if kwargs.get("magnitude"):
-            if result.status == bounds.ratlp.OPTIMAL:
-                solves.append((len(constraints), result.fixed))
-        elif objective and any(key[0] == "abs" for key in objective):
-            fallbacks.append(len(constraints))
+        if kwargs.get("magnitude") and result.status == bounds.ratlp.OPTIMAL:
+            rows = sum(bounds.ratlp._sign_key(con) is None for con in constraints)
+            solves.append((rows, result.fixed))
+            if result.fixed is False:
+                fallbacks.append(rows)
         return result
 
     monkeypatch.setattr(bounds.ratlp, "solve_lp", recording)
@@ -456,17 +457,18 @@ def test_magnitude_solves_do_not_fall_back(monkeypatch, fig2):
 
 
 # The proven-fixed solves of the test below before magnitude solves were
-# presolved (CHANGES.md): 141 of 550 ``_solve_min_abs`` LPs.
+# presolved (CHANGES.md): 141 of 550 affine and pinned magnitude LPs.
 _PROVEN_FIXED_WITHOUT_PRESOLVE = 141
 
 
 def test_presolved_synthesis_solves_match_explicit_formulation(monkeypatch, fig1, fig2):
-    """Every ``_solve_min_abs`` LP of fig1, fig2, the refined chain for
-    k = 1..4 and 300 ``random_pip(Random(2024))`` programs, unrefined and
-    refined, runs on the presolved LP; where it proves the template values
-    fixed they are the explicit formulation's, and it proves no fewer
-    solves fixed than the solve without the presolve did."""
-    from test_ratlp import _compare_magnitude_solves, _synthesis_lps
+    """Every magnitude LP without a first objective (affine, or a pinned
+    constant one) of fig1, fig2, the refined chain for k = 1..4 and 300
+    ``random_pip(Random(2024))`` programs, unrefined and refined, runs on
+    the presolved LP; its template values are the explicit formulation's,
+    proven fixed or not, and it proves no fewer solves fixed than the
+    solve without the presolve did."""
+    from test_ratlp import _compare_magnitude_solves, _sign_split, _synthesis_lps
 
     programs = [fig1, fig2] + [_corpus.refined_chain(k) for k in range(1, 5)]
     rng = random.Random(2024)
@@ -478,7 +480,7 @@ def test_presolved_synthesis_solves_match_explicit_formulation(monkeypatch, fig1
     proven = 0
     for program in programs:
         for constraints, keys in _synthesis_lps(monkeypatch, program):
-            rows, nonnegative = bounds._sign_restricted(constraints)
+            rows, nonnegative = _sign_split(constraints)
             proven += bool(_compare_magnitude_solves(rows, nonnegative, keys).fixed)
     assert proven >= _PROVEN_FIXED_WITHOUT_PRESOLVE
 
@@ -584,25 +586,99 @@ def test_unproven_lexicographic_run_falls_back_to_the_reference_certificate(
     monkeypatch, fig2
 ):
     """When a constant certificate's lexicographic run does not prove its
-    template values fixed, synthesis pins the run's least initial value
-    and solves the magnitude again; the report is still the reference's.
-    Every optimal lexicographic run is made to report "not proven"."""
+    template values fixed, :func:`pcfr.ratlp.solve_lp` returns the vertex
+    of the explicit formulation pinned at the run's least initial value;
+    the report is still the reference's.  Every optimal lexicographic
+    simplex run is made to report "not proven"."""
     programs = [fig2] + [_corpus.refined_chain(k) for k in range(1, 4)]
     want = [_reference_bounds.bound_program(program) for program in programs]
-    solve_lp = bounds.ratlp.solve_lp
+    solve, solve_lp = bounds.ratlp._solve, bounds.ratlp.solve_lp
     runs = []
 
-    def unproven(constraints, objective=None, extra_variables=(), **kwargs):
-        result = solve_lp(constraints, objective, extra_variables, **kwargs)
-        if objective and kwargs.get("magnitude") and result.status == bounds.ratlp.OPTIMAL:
-            runs.append(result.objective)
+    def unproven(constraints, objective, keys, restricted, weights):
+        result = solve(constraints, objective, keys, restricted, weights)
+        if objective and weights and result.status == bounds.ratlp.OPTIMAL:
             result.fixed = False
         return result
 
-    monkeypatch.setattr(bounds.ratlp, "solve_lp", unproven)
+    def recording(constraints, objective=None, extra_variables=(), **kwargs):
+        result = solve_lp(constraints, objective, extra_variables, **kwargs)
+        if objective and result.fixed is False:
+            runs.append(result.objective)
+        return result
+
+    monkeypatch.setattr(bounds.ratlp, "_solve", unproven)
+    monkeypatch.setattr(bounds.ratlp, "solve_lp", recording)
     got = [bound_program(program) for program in programs]
     assert got == want
     assert len(runs) >= 10 and len(set(runs)) >= 2
+
+
+# Targets g0, gx and gy: l0's least constant is 1, and the least magnitude
+# 6 ties, since b can go from 0 down to -2 with s1 = s2 = 1 + b/2.
+_TIED_CONSTANT = """
+vars x;
+start l0;
+
+trans g0 { from l0; to z; }
+gt g3 { from l0; branch h3 p=1/2 {} -> s1; branch k3 p=1/2 {} -> s2; }
+gt g1 { from s1; branch h1 p=1/2 {} -> b; branch k1 p=1/2 {} -> x1; }
+gt g2 { from s2; branch h2 p=1/2 {} -> b; branch k2 p=1/2 {} -> x1; }
+trans gx { from x1; to y; }
+trans gy { from y; to z; }
+"""
+
+
+def _tied_constant_runs(monkeypatch):
+    """``_TIED_CONSTANT``'s constant certificate for its targets, and the
+    (constraints, keys, result) of each lexicographic run it makes."""
+    p = parse_program(_TIED_CONSTANT)
+    runs = []
+    solve_lp = bounds.ratlp.solve_lp
+
+    def recording(constraints, objective=None, extra_variables=(), **kwargs):
+        result = solve_lp(constraints, objective, extra_variables, **kwargs)
+        if objective and kwargs.get("magnitude"):
+            runs.append((list(constraints), list(extra_variables), result))
+        return result
+
+    monkeypatch.setattr(bounds.ratlp, "solve_lp", recording)
+    try:
+        return find_constant_plrf(p, infer(p), ["g0", "gx", "gy"]), runs
+    finally:
+        monkeypatch.undo()
+
+
+def test_tied_constant_certificate_is_the_reference_one(monkeypatch):
+    """The lexicographic run of ``_TIED_CONSTANT`` cannot prove its template
+    values fixed, because the least magnitude ties, and the explicit vertex
+    it returns is the reference's certificate, which minimises the initial
+    value and then solves the magnitude with that value pinned."""
+    from test_ratlp import _key_ranges
+
+    plrf, runs = _tied_constant_runs(monkeypatch)
+    ((constraints, keys, result),) = runs
+    assert result.objective == 1 and result.fixed is False
+    pinned = [*constraints, bounds.ratlp.LinearConstraint.of({("c", "l0"): 1}, "=", 1)]
+    assert _key_ranges(pinned, [], keys, 6)[("c", "b")] == (-2, 0)
+    p = parse_program(_TIED_CONSTANT)
+    assert plrf == _reference_bounds.find_constant_plrf(p, infer(p), ["g0", "gx", "gy"])
+    assert plrf.render() == "{b -> 0, l0 -> 1, s1 -> 1, s2 -> 1, x1 -> 2, y -> 1, z -> 0}"
+
+
+def test_tie_fallback_without_an_optimum_raises(monkeypatch):
+    """An explicit formulation without an optimum is a fault that the tie
+    fallback raises, with no ``assert``, so also under ``python -O``."""
+    solve = bounds.ratlp._solve
+
+    def infeasible_explicit(constraints, objective, keys, restricted, weights):
+        if objective and all(isinstance(k, tuple) and k[0] == "abs" for k in objective):
+            return bounds.ratlp.LPResult(bounds.ratlp.INFEASIBLE)
+        return solve(constraints, objective, keys, restricted, weights)
+
+    monkeypatch.setattr(bounds.ratlp, "_solve", infeasible_explicit)
+    with pytest.raises(AssertionError, match="explicit magnitude LP is infeasible"):
+        _tied_constant_runs(monkeypatch)
 
 
 def test_bound_program_matches_reference_on_random_programs(monkeypatch):

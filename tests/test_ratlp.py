@@ -168,11 +168,25 @@ def test_feasibility_agrees_with_elimination_engine():
             assert fm is Satisfiability.SAT
 
 
+def _signed(rows, nonnegative):
+    """``rows`` after a sign row ``k >= 0`` per nonnegative key, which a
+    magnitude solve takes as a nonnegative column."""
+    return [C({k: 1}, ">=", 0) for k in nonnegative] + list(rows)
+
+
+def _sign_split(constraints):
+    """The rows of ``constraints`` other than sign rows, and the keys of
+    the sign rows."""
+    signs = [ratlp._sign_key(con) for con in constraints]
+    rows = [con for con, k in zip(constraints, signs) if k is None]
+    return rows, [k for k in signs if k is not None]
+
+
 def _explicit_magnitude(rows, nonnegative, keys):
     """The explicit formulation of ``min sum |k|``: a row ``k >= 0`` per
     nonnegative key, a bound ``b_k >= k``, ``b_k >= -k`` per magnitude key,
     the bounds as the objective, and every column split into x+ and x-."""
-    work = [C({k: 1}, ">=", 0) for k in nonnegative] + list(rows)
+    work = _signed(rows, nonnegative)
     objective = {}
     for k in keys:
         work += [C({("abs", k): 1, k: -1}, ">=", 0), C({("abs", k): 1, k: 1}, ">=", 0)]
@@ -194,21 +208,20 @@ def _key_ranges(rows, nonnegative, keys, optimum):
 
 
 def _compare_magnitude_solves(rows, nonnegative, keys):
-    """The sign-restricted magnitude solve against the explicit
-    formulation: the same status and optimum, and, when the new solve
-    proves the keys fixed, the explicit vertex's key values.  Returns the
-    new solve's result."""
+    """The magnitude solve, with the sign rows ahead of ``rows``, against
+    the explicit formulation: the same status and optimum, and the
+    explicit vertex's key values, whether the solve proves them fixed or
+    falls back to that formulation on a tie.  Returns the solve's result."""
     work, objective = _explicit_magnitude(rows, nonnegative, keys)
     want = ratlp.solve_lp(work, objective, keys)
-    got = ratlp.solve_lp(rows, extra_variables=keys, nonnegative=nonnegative, magnitude=keys)
+    got = ratlp.solve_lp(_signed(rows, nonnegative), extra_variables=keys, magnitude=keys)
     assert got.status == want.status, (rows, nonnegative, keys)
     if got.status == ratlp.OPTIMAL:
         assert got.objective == want.objective
         assert all(got.assignment.get(k, 0) >= 0 for k in nonnegative)
-        if got.fixed:
-            assert {k: got.assignment[k] for k in keys} == {
-                k: want.assignment[k] for k in keys
-            }, (rows, nonnegative, keys)
+        assert {k: got.assignment[k] for k in keys} == {
+            k: want.assignment[k] for k in keys
+        }, (rows, nonnegative, keys)
     return got
 
 
@@ -247,18 +260,19 @@ def test_magnitude_solve_matches_explicit_formulation_on_random_lps():
 
 
 def _synthesis_lps(monkeypatch, program):
-    """The (constraints, template keys) of every magnitude solve that
-    ``bound_program`` makes on ``program``."""
+    """The (constraints, template keys) of every magnitude solve without a
+    first objective that ``bound_program`` makes on ``program``."""
     from pcfr import bounds
 
     calls = []
-    solve = bounds._solve_min_abs
+    solve_lp = bounds.ratlp.solve_lp
 
-    def recording(constraints, keys):
-        calls.append((list(constraints), list(keys)))
-        return solve(constraints, keys)
+    def recording(constraints, objective=None, extra_variables=(), **kwargs):
+        if not objective and kwargs.get("magnitude"):
+            calls.append((list(constraints), list(kwargs["magnitude"])))
+        return solve_lp(constraints, objective, extra_variables, **kwargs)
 
-    monkeypatch.setattr(bounds, "_solve_min_abs", recording)
+    monkeypatch.setattr(bounds.ratlp, "solve_lp", recording)
     bounds.bound_program(program)
     monkeypatch.undo()
     return calls
@@ -274,9 +288,8 @@ def _lexicographic_runs(monkeypatch, program):
 
     def recording(constraints, objective=None, extra_variables=(), **kwargs):
         if objective and kwargs.get("magnitude"):
-            calls.append(
-                (list(constraints), objective, list(kwargs["nonnegative"]), list(extra_variables))
-            )
+            rows, nonnegative = _sign_split(constraints)
+            calls.append((rows, objective, nonnegative, list(extra_variables)))
         return solve_lp(constraints, objective, extra_variables, **kwargs)
 
     monkeypatch.setattr(bounds.ratlp, "solve_lp", recording)
@@ -292,13 +305,11 @@ def test_magnitude_solve_matches_explicit_formulation_on_synthesis_lps(monkeypat
     and so does every lexicographic run of a constant certificate that
     has an optimum, with the values of the explicit formulation pinned at
     its first optimum."""
-    from pcfr.bounds import _sign_restricted
-
     programs = [fig2, _corpus.refined_chain(1), _corpus.refined_chain(2)]
     solves = runs = 0
     for program in programs:
         for constraints, keys in _synthesis_lps(monkeypatch, program):
-            rows, nonnegative = _sign_restricted(constraints)
+            rows, nonnegative = _sign_split(constraints)
             assert len(rows) + len(nonnegative) == len(constraints)
             got = _compare_magnitude_solves(rows, nonnegative, keys)
             assert got.status == ratlp.OPTIMAL and got.fixed
@@ -313,8 +324,9 @@ def test_magnitude_solve_matches_explicit_formulation_on_synthesis_lps(monkeypat
 def test_unsat_guard_affine_lp_is_a_real_tie(monkeypatch):
     """``_UNSAT_GUARD``'s affine LP has optimal solutions that give q0
     ``-1/3*a - 1/3*b`` and ``1/3 - 1/3*b``, both of magnitude 2/3, so the
-    magnitude solve must not call its keys fixed."""
-    from pcfr.bounds import _sign_restricted
+    magnitude solve must not call its keys fixed.  With the sign rows
+    where the Farkas blocks put them, between the blocks, it returns the
+    vertex of the explicit formulation over the rows in that order."""
     from pcfr.textfmt import parse_program
     from test_bounds import _UNSAT_GUARD
 
@@ -324,7 +336,7 @@ def test_unsat_guard_affine_lp_is_a_real_tie(monkeypatch):
         if any(key[0] == "a" for key in keys)
     ]
     assert len(affine) == 1
-    rows, nonnegative = _sign_restricted(affine[0][0])
+    rows, nonnegative = _sign_split(affine[0][0])
     keys = affine[0][1]
     got = _compare_magnitude_solves(rows, nonnegative, keys)
     assert got.status == ratlp.OPTIMAL and got.fixed is False
@@ -332,6 +344,14 @@ def test_unsat_guard_affine_lp_is_a_real_tie(monkeypatch):
     assert ranges[("c", "q0")] == (0, Fraction(1, 3))
     assert ranges[("a", "q0", "a")] == (Fraction(-1, 3), 0)
     assert ranges[("a", "q0", "b")] == (Fraction(-1, 3), Fraction(-1, 3))
+    constraints = affine[0][0]
+    signs = [ratlp._sign_key(con) is not None for con in constraints]
+    assert any(not before and sign for before, sign in zip(signs, signs[1:]))
+    got = ratlp.solve_lp(constraints, extra_variables=keys, magnitude=keys)
+    work, objective = _explicit_magnitude(constraints, [], keys)
+    want = ratlp.solve_lp(work, objective, keys)
+    assert got.fixed is False
+    assert {k: got.assignment[k] for k in keys} == {k: want.assignment[k] for k in keys}
 
 
 # --- lexicographic runs: the objective first, then sum |k| on its optimal face
@@ -346,15 +366,15 @@ def _compare_lexicographic_run(rows, objective, nonnegative, keys):
     """The lexicographic run against separate solves: the same status and
     first optimum as the objective alone, a vertex with that objective
     value and the least ``sum |k|`` among such solutions, which the
-    explicit formulation pinned at that value also finds, and, when the
-    run proves the keys fixed, that formulation's key values.  With an
-    empty objective every feasible point is optimal and the solve is a
-    plain magnitude solve, whose reported optimum is the least ``sum |k|``.
-    Returns the run's result and its first optimum."""
-    got = ratlp.solve_lp(
-        rows, objective, keys, nonnegative=nonnegative, magnitude=keys
-    )
-    alone = ratlp.solve_lp(rows, objective, keys, nonnegative=nonnegative)
+    explicit formulation pinned at that value also finds, and that
+    formulation's key values, whether the run proves them fixed or falls
+    back to it on a tie.  With an empty objective every feasible point is
+    optimal and the solve is a plain magnitude solve, whose reported
+    optimum is the least ``sum |k|``.  Returns the run's result and its
+    first optimum."""
+    signed = _signed(rows, nonnegative)
+    got = ratlp.solve_lp(signed, objective, keys, magnitude=keys)
+    alone = ratlp.solve_lp(signed, objective, keys)
     assert got.status == alone.status, (rows, objective)
     if got.status != ratlp.OPTIMAL:
         assert got.fixed is None
@@ -372,10 +392,9 @@ def _compare_lexicographic_run(rows, objective, nonnegative, keys):
     assert sum(abs(x[k]) for k in keys) == want.objective
     if not objective:
         assert got.objective == want.objective
-    if got.fixed:
-        assert {k: x[k] for k in keys} == {k: want.assignment[k] for k in keys}, (
-            rows, objective
-        )
+    assert {k: x[k] for k in keys} == {k: want.assignment[k] for k in keys}, (
+        rows, objective
+    )
     return got, first
 
 
@@ -554,7 +573,6 @@ def test_per_key_probes_see_moves_that_cancel(monkeypatch):
     those moves cancel on every key.  The per-key probes prove the keys
     fixed, and the explicit formulation, capped at the optimum, agrees."""
     from pcfr.abstraction import heuristic_layers
-    from pcfr.bounds import _sign_restricted
     from pcfr.refine import refine_and_prune
 
     rng = random.Random(777)
@@ -576,7 +594,7 @@ def test_per_key_probes_see_moves_that_cancel(monkeypatch):
     monkeypatch.setattr(ratlp, "_keys_fixed", recording)
     cancelling = 0
     for constraints, keys in lps:
-        rows, nonnegative = _sign_restricted(constraints)
+        rows, nonnegative = _sign_split(constraints)
         verdicts.clear()
         got = _compare_magnitude_solves(rows, nonnegative, keys)
         if got.fixed and verdicts and verdicts[0][1] > 1:  # more than the one probe
