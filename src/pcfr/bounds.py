@@ -47,14 +47,16 @@ Synthesis and verification share one condition table per public call
 premise, built once, and its unsatisfiability verdict, computed on
 first use, which only synthesis reads.  Per (general transition, target
 or not) it holds the compiled rows: the conditions, the constant rows,
-and the Farkas block of each affine condition, encoded once under block
-id 0 from template forms composed once per (location, update).  Each
-cover group assembles its LP from these entries and renames the block-0
-multipliers to its own block ids, which gives the LP encoded afresh,
-constraint for constraint (see :func:`_renumbered`).  The table
-also holds verification's own memo: the supremum of each (premise,
-expression) pair it bounds, and its own unsatisfiability verdict per
-premise.  It is made on entry to the outermost of :func:`bound_program`,
+and the Farkas block of each affine condition, encoded once from
+template forms composed once per (location, update), under a block id
+that no other block of the table has.  Each cover group's affine LP is
+the blocks of its general transitions as they are: it takes each
+general transition once, so no two of its blocks share a multiplier.
+The simplex lays out its columns in order of first occurrence, so the
+names of the multipliers do not change its run.  The table also holds
+verification's own memo: the supremum of each (premise, expression)
+pair it bounds, and its own unsatisfiability verdict per premise.  It
+is made on entry to the outermost of :func:`bound_program`,
 :func:`find_constant_plrf`, :func:`find_linear_plrf` and
 :func:`verify_plrf`, shared by the calls nested in it on the same
 program and invariants, and dropped when that call returns, so nothing,
@@ -88,6 +90,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
@@ -221,8 +224,9 @@ class _ConditionTable:
     """What the ranking conditions of one call on ``(p, inv)`` share (see
     the module docstring): premises and synthesis's unsatisfiability
     verdicts per general transition; per (general transition, target or
-    not) the conditions, the constant rows and the Farkas blocks under
-    block id 0, with the composed template forms they are built from;
+    not) the conditions, the constant rows and the Farkas blocks, each
+    under its own block id, with the composed template forms they are
+    built from;
     and verification's memo of :func:`pcfr.linear.expression_sup` keyed
     on (premise, scaled polynomial) and of its own unsatisfiability
     verdicts per premise."""
@@ -234,6 +238,7 @@ class _ConditionTable:
         self._conditions: dict[tuple[str, bool], list] = {}
         self._constant_rows: dict[tuple[str, bool], list[ratlp.LinearConstraint]] = {}
         self._blocks: dict[tuple[str, bool], list[list[ratlp.LinearConstraint]]] = {}
+        self._block_ids = count()
         self._forms: dict[tuple[Location, Update | None], tuple[dict, dict]] = {}
         self._sups: dict[tuple[Constraint, Polynomial], Fraction | None] = {}
         self._refuted: dict[Constraint, bool] = {}
@@ -291,8 +296,9 @@ class _ConditionTable:
     def farkas_blocks(
         self, g: GeneralTransition, is_target: bool
     ) -> list[list[ratlp.LinearConstraint]]:
-        """The Farkas block of each affine condition under block id 0, or
-        none when the premise is certified unsatisfiable.  Raises
+        """The Farkas block of each affine condition, under a block id no
+        other block of this table has, or none when the premise is
+        certified unsatisfiable.  Raises
         UnsupportedProgram on a nonlinear premise or update image."""
         key = (g.name, is_target)
         blocks = self._blocks.get(key)
@@ -318,7 +324,9 @@ class _ConditionTable:
         if not self.unsat(g):
             for conclusion_vars, conclusion_const in conclusions:
                 rows: list[ratlp.LinearConstraint] = []
-                farkas_block(0, premise, conclusion_vars, conclusion_const, rows)
+                farkas_block(
+                    next(self._block_ids), premise, conclusion_vars, conclusion_const, rows
+                )
                 blocks.append(rows)
         self._blocks[key] = blocks
         return blocks
@@ -529,30 +537,6 @@ def _constant_row(
     return ratlp.LinearConstraint.of(coeffs, "<=", -1 if tag == "decrease" else 0)
 
 
-def _renumbered(
-    rows: list[ratlp.LinearConstraint], block_id: int
-) -> list[ratlp.LinearConstraint]:
-    """A Farkas block's rows with its multipliers ``("lam", 0, i)`` renamed
-    ``("lam", block_id, i)``.  Each row keeps its order of keys, the order
-    :meth:`pcfr.ratlp.LinearConstraint.of` gives the renamed row: it sorts
-    keys by ``repr``, the template keys ``("a", ...)`` and ``("c", ...)``
-    come before every ``("lam", ...)``, and the multipliers of one row
-    share a block id, so they are ordered by their index alone."""
-    if not block_id:
-        return rows
-    return [
-        ratlp.LinearConstraint(
-            tuple(
-                (("lam", block_id, key[2]) if key[0] == "lam" else key, value)
-                for key, value in row.coeffs
-            ),
-            row.rel,
-            row.rhs,
-        )
-        for row in rows
-    ]
-
-
 def _synthesize(
     p: PIP,
     table: _ConditionTable,
@@ -573,7 +557,6 @@ def _synthesize(
             ("a", loc.name, v.name) for loc in p.locations for v in p.program_vars
         )
     skipped: set[str] = set()
-    block_id = 0
     for g in p.gts:
         is_target = g.name in target_names
         if not linear:
@@ -591,8 +574,7 @@ def _synthesize(
             skipped.add(g.name)
             continue
         for rows in table.farkas_blocks(g, is_target):
-            constraints.extend(_renumbered(rows, block_id))
-            block_id += 1
+            constraints.extend(rows)
 
     init_key = ("c", p.initial.name)
     if linear:

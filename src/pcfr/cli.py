@@ -130,6 +130,10 @@ def _temp_values(args, config: dict) -> tuple[int, ...]:
         value = [v for v in value.split(",") if v.strip()]
     if not isinstance(value, list):
         raise ValueError(f"temp_values must be a list of integers, got {value!r}")
+    if not value:
+        # with no value to choose, no transition of a program with
+        # temporaries is enabled, and every run would stop at once
+        raise ValueError("temp_values must be nonempty")
     return tuple(_to_int(v, "temp_values") for v in value)
 
 

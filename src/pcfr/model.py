@@ -5,15 +5,21 @@ source location and guard.
 Construction is permissive; :func:`validate` reports every violated
 well-formedness rule instead of failing, so malformed inputs surface as
 diagnostics.  Validated programs are immutable.
+
+A refined location is named after its base location and its label
+(:func:`labeled_location`); the refinement and the text format both name
+locations by that rule.  A program indexes its general transitions by
+source and its transitions by target once (:func:`outgoing`,
+:func:`incoming`).
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linear import Satisfiability, constraint_satisfiability
 from .syntax import Constraint, Update, Variable
 
 
@@ -36,6 +42,20 @@ class Location:
 
 #: Synthetic absorbing location entered when no transition applies.
 TERMINAL = Location("<terminal>")
+
+
+def label_hash(lbl: Constraint) -> str:
+    return hashlib.sha256(lbl.render(compact=True).encode()).hexdigest()[:8]
+
+
+def label_suffix(lbl: Constraint) -> str:
+    """What a label appends to the name of a refined location, and of each
+    transition copied from it: nothing for ``true``."""
+    return "" if lbl.is_true() else f"__{label_hash(lbl)}"
+
+
+def labeled_location(base: Location, lbl: Constraint) -> Location:
+    return Location(base.name + label_suffix(lbl), base=base.name, label=lbl)
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,6 +117,14 @@ class PIP:
         self._by_name = {t.name: t for t in self.transitions}
         self._gt_by_name = {g.name: g for g in self.gts}
         self._loc_by_name = {l.name: l for l in self.locations}
+        outs: dict[Location, list[GeneralTransition]] = {}
+        ins: dict[Location, list[Transition]] = {}
+        for g in self.gts:
+            outs.setdefault(g.source, []).append(g)
+            for t in g.members:
+                ins.setdefault(t.target, []).append(t)
+        self._outgoing = {loc: tuple(gs) for loc, gs in outs.items()}
+        self._incoming = {loc: tuple(ts) for loc, ts in ins.items()}
         names = [t.name for t in self.transitions]
         if len(set(names)) != len(names):
             raise ValueError("transition names must be unique")
@@ -189,11 +217,13 @@ def _member_names(g: GeneralTransition) -> str:
 
 
 def outgoing(p: PIP, location: Location) -> tuple[GeneralTransition, ...]:
-    return tuple(g for g in p.gts if g.source == location)
+    """The general transitions leaving ``location``, in program order."""
+    return p._outgoing.get(location, ())
 
 
 def incoming(p: PIP, location: Location) -> tuple[Transition, ...]:
-    return tuple(t for t in p.transitions if t.target == location)
+    """The transitions entering ``location``, in program order."""
+    return p._incoming.get(location, ())
 
 
 def location_sccs(p: PIP) -> dict[Location, int]:
@@ -277,11 +307,9 @@ def isomorphic(a: PIP, b: PIP) -> bool:
         return False
 
     def signature(p: PIP, loc: Location):
-        outs = sorted(repr(gt_shape(g)) for g in p.gts if g.source == loc)
+        outs = sorted(repr(gt_shape(g)) for g in outgoing(p, loc))
         ins = sorted(
-            repr((t.guard, t.prob, t.update.render()))
-            for t in p.transitions
-            if t.target == loc
+            repr((t.guard, t.prob, t.update.render())) for t in incoming(p, loc)
         )
         return (loc == p.initial, tuple(outs), tuple(ins))
 
@@ -331,14 +359,8 @@ def isomorphic(a: PIP, b: PIP) -> bool:
     return backtrack(0, {}, set())
 
 
-def reachable_locations(
-    p: PIP, gts: Sequence[GeneralTransition] | None = None
-) -> set[Location]:
-    """Locations reachable from the initial one through ``gts``; by default
-    through the general transitions whose guard is satisfiable on its own
-    (a state-insensitive over-approximation)."""
-    if gts is None:
-        gts = [g for g in p.gts if constraint_satisfiability(g.guard) is not Satisfiability.UNSAT]
+def reachable_locations(p: PIP, gts: Sequence[GeneralTransition]) -> set[Location]:
+    """Locations reachable from the initial one through ``gts``."""
     reached = {p.initial}
     frontier = [p.initial]
     while frontier:

@@ -17,7 +17,6 @@ longer reachable from the initial variant.
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Iterable
@@ -30,6 +29,9 @@ from .model import (
     GeneralTransition,
     Location,
     Transition,
+    label_suffix,
+    labeled_location,
+    outgoing,
     reachable_locations,
     validate,
 )
@@ -49,15 +51,6 @@ class RefinementResult:
     origin: dict[str, str]  # refined transition name -> original transition name
     gt_origin: dict[str, str]
     stats: RefinementStats
-
-
-def label_hash(lbl: Constraint) -> str:
-    return hashlib.sha256(lbl.render(compact=True).encode()).hexdigest()[:8]
-
-
-def labeled_location(base: Location, lbl: Constraint) -> Location:
-    name = base.name if lbl.is_true() else f"{base.name}__{label_hash(lbl)}"
-    return Location(name, base=base.name, label=lbl)
 
 
 def unrolling_step_bound(p: PIP, layers: AbstractionLayer) -> int:
@@ -120,11 +113,8 @@ def refine(
     while worklist:
         src = worklist.popleft()
         tau = src.label if src.label is not None else TRUE
-        suffix = "" if tau.is_true() else f"__{label_hash(tau)}"
-        base_loc = p.location(src.base or src.name)
-        for g in p.gts:
-            if g.source != base_loc:
-                continue
+        suffix = label_suffix(tau)
+        for g in outgoing(p, p.location(src.base or src.name)):
             guard = tau & g.guard
             members = []
             for t in g.members:

@@ -68,7 +68,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .model import PIP, TERMINAL, GeneralTransition, Location
+from .model import PIP, TERMINAL, GeneralTransition, Location, outgoing
 from .refine import RefinementResult
 from .syntax import Variable
 
@@ -167,14 +167,10 @@ def scheduler_candidates(
 ) -> list[tuple[GeneralTransition, dict[Variable, int]]]:
     """All admissible (general transition, temporary valuation) pairs at a
     configuration, in deterministic order."""
-    if config.location == TERMINAL:
-        return []
     temps = p.temporaries()
     state = config.state_dict
     out = []
-    for g in p.gts:
-        if g.source != config.location:
-            continue
+    for g in outgoing(p, config.location):
         if temps:
             for values in product(temp_values, repeat=len(temps)):
                 chosen = dict(zip(temps, values))
@@ -319,9 +315,7 @@ def successors(
     extended = {**config.state_dict, **dict(temps)}
     out = []
     for t in gt.members:
-        new_state = dict(extended)
-        for v in p.program_vars:
-            new_state[v] = t.update.image_of(v).evaluate(extended)
+        new_state = t.update.apply_to_state(extended, p.program_vars)
         out.append((t.name, Configuration.make(t.target, new_state), t.prob))
     return out
 

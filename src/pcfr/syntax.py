@@ -487,8 +487,8 @@ class Update:
     ) -> dict[Variable, int]:
         """Next-state values: updated program variables, temporaries as-is."""
         out = dict(state)
-        new_values = {v: self.image_of(v).evaluate(state) for v in program_vars}
-        out.update(new_values)
+        for v in program_vars:
+            out[v] = self.image_of(v).evaluate(state)
         return out
 
     def __eq__(self, other: object) -> bool:

@@ -19,8 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from .model import PIP, GeneralTransition, Location, Transition, validate
-from .refine import labeled_location
+from .model import PIP, GeneralTransition, Location, Transition, labeled_location, validate
 from .syntax import (
     TRUE,
     Atom,

@@ -10,10 +10,11 @@ pinned; the re-check builds each condition's expression by composing,
 scaling and adding one :class:`pcfr.bounds.AffineExpr` per term; and an
 infeasible affine system is always retried with the temporary-assigning
 non-increase conditions deferred.  ``pcfr.bounds`` encodes each block
-once per call and renumbers it, solves a constant certificate in one
-lexicographic run, composes each condition in one accumulation and
-skips a retry whose LP would be the same, so on every input the two must
-give identical reports and identical affine LPs.  Tests only; the bodies
+once per call under a block id of its own, solves a constant certificate
+in one lexicographic run, composes each condition in one accumulation
+and skips a retry whose LP would be the same, so on every input the two
+must give identical reports, and affine LPs that are identical once the
+block ids are numbered in order of first use.  Tests only; the bodies
 are kept as they were, except that each magnitude solve is one call of
 :func:`pcfr.ratlp.solve_lp`, which takes the sign rows and breaks ties
 itself; they share the premises, condition shapes and result types of

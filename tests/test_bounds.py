@@ -23,7 +23,13 @@ from pcfr.bounds import (
     verify_plrf,
 )
 from pcfr.invariants import infer
-from pcfr.linear import LIT, Satisfiability, constraint_satisfiability, farkas_block
+from pcfr.linear import (
+    LIT,
+    Satisfiability,
+    constraint_satisfiability,
+    entails,
+    farkas_block,
+)
 from pcfr.model import PIP, GeneralTransition, Location, Transition
 from pcfr.refine import refine_and_prune
 from pcfr.semantics import SeededPolicy, expected_runtime_estimate, mdp_sup_truncated
@@ -555,9 +561,32 @@ def _report_and_affine_lps(monkeypatch, run, program):
     return report, lps
 
 
+def _numbered(lp):
+    """An LP with its Farkas block ids renamed 0, 1, ... in order of first
+    use; every row keeps its coefficients, relation, right side and order
+    of keys."""
+    constraints, objective, keys, options = lp
+    ids: dict = {}
+
+    def renamed(key):
+        if isinstance(key, tuple) and key[0] == "lam":
+            return ("lam", ids.setdefault(key[1], len(ids)), key[2])
+        return key
+
+    rows = [
+        bounds.ratlp.LinearConstraint(
+            tuple((renamed(key), value) for key, value in row.coeffs), row.rel, row.rhs
+        )
+        for row in constraints
+    ]
+    return rows, objective, keys, options
+
+
 def _assert_same_as_reference(monkeypatch, program):
     """Identical reports (certificates, kinds, taints, failures) and
-    identical affine LPs, constraint for constraint, to the reference's.
+    identical affine LPs, constraint for constraint, to the reference's,
+    once the Farkas block ids of each LP are numbered in order of first
+    use (``pcfr.bounds`` numbers them per call, the reference per LP).
     The reference retries an infeasible LP even when no condition is
     deferred, so its retry repeats the LP before it; ``pcfr.bounds`` skips
     that retry.  Returns the report, the affine LPs and the number of
@@ -566,6 +595,7 @@ def _assert_same_as_reference(monkeypatch, program):
     want, want_lps = _report_and_affine_lps(
         monkeypatch, _reference_bounds.bound_program, program
     )
+    lps, want_lps = [_numbered(lp) for lp in lps], [_numbered(lp) for lp in want_lps]
     assert got == want, program
     distinct = [lp for i, lp in enumerate(want_lps) if not i or lp != want_lps[i - 1]]
     assert lps == distinct, program
@@ -679,6 +709,25 @@ def test_tie_fallback_without_an_optimum_raises(monkeypatch):
     monkeypatch.setattr(bounds.ratlp, "_solve", infeasible_explicit)
     with pytest.raises(AssertionError, match="explicit magnitude LP is infeasible"):
         _tied_constant_runs(monkeypatch)
+
+
+def test_bound_synthesis_pivots_on_the_refined_chain(monkeypatch):
+    """The simplex path of bound synthesis, pinned: the ``ratlp._pivot``
+    calls of ``bound_program`` on the refined chain, entailment cache cold."""
+    pivots = []
+    pivot = bounds.ratlp._pivot
+
+    def counting(*args):
+        pivots.append(None)
+        return pivot(*args)
+
+    monkeypatch.setattr(bounds.ratlp, "_pivot", counting)
+    for k, want in ((1, 97), (2, 504), (3, 1357)):
+        program = _corpus.refined_chain(k)
+        entails.cache_clear()
+        pivots.clear()
+        bound_program(program)
+        assert len(pivots) == want, k
 
 
 def test_bound_program_matches_reference_on_random_programs(monkeypatch):

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -84,6 +87,21 @@ def test_labeled_location_tokens_are_canonical():
     )
     assert a.locations[-1].name == b.locations[-1].name
     assert a.locations[-1].display() == "l1[x=0]"
+
+
+def test_text_format_loads_no_analysis():
+    """Parsing and printing need the program model alone: importing the
+    text format loads neither the refinement nor the linear-arithmetic
+    stack."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, pcfr.textfmt; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    loaded = set(run.stdout.split())
+    assert "pcfr.textfmt" in loaded and "pcfr.model" in loaded
+    analyses = {"pcfr.linear", "pcfr.ratlp", "pcfr.refine", "pcfr.abstraction", "pcfr.invariants"}
+    assert not loaded & analyses, sorted(loaded & analyses)
 
 
 def test_parse_constraint_and_atom(fig1_parsed):
@@ -329,6 +347,12 @@ FIG1_RUN = ("programs/fig1.pip", "--state", "x=0, y=2")
 FIG1_S = {"S": ["t1a", "t1b", "t2", "t3"]}
 BAD_SETTINGS = [
     pytest.param(("enumerate", *FIG1_RUN, "--temp-values", "a"), None, None, id="temp-values"),
+    pytest.param(("enumerate", *FIG1_RUN, "--temp-values", ""), None, None,
+                 id="temp-values-empty"),
+    pytest.param(("simulate", *FIG1_RUN, "--temp-values", ""), None, None,
+                 id="simulate-temp-values-empty"),
+    pytest.param(("enumerate", *FIG1_RUN), {"temp_values": []}, None,
+                 id="temp-values-empty-config"),
     pytest.param(("enumerate", *FIG1_RUN, "--policy", "seeded:x"), None, None, id="policy-seed"),
     pytest.param(("simulate", *FIG1_RUN, "--samples", "5"), None, "abc", id="PCFR_SEED"),
     pytest.param(("enumerate", *FIG1_RUN), {"horizon": "x"}, None, id="horizon"),

@@ -68,11 +68,11 @@ def test_transition_in_two_gts_rejected_at_construction(fig1):
 
 
 def test_reachability_whole_example(fig1):
-    assert {l.name for l in reachable_locations(fig1)} == {"l0", "l1", "l2"}
+    assert {l.name for l in reachable_locations(fig1, fig1.gts)} == {"l0", "l1", "l2"}
 
 
 def test_reachability_refined_program(fig2):
-    assert reachable_locations(fig2) == set(fig2.locations)
+    assert reachable_locations(fig2, fig2.gts) == set(fig2.locations)
 
 
 def test_reachability_excludes_orphan(fig1):
@@ -83,10 +83,10 @@ def test_reachability_excludes_orphan(fig1):
         fig1.initial,
         fig1.gts,
     )
-    assert orphan not in reachable_locations(extended)
+    assert orphan not in reachable_locations(extended, extended.gts)
 
 
-def test_reachability_skips_unsat_guards(fig1):
+def test_reachability_walks_unsat_guards_it_is_given(fig1):
     x = pv("x")
     dead_guard = Constraint([Atom(Polynomial.var(x), ">", 0), Atom(Polynomial.var(x), "<", 0)])
     lx = Location("lx")
@@ -97,8 +97,7 @@ def test_reachability_skips_unsat_guards(fig1):
         fig1.initial,
         list(fig1.gts) + [GeneralTransition("gdead", (dead,))],
     )
-    assert lx not in reachable_locations(extended)
-    assert lx in reachable_locations(extended, extended.gts)  # walks the given ones
+    assert lx in reachable_locations(extended, extended.gts)
 
 
 def test_reachability_through_given_transitions(fig1):
@@ -113,19 +112,23 @@ def test_reachability_monotone_under_added_transitions():
     rng = random.Random(5)
     for _ in range(20):
         p = _corpus.random_pip(rng)
-        base = reachable_locations(p)
+        base = reachable_locations(p, p.gts)
         if len(p.gts) < 2:
             continue
-        smaller = PIP(p.program_vars, p.locations, p.initial, p.gts[:-1])
-        assert reachable_locations(smaller) <= base
+        assert reachable_locations(p, p.gts[:-1]) <= base
 
 
 def test_outgoing_indices(fig1):
     l1, l2 = fig1.location("l1"), fig1.location("l2")
-    assert {g.name for g in outgoing(fig1, l1)} == {"coin", "t2"}
-    assert {g.name for g in outgoing(fig1, l2)} == {"t3"}
+    assert [g.name for g in outgoing(fig1, l1)] == ["coin", "t2"]
+    assert [g.name for g in outgoing(fig1, l2)] == ["t3"]
     assert outgoing(fig1, fig1.location("l0"))[0].name == "t0"
     assert [t.name for t in incoming(fig1, fig1.location("l0"))] == []
+    rng = random.Random(11)
+    for p in [fig1] + [_corpus.random_pip(rng) for _ in range(20)]:
+        for loc in (*p.locations, Location("elsewhere")):
+            assert outgoing(p, loc) == tuple(g for g in p.gts if g.source == loc)
+            assert incoming(p, loc) == tuple(t for t in p.transitions if t.target == loc)
 
 
 def test_temporaries_detected(fig1):
