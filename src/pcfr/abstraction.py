@@ -6,6 +6,12 @@ transitions at their source location and propagates them one step
 backwards along refinement-set edges.  Only atoms over program
 variables qualify.  Callers may union extra atoms in or pin a
 location's layer to an exact list.
+
+A label is the part of the target's layer that the transition proves,
+which is the question invariant inference asks of its atom universe;
+both ask it through :func:`pcfr.invariants.provable_after`, whose
+docstring argues the frame rule that answers some queries without
+:func:`pcfr.linear.entails`.
 """
 
 from __future__ import annotations
@@ -13,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .linear import entails
+from .invariants import provable_after
+from .linear import entails  # noqa: F401  unused here; perfbench/spans.py wraps this name
 from .model import PIP, Location, Transition
 from .syntax import Atom, Constraint, Update
 
@@ -81,7 +88,4 @@ def label(
 ) -> Constraint:
     """The strongest layer subset provable after taking the transition:
     atoms psi with ``tau and phi |= psi∘eta``."""
-    premise = tau & phi
-    return Constraint(
-        psi for psi in layer if entails(premise, eta.apply_to_atom(psi))
-    )
+    return Constraint(provable_after(tau.atoms, phi, eta, layer))

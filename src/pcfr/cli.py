@@ -38,6 +38,7 @@ from .semantics import (
 from .textfmt import (
     ParseError,
     ProgramError,
+    bind_state,
     parse_atom,
     parse_program,
     parse_state,
@@ -164,8 +165,9 @@ def _state(args, config: dict, program: PIP) -> dict:
     if value is None:
         raise ValueError("an initial state is required (--state or config 'state')")
     if isinstance(value, dict):
-        value = ", ".join(f"{k}={v}" for k, v in value.items())
-    elif not isinstance(value, str):
+        pairs = ((k, _to_int(v, f"state variable {k!r}")) for k, v in value.items())
+        return bind_state(pairs, program)
+    if not isinstance(value, str):
         raise ValueError(f"state must be an object or a string, got {value!r}")
     return parse_state(value, program)
 

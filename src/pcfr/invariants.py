@@ -10,25 +10,28 @@ locations without incoming transitions keep the full (typically
 contradictory) universe, which is exactly what unreachable-location
 pruning wants.
 
-Two shortcuts skip work whose answer is already known; each returns
-exactly what the full computation returns, so invariants and atom
-universes are unchanged.
+One query serves inference and refinement: :func:`provable_after`
+returns the candidate atoms ``psi`` that ``source and guard`` prove
+after the update, ``source and guard |= psi∘update``.  Inference asks
+it with a source invariant and the universe atoms still held at the
+target; :func:`pcfr.abstraction.label` asks it with a source label and
+the target's abstraction layer.  Two shortcuts skip work whose answer
+is already known; each returns exactly what the full computation
+returns, so invariants, labels and atom universes are unchanged.
 
-*Frame queries.*  Atom ``psi`` holds at a target if the source's
-invariant and the guard entail ``psi`` with the update substituted in.
-When the update assigns none of ``psi``'s variables, that image is
-``psi`` itself (the substitution rebuilds the same canonical atom), so
-no substitution is made.  If ``psi`` is moreover an atom of the
-source's invariant or of the guard, it is kept without building the
-premise or calling :func:`pcfr.linear.entails`: ``entails`` answers
-True for a conclusion that is an atom of a linear premise.  The premise
-must be linear for that, because ``entails`` answers False on any
-nonlinear premise even when the conclusion is one of its atoms; so the
-rule applies only when the guard and every universe atom are linear.
-A trivially true ``psi`` is entailed by every premise and is dropped
-from the premise, so it needs no separate case.  Every other query still
-goes to ``entails``, with the premise built once per transition and
-only when some atom needs it.
+*Frame queries.*  When the update assigns none of ``psi``'s variables,
+the image ``psi∘update`` is ``psi`` itself (the substitution rebuilds
+the same canonical atom), so no substitution is made.  If ``psi`` is
+moreover one of the source atoms or a guard atom, it is kept without
+building the premise or calling :func:`pcfr.linear.entails`:
+``entails`` answers True for a conclusion that is an atom of a linear
+premise.  The premise must be linear for that, because ``entails``
+answers False on any nonlinear premise even when the conclusion is one
+of its atoms; so the rule applies only when the guard and every source
+atom are linear.  A trivially true ``psi`` is entailed by every premise
+and is dropped from the premise, so it needs no separate case.  Every
+other query still goes to ``entails``, with the premise built once per
+call and only when some atom needs it.
 
 *Identity post-images.*  Under the identity update the post-state is the
 pre-state, so the projection in :func:`post_image_atoms` eliminates each
@@ -46,9 +49,10 @@ adds that variable's equality to the post-state, so ``0 <= b`` under
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Collection, Iterable
 
 from .linear import entails, project
-from .model import PIP, Location, Transition, incoming
+from .model import PIP, Location, incoming
 from .syntax import TRUE, Atom, Constraint, Polynomial, Update, Variable
 
 
@@ -113,45 +117,44 @@ def atom_universe(p: PIP) -> frozenset[Atom]:
     return frozenset(universe)
 
 
+def provable_after(
+    source_atoms: Collection[Atom], guard: Constraint, update: Update,
+    candidates: Iterable[Atom],
+) -> set[Atom]:
+    """The candidates ``psi`` with ``source and guard |= psi∘update``,
+    frame queries answered as the module docstring says."""
+    assigned = update.assigned()
+    linear = guard.is_linear() and all(a.is_linear() for a in source_atoms)
+    premise, kept = None, set()
+    for psi in candidates:
+        if psi.variables().isdisjoint(assigned):
+            if linear and (psi in source_atoms or psi in guard):
+                kept.add(psi)
+                continue
+            image = psi
+        else:
+            image = update.apply_to_atom(psi)
+        if premise is None:
+            premise = Constraint(tuple(source_atoms) + guard.atoms)
+        if entails(premise, image):
+            kept.add(psi)
+    return kept
+
+
 def infer(p: PIP) -> InvariantMap:
     """Greatest fixpoint of provable universe atoms at every location."""
     universe = atom_universe(p)
     current: dict[Location, set[Atom]] = {
         loc: (set() if loc == p.initial else set(universe)) for loc in p.locations
     }
-    atom_vars = {psi: psi.variables() for psi in universe}
-    linear_universe = all(psi.is_linear() for psi in universe)
-
-    def frame(t: Transition):
-        """The transition, the variables its update assigns, and the guard
-        atoms that decide a frame query by membership (None when the
-        premise can be nonlinear, where entails proves nothing)."""
-        linear = linear_universe and t.guard.is_linear()
-        return t, t.update.assigned(), frozenset(t.guard.atoms) if linear else None
-
-    incoming_index = {loc: [frame(t) for t in incoming(p, loc)] for loc in p.locations}
     changed = True
     while changed:
         changed = False
         for loc in p.locations:
             if loc == p.initial or not current[loc]:
                 continue
-            for t, assigned, guard_atoms in incoming_index[loc]:
-                source = current[t.source]
-                premise = None
-                kept = set()
-                for psi in current[loc]:
-                    if atom_vars[psi].isdisjoint(assigned):
-                        if guard_atoms is not None and (psi in source or psi in guard_atoms):
-                            kept.add(psi)
-                            continue
-                        image = psi
-                    else:
-                        image = t.update.apply_to_atom(psi)
-                    if premise is None:
-                        premise = Constraint(tuple(source) + t.guard.atoms)
-                    if entails(premise, image):
-                        kept.add(psi)
+            for t in incoming(p, loc):
+                kept = provable_after(current[t.source], t.guard, t.update, current[loc])
                 if kept != current[loc]:
                     current[loc] = kept
                     changed = True

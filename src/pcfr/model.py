@@ -227,136 +227,19 @@ def incoming(p: PIP, location: Location) -> tuple[Transition, ...]:
 
 
 def location_sccs(p: PIP) -> dict[Location, int]:
-    """Strongly connected components of the location graph (Tarjan).
-
-    Returns a component id per location; ids follow discovery order.
-    """
-    edges: dict[Location, list[Location]] = {loc: [] for loc in p.locations}
-    for t in p.transitions:
-        edges[t.source].append(t.target)
-    index: dict[Location, int] = {}
-    low: dict[Location, int] = {}
-    on_stack: set[Location] = set()
-    stack: list[Location] = []
-    comp: dict[Location, int] = {}
-    counter = [0]
-    comp_counter = [0]
-
-    def strongconnect(root: Location) -> None:
-        work = [(root, iter(edges[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for succ in it:
-                if succ not in index:
-                    index[succ] = low[succ] = counter[0]
-                    counter[0] += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(edges[succ])))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    comp[member] = comp_counter[0]
-                    if member == node:
-                        break
-                comp_counter[0] += 1
-
-    for loc in p.locations:
-        if loc not in index:
-            strongconnect(loc)
-    return comp
-
-
-def isomorphic(a: PIP, b: PIP) -> bool:
-    """Structural equality modulo renaming of locations and transitions.
-
-    A bijection between location sets must carry every general
-    transition of ``a`` onto one of ``b`` with identical guards,
-    probabilities and updates, and must map initial to initial.
-    Backtracking over signature-compatible candidates; exact, intended
-    for desk-sized programs.
-    """
-    if (
-        len(a.locations) != len(b.locations)
-        or len(a.transitions) != len(b.transitions)
-        or len(a.gts) != len(b.gts)
-        or a.program_vars != b.program_vars
-    ):
-        return False
-
-    def gt_shape(g: GeneralTransition):
-        return (g.guard, tuple(sorted((t.prob, t.update.render()) for t in g.members)))
-
-    if sorted(map(gt_shape, a.gts), key=repr) != sorted(map(gt_shape, b.gts), key=repr):
-        return False
-
-    def signature(p: PIP, loc: Location):
-        outs = sorted(repr(gt_shape(g)) for g in outgoing(p, loc))
-        ins = sorted(
-            repr((t.guard, t.prob, t.update.render())) for t in incoming(p, loc)
-        )
-        return (loc == p.initial, tuple(outs), tuple(ins))
-
-    sig_a = {l: signature(a, l) for l in a.locations}
-    sig_b = {l: signature(b, l) for l in b.locations}
-    candidates = {
-        la: [lb for lb in b.locations if sig_b[lb] == sig_a[la]]
-        for la in a.locations
-    }
-    order = sorted(a.locations, key=lambda l: len(candidates[l]))
-
-    def check(mapping: dict[Location, Location]) -> bool:
-        renamed = {}
-        for g in a.gts:
-            key = (mapping[g.source].name, g.guard)
-            renamed.setdefault(key, []).append(
-                sorted(
-                    (t.prob, t.update.render(), mapping[t.target].name)
-                    for t in g.members
-                )
-            )
-        actual = {}
-        for g in b.gts:
-            key = (g.source.name, g.guard)
-            actual.setdefault(key, []).append(
-                sorted((t.prob, t.update.render(), t.target.name) for t in g.members)
-            )
-        return {k: sorted(v) for k, v in renamed.items()} == {
-            k: sorted(v) for k, v in actual.items()
-        }
-
-    def backtrack(i: int, mapping: dict[Location, Location], used: set[Location]) -> bool:
-        if i == len(order):
-            return check(mapping)
-        la = order[i]
-        for lb in candidates[la]:
-            if lb in used:
-                continue
-            mapping[la] = lb
-            used.add(lb)
-            if backtrack(i + 1, mapping, used):
-                return True
-            used.discard(lb)
-            del mapping[la]
-        return False
-
-    return backtrack(0, {}, set())
+    """Strongly connected components of the location graph: two locations
+    share a component when each reaches the other.  A component's id is
+    the program-order index of its first location."""
+    reach: dict[Location, set[Location]] = {}
+    for root in p.locations:
+        seen, frontier = {root}, [root]
+        while frontier:
+            new = {t.target for g in outgoing(p, frontier.pop()) for t in g} - seen
+            seen |= new
+            frontier.extend(new)
+        reach[root] = seen
+    index = {loc: i for i, loc in enumerate(p.locations)}
+    return {loc: min(index[o] for o in reach[loc] if loc in reach[o]) for loc in p.locations}
 
 
 def reachable_locations(p: PIP, gts: Sequence[GeneralTransition]) -> set[Location]:

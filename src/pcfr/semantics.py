@@ -239,37 +239,6 @@ class SeededPolicy(Policy):
         return candidates[int.from_bytes(digest[:8], "big") % len(candidates)]
 
 
-@dataclass(frozen=True)
-class PolicyRule:
-    """One decision-table row: at ``location``, optionally only when the
-    state satisfies ``when``, choose ``gt`` with ``temps``."""
-
-    location: str
-    gt: str
-    temps: tuple[tuple[Variable, int], ...] = ()
-    when: object | None = None  # Constraint, checked against the state
-
-
-class TablePolicy(Policy):
-    """Decision table with a fallback policy for unmatched configurations."""
-
-    def __init__(self, rules: Sequence[PolicyRule], fallback: Policy):
-        self.rules = tuple(rules)
-        self.fallback = fallback
-        self.temp_values = fallback.temp_values
-
-    def resolve(self, p, path):
-        config = path.end
-        state = config.state_dict
-        for rule in self.rules:
-            if rule.location != config.location.name:
-                continue
-            if rule.when is not None and not rule.when.satisfied_by(state):
-                continue
-            return p.gt(rule.gt), dict(rule.temps)
-        return self.fallback.resolve(p, path)
-
-
 def validate_resolution(
     p: PIP,
     config: Configuration,

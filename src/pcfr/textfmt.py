@@ -19,6 +19,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
+
 from .model import PIP, GeneralTransition, Location, Transition, labeled_location, validate
 from .syntax import (
     TRUE,
@@ -372,12 +374,8 @@ def parse_atom(text: str, program: PIP) -> Atom:
 
 
 def parse_state(text: str, program: PIP) -> dict[Variable, int]:
-    """Parse ``x=0, y=2`` style assignments over the program's variables
-    and declared temporaries; an unknown or repeated name is a ``ValueError``."""
-    known = {v.name: v for v in program.program_vars}
-    for v in program.temporaries():
-        known[v.name] = v
-    out: dict[Variable, int] = {}
+    """Parse ``x=0, y=2`` style assignments, bound by :func:`bind_state`."""
+    pairs = []
     for piece in text.split(","):
         piece = piece.strip()
         if not piece:
@@ -385,7 +383,18 @@ def parse_state(text: str, program: PIP) -> dict[Variable, int]:
         m = re.fullmatch(r"([A-Za-z_][A-Za-z_0-9]*)\s*=\s*(-?\d+)", piece)
         if m is None:
             raise ValueError(f"cannot parse state assignment {piece!r}")
-        name, value = m.group(1), int(m.group(2))
+        pairs.append((m.group(1), int(m.group(2))))
+    return bind_state(pairs, program)
+
+
+def bind_state(pairs: Iterable[tuple[str, int]], program: PIP) -> dict[Variable, int]:
+    """A state from ``(name, value)`` pairs over the program's variables and
+    declared temporaries; an unknown or repeated name is a ``ValueError``."""
+    known = {v.name: v for v in program.program_vars}
+    for v in program.temporaries():
+        known[v.name] = v
+    out: dict[Variable, int] = {}
+    for name, value in pairs:
         v = known.get(name)
         if v is None:
             raise ValueError(f"initial state names unknown variable {name!r}")

@@ -239,7 +239,7 @@ def bound_program(
 ) -> BoundReport:
     if inv is None:
         inv = infer(p)
-    groups = [tuple(g) for g in (cover_groups or default_cover(p))]
+    groups = [tuple(g) for g in (default_cover(p) if cover_groups is None else cover_groups)]
     _check_partition(p, groups)
     failures: list[str] = []
     cover: list[tuple[tuple[str, ...], PLRF]] = []

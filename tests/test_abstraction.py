@@ -2,9 +2,12 @@ import random
 
 import _corpus
 from pcfr.abstraction import heuristic_layers, label
+from pcfr.linear import entails
+from pcfr.model import outgoing
 from pcfr.refine import refine
 from pcfr.semantics import SeededPolicy, enumerate_paths
-from pcfr.syntax import TRUE, Atom, Constraint, Polynomial, Update, pv
+from pcfr.syntax import TRUE, Atom, Constraint, Polynomial, Update, pv, tmp
+from pcfr.textfmt import parse_program
 
 X, Y = pv("x"), pv("y")
 PX, PY = Polynomial.var(X), Polynomial.var(Y)
@@ -116,3 +119,58 @@ def test_labels_sound_on_reachable_states():
                 assert loc.label.satisfied_by(config.state_dict), (
                     f"label {loc.label} violated at {config}"
                 )
+
+
+def _literal_label(tau, phi, eta, layer):
+    return Constraint(psi for psi in layer if entails(tau & phi, eta.apply_to_atom(psi)))
+
+
+def _assert_labels_literal(p, layers):
+    """Every label the refinement can ask for, from each label it reached
+    at a location, equals the label's definition."""
+    for loc in refine(p, p.transitions, layers).program.locations:
+        tau = loc.label if loc.label is not None else TRUE
+        for g in outgoing(p, p.location(loc.base or loc.name)):
+            for t in g:
+                layer = layers.of(t.target)
+                got = label(tau, g.guard, t.update, layer)
+                assert got == _literal_label(tau, g.guard, t.update, layer), (loc, t)
+
+
+def test_label_is_its_definition_on_refinements(fig1):
+    rng = random.Random(5)
+    for p in [fig1, parse_program(_corpus.chain(2))] + [
+        _corpus.random_pip(rng) for _ in range(60)
+    ]:
+        _assert_labels_literal(p, heuristic_layers(p, p.transitions))
+
+
+def test_label_is_its_definition_with_a_temporary_layer_atom(fig1):
+    # u > 0 is t0's guard and t0 assigns only x, so the label of l1 keeps it
+    # by membership; the coin's guard x > 0 does not prove it
+    u_pos = Atom(Polynomial.var(tmp("u")), ">", 0)
+    l1 = fig1.location("l1")
+    layers = heuristic_layers(fig1, fig1.transitions, pinned={l1: [X_EQ_0, u_pos]})
+    _assert_labels_literal(fig1, layers)
+    t0 = fig1.transition("t0")
+    assert label(TRUE, t0.guard, t0.update, layers.of(l1)) == Constraint([u_pos])
+
+
+def test_label_is_its_definition_under_a_nonlinear_guard():
+    # x >= 1 is an atom of the guard into l2, which y := y + 1 leaves alone,
+    # but entails proves nothing from the nonlinear premise, so the label is
+    # true; into l1 the same atom is kept from a linear premise
+    from fractions import Fraction
+
+    from pcfr.model import PIP, GeneralTransition, Location, Transition
+
+    x_pos, square = Atom(PX, ">=", 1), Atom(PY * PY, ">=", 1)
+    l0, l1, l2 = Location("l0"), Location("l1"), Location("l2")
+    t0 = Transition("t0", l0, Constraint([x_pos]), Fraction(1), Update(), l1)
+    t1 = Transition("t1", l1, Constraint([x_pos, square]), Fraction(1), Update({Y: PY + 1}), l2)
+    gts = [GeneralTransition("g0", (t0,)), GeneralTransition("g1", (t1,))]
+    p = PIP((X, Y), (l0, l1, l2), l0, gts)
+    layers = heuristic_layers(p, p.transitions, pinned={l1: [x_pos], l2: [x_pos]})
+    _assert_labels_literal(p, layers)
+    assert label(TRUE, t0.guard, t0.update, [x_pos]) == Constraint([x_pos])
+    assert label(Constraint([x_pos]), t1.guard, t1.update, [x_pos]).is_true()

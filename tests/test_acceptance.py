@@ -9,10 +9,10 @@ import time
 from fractions import Fraction
 
 import _corpus
+from _oracles import isomorphic
 from pcfr.abstraction import heuristic_layers
 from pcfr.bounds import AffineExpr, bound_program
 from pcfr.linear import Satisfiability, constraint_satisfiability, entails
-from pcfr.model import isomorphic
 from pcfr.refine import refine, refine_and_prune, unrolling_step_bound
 from pcfr.semantics import (
     FirstEnabledPolicy,

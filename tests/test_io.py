@@ -9,8 +9,8 @@ import jsonschema
 import pytest
 
 import _corpus
+from _oracles import isomorphic
 from pcfr.cli import main
-from pcfr.model import isomorphic
 from pcfr.syntax import Atom, Polynomial, pv
 from pcfr.textfmt import (
     ParseError,
@@ -371,6 +371,9 @@ BAD_SETTINGS = [
     pytest.param(("bound", "programs/fig1.pip"), {"cover": [["coin", "t2", "t3"], ["coin"]]},
                  None, id="cover-overlap"),
     pytest.param(("bound", "programs/fig2.pip"), {"cover": "t2p"}, None, id="cover-string"),
+    pytest.param(("bound", "programs/fig2.pip"), {"cover": []}, None, id="cover-empty"),
+    pytest.param(("enumerate", "programs/fig1.pip"), {"state": {"x": "0, y=5"}}, None,
+                 id="state-value"),
     pytest.param(("export-dot", "programs/fig1.pip", "--config", "missing.json"), None, None,
                  id="export-dot-config"),
 ]

@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 
 import _corpus
+from _oracles import isomorphic
 from pcfr.model import (
     PIP,
     GeneralTransition,
     Location,
     Transition,
     incoming,
-    isomorphic,
     location_sccs,
     outgoing,
     reachable_locations,
@@ -145,6 +145,27 @@ def test_location_sccs(fig1, fig2):
     tail = [n for n in by_name if n.startswith("l2__")][0]
     assert comp2[by_name[split]] == comp2[by_name[tail]]
     assert comp2[by_name["l1"]] != comp2[by_name[split]]
+    rng = random.Random(41)
+    programs = [fig1, fig2, _corpus.refined_chain(2)]
+    programs += [_corpus.random_pip(rng, max_locations=6) for _ in range(60)]
+    for p in programs:
+        comp = location_sccs(p)
+        assert {frozenset(l for l in p.locations if comp[l] == c) for c in comp.values()} == (
+            _closure_sccs(p)
+        )
+
+
+def _closure_sccs(p):
+    """The components by brute force: a transitive closure, then the sets
+    of mutually reachable locations."""
+    reach = {a: {a} | {t.target for t in p.transitions if t.source == a} for a in p.locations}
+    for k in p.locations:
+        for a in p.locations:
+            if k in reach[a]:
+                reach[a] |= reach[k]
+    return {
+        frozenset(b for b in p.locations if b in reach[a] and a in reach[b]) for a in p.locations
+    }
 
 
 def test_isomorphic_accepts_renaming(fig1):

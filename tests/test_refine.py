@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 import _corpus
+from _oracles import isomorphic
 from pcfr.abstraction import AbstractionLayer, heuristic_layers
 from pcfr.invariants import infer
-from pcfr.model import isomorphic, validate
+from pcfr.model import validate
 from pcfr.refine import (
     labeled_location,
     prune,

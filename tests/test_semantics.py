@@ -7,6 +7,7 @@ import pytest
 
 import _corpus
 import _reference_semantics as reference
+from _oracles import PolicyRule, TablePolicy
 from pcfr.abstraction import heuristic_layers
 from pcfr.model import TERMINAL, PIP, GeneralTransition
 from pcfr.refine import RefinementResult, refine_and_prune
@@ -175,7 +176,6 @@ def test_clause_violations_named(fig1):
 
 
 def test_table_policy_rules_and_fallback(fig1):
-    from pcfr.semantics import PolicyRule, TablePolicy
     from pcfr.syntax import Atom, Constraint, Polynomial
 
     # pin u = 2 at the start location; everything else falls through
@@ -721,8 +721,6 @@ def test_sampler_matches_stepping_reference(fig1, fig2):
 
 
 def test_sampler_leaves_a_violation_beyond_the_cap_unraised(fig1):
-    from pcfr.semantics import PolicyRule, TablePolicy
-
     # at (l2, y = 1) the rule picks t2, which starts at l1 (clause b); the
     # countdown stretch from (l1, x = 0, y = 2) reaches that node after
     # five steps of a run at the earliest, so a cap of 5 never resolves it
