@@ -11,26 +11,30 @@ target firings, and summing one such certificate per cover entry bounds
 the whole program's expected runtime.
 
 Each condition reads ``premise |= conclusion <= 0``, where the premise
-is the linear part of the source invariant and the guard.  Synthesis
-encodes an affine template's condition as the existence of Farkas
-multipliers over the premise rows (:func:`pcfr.linear.farkas_block`)
-and solves the resulting system with the exact rational simplex.  That
-system has no refutation disjunct: it asks the multipliers to combine
-the premise into the conclusion even when the premise has no model.  So
-the conditions of a premise certified unsatisfiable, which entails every
-conclusion, are dropped instead.
+is the linear part of the source invariant and the guard.  One compiler
+turns the conditions into LP rows for either kind of template
+(:meth:`_ConditionTable.rows`).  It composes each conclusion from the
+template values at the locations it reads, after their updates, as
+linear forms over the template unknowns.  An affine conclusion becomes
+the existence of Farkas multipliers over the premise rows
+(:func:`pcfr.linear.farkas_block`), and the exact rational simplex
+solves the resulting system.  That system has no refutation disjunct:
+it asks the multipliers to combine the premise into the conclusion even
+when the premise has no model.  So the conditions of a premise
+certified unsatisfiable, which entails every conclusion, are dropped
+instead.
 
-A constant template needs no multipliers.  No update changes a
-constant, so each conclusion ``c`` is a linear form in the location
-constants alone, constant over the program variables.  By the affine
-Farkas lemma, ``premise |= c <= 0`` then holds exactly when the premise
-is unsatisfiable or ``c <= 0``: a satisfiable premise has a (rational)
-model, where ``c <= 0`` must hold, and ``c <= 0`` holds under any
-premise.  Each condition is therefore the one row ``c <= 0``, or no row
-when the premise is certified unsatisfiable.  That is the projection of
-the multiplier system onto the location constants, so the feasible
-constants, and the LP optimum over them, are those of the Farkas
-encoding.
+A constant template is the case without a variable part.  No update
+changes a constant, so each conclusion ``c`` is a linear form in the
+location constants alone, constant over the program variables, and no
+update image is read.  By the affine Farkas lemma, ``premise |= c <=
+0`` then holds exactly when the premise is unsatisfiable or ``c <= 0``:
+a satisfiable premise has a (rational) model, where ``c <= 0`` must
+hold, and ``c <= 0`` holds under any premise.  Each condition is
+therefore the one row ``c <= 0``, or no row when the premise is
+certified unsatisfiable.  That is the projection of the multiplier
+system onto the location constants, so the feasible constants, and the
+LP optimum over them, are those of the Farkas encoding.
 
 The canonical certificate is a solution of least total magnitude
 ``sum |k|`` over the template values ``k``; a constant template first
@@ -46,21 +50,22 @@ Synthesis and verification share one condition table per public call
 (:class:`_ConditionTable`).  Per general transition it holds the
 premise, built once, and its unsatisfiability verdict, computed on
 first use, which only synthesis reads.  Per (general transition, target
-or not) it holds the compiled rows: the conditions, the constant rows,
-and the Farkas block of each affine condition, encoded once from
-template forms composed once per (location, update), under a block id
-that no other block of the table has.  Each cover group's affine LP is
-the blocks of its general transitions as they are: it takes each
-general transition once, so no two of its blocks share a multiplier.
-The simplex lays out its columns in order of first occurrence, so the
-names of the multipliers do not change its run.  The table also holds
-verification's own memo: the supremum of each (premise, expression)
-pair it bounds, and its own unsatisfiability verdict per premise.  It
-is made on entry to the outermost of :func:`bound_program`,
-:func:`find_constant_plrf`, :func:`find_linear_plrf` and
-:func:`verify_plrf`, shared by the calls nested in it on the same
-program and invariants, and dropped when that call returns, so nothing,
-compiled rows included, is cached from one call to the next.
+or not) it holds the conditions, and per (general transition, target or
+not, template kind) their compiled rows, encoded once from template
+forms composed once per (location, update, template kind); each Farkas
+block has a block id that no other block of the table has.  Each cover
+group's affine LP is the blocks of its general transitions as they are:
+it takes each general transition once, so no two of its blocks share a
+multiplier.  The simplex lays out its columns in order of first
+occurrence, so the names of the multipliers do not change its run.  The
+table also holds verification's own memo: the supremum of each
+(premise, expression) pair it bounds, and its own unsatisfiability
+verdict per premise.  It is made on entry to the outermost of
+:func:`bound_program`, :func:`find_constant_plrf`,
+:func:`find_linear_plrf` and :func:`verify_plrf`, shared by the calls
+nested in it on the same program and invariants, and dropped when that
+call returns, so nothing, compiled rows included, is cached from one
+call to the next.
 
 Every certificate is re-verified condition by condition by
 :func:`verify_plrf`, which reads only the supremum of each condition's
@@ -224,22 +229,20 @@ class _ConditionTable:
     """What the ranking conditions of one call on ``(p, inv)`` share (see
     the module docstring): premises and synthesis's unsatisfiability
     verdicts per general transition; per (general transition, target or
-    not) the conditions, the constant rows and the Farkas blocks, each
-    under its own block id, with the composed template forms they are
-    built from;
-    and verification's memo of :func:`pcfr.linear.expression_sup` keyed
-    on (premise, scaled polynomial) and of its own unsatisfiability
-    verdicts per premise."""
+    not) the conditions, and their LP rows for constant or affine
+    templates from the one compiler :meth:`rows`, with the composed
+    template forms they are built from; and verification's memo of
+    :func:`pcfr.linear.expression_sup` keyed on (premise, scaled
+    polynomial) and of its own unsatisfiability verdicts per premise."""
 
     def __init__(self, p: PIP, inv: InvariantMap):
         self.p, self.inv = p, inv
         self._premises: dict[str, tuple[Constraint, Atom | None]] = {}
         self._unsat: dict[str, bool] = {}
         self._conditions: dict[tuple[str, bool], list] = {}
-        self._constant_rows: dict[tuple[str, bool], list[ratlp.LinearConstraint]] = {}
-        self._blocks: dict[tuple[str, bool], list[list[ratlp.LinearConstraint]]] = {}
+        self._rows: dict[tuple[str, bool, bool], list[ratlp.LinearConstraint]] = {}
         self._block_ids = count()
-        self._forms: dict[tuple[Location, Update | None], tuple[dict, dict]] = {}
+        self._forms: dict[tuple[Location, Update | None, bool], tuple[dict, dict]] = {}
         self._sups: dict[tuple[Constraint, Polynomial], Fraction | None] = {}
         self._refuted: dict[Constraint, bool] = {}
 
@@ -276,35 +279,21 @@ class _ConditionTable:
             self._conditions[key] = _gt_conditions(g, is_target)
         return self._conditions[key]
 
-    def constant_rows(
-        self, g: GeneralTransition, is_target: bool
+    def rows(
+        self, g: GeneralTransition, is_target: bool, linear: bool
     ) -> list[ratlp.LinearConstraint]:
-        """The rows of the conditions over constant templates, without
-        those that hold whatever the constants (no coefficient, ``0 <= 0``)."""
-        key = (g.name, is_target)
-        rows = self._constant_rows.get(key)
-        if rows is None:
-            rows = [
-                _constant_row(tag, combination)
-                for tag, combination in self.conditions(g, is_target)
-            ]
-            rows = self._constant_rows[key] = [
-                row for row in rows if row.coeffs or row.rhs < 0
-            ]
-        return rows
-
-    def farkas_blocks(
-        self, g: GeneralTransition, is_target: bool
-    ) -> list[list[ratlp.LinearConstraint]]:
-        """The Farkas block of each affine condition, under a block id no
-        other block of this table has, or none when the premise is
-        certified unsatisfiable.  Raises
-        UnsupportedProgram on a nonlinear premise or update image."""
-        key = (g.name, is_target)
-        blocks = self._blocks.get(key)
-        if blocks is not None:
-            return blocks
-        premise = self.premise(g, strict=True)
+        """The LP rows of every condition of ``g`` over constant templates,
+        or affine ones if ``linear``, or none when the premise is certified
+        unsatisfiable.  A constant conclusion is its one row, unless it
+        holds whatever the constants; an affine one is its Farkas block,
+        under a block id no other block of this table has.  Raises
+        UnsupportedProgram, for affine templates only, on a nonlinear
+        premise or update image."""
+        key = (g.name, is_target, linear)
+        rows = self._rows.get(key)
+        if rows is not None:
+            return rows
+        premise = self.premise(g, strict=True) if linear else None
         conclusions = []
         for tag, combination in self.conditions(g, is_target):
             conclusion_vars: dict[Variable, dict] = {}
@@ -312,7 +301,7 @@ class _ConditionTable:
                 LIT: Fraction(1) if tag == "decrease" else Fraction(0)
             }
             for factor, location, update in combination:
-                var_forms, const_form = self._composed(location, update)
+                var_forms, const_form = self._composed(location, update, linear)
                 _form_add(conclusion_const, const_form, factor)
                 for v, form in var_forms.items():
                     _form_add(conclusion_vars.setdefault(v, {}), form, factor)
@@ -320,24 +309,35 @@ class _ConditionTable:
         # An unsatisfiable premise entails every conclusion.  Its templates
         # are still composed above, so that a nonlinear update is reported
         # here and not by the re-check.
-        blocks = []
-        if not self.unsat(g):
+        rows = []
+        if not linear:
+            # premise |= c <= 0 for a constant c holds iff the premise is
+            # unsatisfiable or c <= 0 (see the module docstring)
+            for _, const in conclusions:
+                lit = const.pop(LIT)
+                row = ratlp.LinearConstraint.of(const, "<=", -lit)
+                if row.coeffs or row.rhs < 0:
+                    rows.append(row)
+            if rows and self.unsat(g):
+                rows = []
+        elif not self.unsat(g):
             for conclusion_vars, conclusion_const in conclusions:
-                rows: list[ratlp.LinearConstraint] = []
                 farkas_block(
                     next(self._block_ids), premise, conclusion_vars, conclusion_const, rows
                 )
-                blocks.append(rows)
-        self._blocks[key] = blocks
-        return blocks
+        self._rows[key] = rows
+        return rows
 
-    def _composed(self, location: Location, update: Update | None) -> tuple[dict, dict]:
-        """:func:`_composed_template`, once per (location, update)."""
-        key = (location, update)
+    def _composed(
+        self, location: Location, update: Update | None, linear: bool
+    ) -> tuple[dict, dict]:
+        """:func:`_composed_template`, once per (location, update, template
+        kind); a constant template has no variables."""
+        key = (location, update, linear)
         forms = self._forms.get(key)
         if forms is None:
             forms = self._forms[key] = _composed_template(
-                location, update, self.p.program_vars
+                location, update, self.p.program_vars if linear else ()
             )
         return forms
 
@@ -499,16 +499,18 @@ def verify_plrf(
 
 def _form_add(dst: dict, src: dict, factor: Fraction) -> None:
     for key, value in src.items():
-        dst[key] = dst.get(key, Fraction(0)) + factor * value
+        term = factor * value
+        dst[key] = dst[key] + term if key in dst else term
 
 
 def _composed_template(
-    location: Location, update: Update | None, program_vars: Sequence[Variable]
+    location: Location, update: Update | None, variables: Sequence[Variable]
 ) -> tuple[dict[Variable, dict], dict]:
-    """The affine template value at a location, after the update: the
-    coefficient of each variable and the constant, as linear forms over
-    the template unknowns."""
-    var_forms = {v: {("a", location.name, v.name): Fraction(1)} for v in program_vars}
+    """The template value over ``variables`` (none for a constant
+    template) at a location, after the update: the coefficient of each
+    variable and the constant, as linear forms over the template
+    unknowns.  Only the images of ``variables`` are read."""
+    var_forms = {v: {("a", location.name, v.name): Fraction(1)} for v in variables}
     const_form = {("c", location.name): Fraction(1)}
     if update is None:
         return var_forms, const_form
@@ -525,18 +527,6 @@ def _composed_template(
     return out_vars, const_form
 
 
-def _constant_row(
-    tag: str, combination: Sequence[tuple[Fraction, Location, Update | None]]
-) -> ratlp.LinearConstraint:
-    """A condition over constant templates, which no update changes: the
-    row ``sum factor * c(location) + (1 if decrease) <= 0``."""
-    coeffs: dict = {}
-    for factor, location, _ in combination:
-        key = ("c", location.name)
-        coeffs[key] = coeffs.get(key, Fraction(0)) + factor
-    return ratlp.LinearConstraint.of(coeffs, "<=", -1 if tag == "decrease" else 0)
-
-
 def _synthesize(
     p: PIP,
     table: _ConditionTable,
@@ -550,22 +540,13 @@ def _synthesize(
         p.gt(name)  # raises KeyError on unknown targets
         target_names.add(name)
 
+    variables = p.program_vars if linear else ()
     constraints: list[ratlp.LinearConstraint] = []
     template_keys: list = [("c", loc.name) for loc in p.locations]
-    if linear:
-        template_keys.extend(
-            ("a", loc.name, v.name) for loc in p.locations for v in p.program_vars
-        )
+    template_keys.extend(("a", loc.name, v.name) for loc in p.locations for v in variables)
     skipped: set[str] = set()
     for g in p.gts:
         is_target = g.name in target_names
-        if not linear:
-            # premise |= c <= 0 for a constant c holds iff the premise is
-            # unsatisfiable or c <= 0 (see the module docstring)
-            rows = table.constant_rows(g, is_target)
-            if rows and not table.unsat(g):
-                constraints.extend(rows)
-            continue
         if not is_target and skip_temp_nonincrease and _update_temporaries(p, g):
             # The non-increase fact cannot be required without also
             # forbidding any dependence of the ranking value on the
@@ -573,8 +554,7 @@ def _synthesize(
             # will taint the certificate if it stays unprovable.
             skipped.add(g.name)
             continue
-        for rows in table.farkas_blocks(g, is_target):
-            constraints.extend(rows)
+        constraints.extend(table.rows(g, is_target, linear))
 
     init_key = ("c", p.initial.name)
     if linear:
@@ -586,13 +566,13 @@ def _synthesize(
     if solution is None:
         return None
 
-    values: dict[Location, AffineExpr] = {}
-    for loc in p.locations:
-        coeffs = {}
-        if linear:
-            for v in p.program_vars:
-                coeffs[v] = solution.get(("a", loc.name, v.name), Fraction(0))
-        values[loc] = AffineExpr.make(coeffs, solution.get(("c", loc.name), Fraction(0)))
+    values = {
+        loc: AffineExpr.make(
+            {v: solution.get(("a", loc.name, v.name), 0) for v in variables},
+            solution.get(("c", loc.name), 0),
+        )
+        for loc in p.locations
+    }
 
     plrf = PLRF(values, frozenset(target_names), "linear" if linear else "constant")
     failures, taints = verify_plrf(p, table.inv, plrf)

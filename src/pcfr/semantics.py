@@ -66,11 +66,13 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .model import PIP, TERMINAL, GeneralTransition, Location, outgoing
-from .refine import RefinementResult
 from .syntax import Variable
+
+if TYPE_CHECKING:
+    from .refine import RefinementResult
 
 
 class SchedulerViolation(ValueError):
@@ -306,7 +308,30 @@ _Pair = tuple[int, int]  # (base, refined) node number
 _Hop = tuple[object, int, list[Move]]  # (end node, steps, moves of the end node)
 
 
-class StepTable(dict):
+class _NodeTable(dict):
+    """Configurations of ``p`` numbered as they are reached
+    (``configs[i]`` is node ``i``, see :meth:`_node`); a subclass maps a
+    node number to what it resolves there, on the first lookup
+    (``__missing__``).  ``scale`` is the least common multiple of the
+    program's probability denominators, the denominator of every step
+    weight."""
+
+    def __init__(self, p: PIP):
+        super().__init__()
+        self.p = p
+        self.scale = _denominator(p)
+        self.configs: list[Configuration] = []
+        self._number: dict[Configuration, int] = {}
+
+    def _node(self, config: Configuration) -> int:
+        i = self._number.get(config)
+        if i is None:
+            i = self._number[config] = len(self.configs)
+            self.configs.append(config)
+        return i
+
+
+class StepTable(_NodeTable):
     """The validated step distributions of one (program, policy) run,
     handed out per node by ``moves``.
 
@@ -329,12 +354,8 @@ class StepTable(dict):
     that :func:`monte_carlo` draws from."""
 
     def __init__(self, p: PIP, policy: Policy):
-        super().__init__()
-        self.p = p
+        super().__init__(p)
         self.policy = policy
-        self.scale = _denominator(p)
-        self.configs: list[Configuration] = []
-        self._number: dict[Configuration, int] = {}
 
     @property
     def moves(self):
@@ -347,13 +368,6 @@ class StepTable(dict):
         if self.policy.history_dependent:
             return start
         return self._node(start.initial)
-
-    def _node(self, config: Configuration) -> int:
-        i = self._number.get(config)
-        if i is None:
-            i = self._number[config] = len(self.configs)
-            self.configs.append(config)
-        return i
 
     def __missing__(self, i: int) -> list[Move]:
         path = PathRecord(self.configs[i], (), Fraction(1))
@@ -669,6 +683,27 @@ def _stretch(moves, start, budget: int, kept: dict[int, _Hop] | None) -> _Hop:
 # Finite-horizon MDP optimization (supremum over all schedulers)
 
 
+class _ChoiceTable(_NodeTable):
+    """The configuration graph of :func:`mdp_sup_truncated`: node ``i``
+    maps to one list per admissible choice at ``configs[i]``, of its
+    (successor node, weight) pairs, resolved on the first lookup."""
+
+    def __init__(self, p: PIP, temp_values: Sequence[int]):
+        super().__init__(p)
+        self.temp_values = temp_values
+
+    def __missing__(self, i: int) -> list[list[tuple[int, int]]]:
+        config = self.configs[i]
+        choices = self[i] = [
+            [
+                (self._node(succ), _weight(prob, self.scale))
+                for _, succ, prob in successors(self.p, config, g, tv)
+            ]
+            for g, tv in scheduler_candidates(self.p, config, self.temp_values)
+        ]
+        return choices
+
+
 def mdp_sup_truncated(
     p: PIP,
     sigma0: Mapping[Variable, int],
@@ -688,39 +723,16 @@ def mdp_sup_truncated(
         raise ValueError("state_cap must be nonnegative")
     if not temp_values:
         raise ValueError("temp_values must be nonempty")
-    c0 = _initial_path(p, sigma0).initial
-    scale = _denominator(p)
-
-    # configurations are numbered; actions[i] lists, per admissible
-    # choice at configuration i, its (successor number, weight) pairs
-    number = {c0: 0}
-    configs = [c0]
-    actions: list[list[list[tuple[int, int]]] | None] = [None]
-
-    def actions_at(i: int) -> list[list[tuple[int, int]]]:
-        cached = actions[i]
-        if cached is None:
-            config = configs[i]
-            cached = []
-            for g, tv in scheduler_candidates(p, config, temp_values):
-                dist = []
-                for _, succ, prob in successors(p, config, g, tv):
-                    j = number.get(succ)
-                    if j is None:
-                        j = number[succ] = len(configs)
-                        configs.append(succ)
-                        actions.append(None)
-                    dist.append((j, _weight(prob, scale)))
-                cached.append(dist)
-            actions[i] = cached
-        return cached
+    table = _ChoiceTable(p, temp_values)
+    table._node(_initial_path(p, sigma0).initial)  # node 0
+    scale = table.scale
 
     layers: list[dict[int, None]] = [{0: None}]
     seen = 1
     for _ in range(horizon):
         frontier: dict[int, None] = {}
         for i in layers[-1]:
-            for dist in actions_at(i):
+            for dist in table[i]:
                 for j, _ in dist:
                     frontier[j] = None
         layers.append(frontier)
@@ -728,6 +740,7 @@ def mdp_sup_truncated(
         if seen > state_cap:
             raise StateSpaceCapExceeded(seen, state_cap)
 
+    choices = dict(table)  # a plain dict: its lookups are faster than a subclass's
     values = dict.fromkeys(layers[horizon], 0)
     reward = 1  # one step's reward over the current common denominator
     for i in range(horizon - 1, -1, -1):
@@ -735,7 +748,7 @@ def mdp_sup_truncated(
         step_values: dict[int, int] = {}
         for c in layers[i]:
             best = 0  # bottom action: reward 0 forever
-            for dist in actions[c]:
+            for dist in choices[c]:
                 value = reward
                 for j, w in dist:
                     value += w * values[j]

@@ -118,9 +118,6 @@ class Polynomial:
     def terms(self) -> tuple[tuple[Monomial, int], ...]:
         return self._terms
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def is_constant(self) -> bool:
         return all(m == _CONST_MONO for m, _ in self._terms)
 

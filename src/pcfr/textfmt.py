@@ -236,6 +236,8 @@ class _Parser:
             den_tok = self.peek()
             if den_tok.kind != "int":
                 raise self.fail("expected a denominator")
+            if int(den_tok.text) == 0:
+                raise self.fail("zero probability denominator")
             self.next()
             return Fraction(num, int(den_tok.text))
         return Fraction(num)
@@ -453,10 +455,10 @@ def _loc(location: Location) -> str:
 # DOT export
 
 
-def print_dot(p: PIP, name: str = "pip") -> str:
+def print_dot(p: PIP) -> str:
     """GraphViz rendering: one node per location, one edge per transition,
     members of probabilistic general transitions drawn dashed."""
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
+    lines = ["digraph pip {", "  rankdir=LR;"]
     lines.append('  __start [shape=point, label=""];')
     for loc in p.locations:
         lines.append(f'  "{loc.name}" [label="{loc.display()}"];')

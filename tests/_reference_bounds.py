@@ -2,18 +2,22 @@
 lexicographic run.
 
 These are the original bodies of the per-group synthesis loop, the
-two-solve constant certificate and the re-check's term-by-term
-composition.  Every cover group encodes each condition's Farkas block
-afresh under its own block id; a constant certificate first minimises
+constant row of each condition, the two-solve constant certificate and
+the re-check's term-by-term composition.  Every cover group encodes each
+condition's Farkas block afresh under its own block id, and builds each
+constant row straight from the condition's locations, apart from the
+affine encoding; a constant certificate first minimises
 the initial value alone and then solves the magnitude with that value
 pinned; the re-check builds each condition's expression by composing,
 scaling and adding one :class:`pcfr.bounds.AffineExpr` per term; and an
 infeasible affine system is always retried with the temporary-assigning
-non-increase conditions deferred.  ``pcfr.bounds`` encodes each block
-once per call under a block id of its own, solves a constant certificate
-in one lexicographic run, composes each condition in one accumulation
-and skips a retry whose LP would be the same, so on every input the two
-must give identical reports, and affine LPs that are identical once the
+non-increase conditions deferred.  ``pcfr.bounds`` compiles constant
+rows and Farkas blocks with one compiler, encodes each block once per
+call under a block id of its own, solves a constant certificate in one
+lexicographic run, composes each condition in one accumulation and
+skips a retry whose LP would be the same, so on every input the two
+must give identical reports, constant certificates whose first solves
+have identical constraints, and affine LPs that are identical once the
 block ids are numbered in order of first use.  Tests only; the bodies
 are kept as they were, except that each magnitude solve is one call of
 :func:`pcfr.ratlp.solve_lp`, which takes the sign rows and breaks ties
@@ -35,7 +39,6 @@ from pcfr.bounds import (
     _check_partition,
     _composed_template,
     _condition_table,
-    _constant_row,
     _form_add,
     _gt_conditions,
     _update_temporaries,
@@ -108,6 +111,18 @@ def verify_plrf(
                 else:
                     failures.append(f"condition {tag} fails for '{g.name}'")
     return failures, taints
+
+
+def _constant_row(
+    tag: str, combination: Sequence[tuple[Fraction, Location, Update | None]]
+) -> ratlp.LinearConstraint:
+    """A condition over constant templates, which no update changes: the
+    row ``sum factor * c(location) + (1 if decrease) <= 0``."""
+    coeffs: dict = {}
+    for factor, location, _ in combination:
+        key = ("c", location.name)
+        coeffs[key] = coeffs.get(key, Fraction(0)) + factor
+    return ratlp.LinearConstraint.of(coeffs, "<=", -1 if tag == "decrease" else 0)
 
 
 def _synthesize(

@@ -542,15 +542,19 @@ def test_condition_table_lives_for_one_call(monkeypatch, fig2):
 # --- compiled rows and lexicographic runs against the reference synthesis
 
 
-def _report_and_affine_lps(monkeypatch, run, program):
-    """``run(program)``'s report and every affine LP it hands to
-    ``ratlp.solve_lp``, as (constraints, objective, keys, options)."""
-    lps = []
+def _report_and_lps(monkeypatch, run, program):
+    """``run(program)``'s report, every affine LP it hands to
+    ``ratlp.solve_lp``, as (constraints, objective, keys, options), and
+    the constraints of each constant certificate's first solve, the one
+    that minimises the initial value."""
+    lps, constant = [], []
     solve_lp = bounds.ratlp.solve_lp
 
     def recording(constraints, objective=None, extra_variables=(), **kwargs):
         if any(isinstance(key, tuple) and key[0] == "a" for key in extra_variables):
             lps.append((list(constraints), objective, list(extra_variables), kwargs))
+        elif extra_variables and objective and list(objective.values()) == [1]:
+            constant.append(list(constraints))
         return solve_lp(constraints, objective, extra_variables, **kwargs)
 
     monkeypatch.setattr(bounds.ratlp, "solve_lp", recording)
@@ -558,7 +562,7 @@ def _report_and_affine_lps(monkeypatch, run, program):
         report = run(program)
     finally:
         monkeypatch.undo()
-    return report, lps
+    return report, lps, constant
 
 
 def _numbered(lp):
@@ -583,33 +587,37 @@ def _numbered(lp):
 
 
 def _assert_same_as_reference(monkeypatch, program):
-    """Identical reports (certificates, kinds, taints, failures) and
-    identical affine LPs, constraint for constraint, to the reference's,
-    once the Farkas block ids of each LP are numbered in order of first
-    use (``pcfr.bounds`` numbers them per call, the reference per LP).
+    """Identical reports (certificates, kinds, taints, failures), identical
+    constraints, row for row, in the first solve of each constant
+    certificate, and identical affine LPs, constraint for constraint, to
+    the reference's, once the Farkas block ids of each LP are numbered in
+    order of first use (``pcfr.bounds`` numbers them per call, the
+    reference per LP).
     The reference retries an infeasible LP even when no condition is
     deferred, so its retry repeats the LP before it; ``pcfr.bounds`` skips
-    that retry.  Returns the report, the affine LPs and the number of
-    skipped retries."""
-    got, lps = _report_and_affine_lps(monkeypatch, bound_program, program)
-    want, want_lps = _report_and_affine_lps(
+    that retry.  Returns the report, the affine LPs, the constant first
+    solves' constraints and the number of skipped retries."""
+    got, lps, constant = _report_and_lps(monkeypatch, bound_program, program)
+    want, want_lps, want_constant = _report_and_lps(
         monkeypatch, _reference_bounds.bound_program, program
     )
     lps, want_lps = [_numbered(lp) for lp in lps], [_numbered(lp) for lp in want_lps]
     assert got == want, program
+    assert constant == want_constant, program
     distinct = [lp for i, lp in enumerate(want_lps) if not i or lp != want_lps[i - 1]]
     assert lps == distinct, program
-    return got, lps, len(want_lps) - len(distinct)
+    return got, lps, constant, len(want_lps) - len(distinct)
 
 
 def test_bound_program_matches_reference_on_figures_and_chains(monkeypatch, fig1, fig2):
     programs = [fig1, fig2, parse_program(_DEAD_GUARD), parse_program(_UNSAT_GUARD)]
     programs += [_corpus.refined_chain(k) for k in range(1, 4)]
-    affine = 0
+    affine = constant_rows = 0
     for program in programs:
-        _, lps, _ = _assert_same_as_reference(monkeypatch, program)
+        _, lps, constant, _ = _assert_same_as_reference(monkeypatch, program)
         affine += len(lps)
-    assert affine >= 8
+        constant_rows += sum(len(rows) for rows in constant)
+    assert affine >= 8 and constant_rows >= 500
 
 
 def test_unproven_lexicographic_run_falls_back_to_the_reference_certificate(
@@ -738,7 +746,7 @@ def test_bound_program_matches_reference_on_random_programs(monkeypatch):
         s = list(p.transitions)
         refined, _ = refine_and_prune(p, [t.name for t in s], heuristic_layers(p, s))
         for q in (p, refined.program):
-            report, lps, retries = _assert_same_as_reference(monkeypatch, q)
+            report, lps, _, retries = _assert_same_as_reference(monkeypatch, q)
             bounded += report.ok
             affine += len(lps)
             skipped += retries

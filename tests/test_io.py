@@ -68,6 +68,13 @@ def test_syntax_error_carries_position():
     assert err.value.column > 0
 
 
+def test_zero_probability_denominator_is_a_parse_error():
+    text = "vars x;\nstart l0;\ngt g { from l0; branch a p=1/0 {} -> l1; }\n"
+    with pytest.raises(ParseError, match="zero probability denominator") as err:
+        parse_program(text)
+    assert (err.value.line, err.value.column) == (3, text.splitlines()[2].index("0 {") + 1)
+
+
 def test_unknown_update_variable_is_validation_error():
     text = """
     vars x;
@@ -89,17 +96,18 @@ def test_labeled_location_tokens_are_canonical():
     assert a.locations[-1].display() == "l1[x=0]"
 
 
-def test_text_format_loads_no_analysis():
-    """Parsing and printing need the program model alone: importing the
-    text format loads neither the refinement nor the linear-arithmetic
-    stack."""
+@pytest.mark.parametrize("module", ["pcfr.textfmt", "pcfr.semantics"])
+def test_text_format_loads_no_analysis(module):
+    """Parsing and printing, and the executable semantics, need the
+    program model alone: importing the text format or the semantics loads
+    neither the refinement nor the linear-arithmetic stack."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     run = subprocess.run(
-        [sys.executable, "-c", "import sys, pcfr.textfmt; print(*sorted(sys.modules))"],
+        [sys.executable, "-c", f"import sys, {module}; print(*sorted(sys.modules))"],
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
     loaded = set(run.stdout.split())
-    assert "pcfr.textfmt" in loaded and "pcfr.model" in loaded
+    assert module in loaded and "pcfr.model" in loaded
     analyses = {"pcfr.linear", "pcfr.ratlp", "pcfr.refine", "pcfr.abstraction", "pcfr.invariants"}
     assert not loaded & analyses, sorted(loaded & analyses)
 
