@@ -660,9 +660,6 @@ class BoundEntry:
 class RuntimeBound:
     entries: tuple[BoundEntry, ...]
 
-    def per_gt(self) -> dict[str, AffineExpr]:
-        return {name: e.bound for e in self.entries for name in e.targets}
-
     def total_affine(self) -> AffineExpr:
         total = AffineExpr.constant(0)
         for e in self.entries:

@@ -21,21 +21,23 @@ of each such key at 1 each, so its optimum is that of the explicit
 encoding (a bound ``b_k >= k``, ``b_k >= -k`` per key, minimizing the
 ``b_k``): an optimal solution never has both halves positive, since
 lowering both keeps every row and lowers the cost, so x+ + x- is |k|
-there.  The optimum can tie, so such a solve also reports whether every
-optimal solution gives those keys the values of the returned vertex.
-Phase two ends with reduced costs ``r >= 0``, and a solution is optimal
-exactly when it leaves every nonbasic column with ``r > 0`` at zero.  So
-the optimal solutions are the feasible moves of the zero-reduced-cost
-nonbasic columns ``d >= 0`` alone, and each lies in the cone where every
-degenerate row (right side 0) keeps its basic column nonnegative; each
-direction of that cone, scaled down, is an optimal solution.  One probe
-LP maximizes, over that cone, the sum of the ``d`` of the columns that
-change some key's value; the cone is closed under scaling, so the
-maximum is 0 or unbounded.  At 0, no optimal solution moves a key.  If
-it is unbounded, some move of such a column stays optimal, but moves of
-several columns may still cancel on every key.  So two more probes per
-key then maximize its change and its negated change over the same cone:
-the keys are fixed exactly when every one of these is bounded.
+there.  The optimum can tie, so such a solve also reports whether it
+proved that every optimal solution gives those keys the values of the
+returned vertex.  Phase two ends with reduced costs ``r >= 0``, and a
+solution is optimal exactly when it leaves every nonbasic column with
+``r > 0`` at zero.  So the optimal solutions are the feasible moves of
+the zero-reduced-cost nonbasic columns ``d >= 0`` alone, and each lies
+in the cone where every degenerate row (right side 0) keeps its basic
+column nonnegative; each direction of that cone, scaled down, is an
+optimal solution.  The keys are proven fixed when no such column changes
+a key's value, or else by one probe LP that maximizes, over that cone,
+the sum of the ``d`` of the columns that do; the cone is closed under
+scaling, so the maximum is 0 or unbounded.  At 0, no optimal solution
+moves a key.  If it is unbounded, some move of such a column stays
+optimal, and the keys are not proven fixed, although moves of several
+columns may still cancel on every key.  Such a solve is answered by the
+explicit formulation below, which gives a key that is fixed all the
+same its one optimal value.
 
 With both an objective and magnitude keys, the solve is lexicographic:
 it minimizes the objective first and then ``sum |k|`` among its optimal
@@ -45,11 +47,12 @@ nonbasic column with positive reduced cost at zero.  So those columns
 are dropped from the tableau, which then describes the optimal face
 with the same basis still feasible, and the run goes on from there with
 the magnitude costs alone.  Its vertex has the least ``sum |k|`` on the
-face, and the probes above, on the final tableau, see only the
+face, and the probe above, on the final tableau, sees only the
 remaining columns: a dropped column has no entries left, so no move
 counts it.  The result reports the first objective's optimum, and
-whether the keys are fixed among the solutions of least magnitude on
-the face.  An unbounded first objective ends the run as unbounded.
+whether the probe proves the keys fixed among the solutions of least
+magnitude on the face.  An unbounded first objective ends the run as
+unbounded.
 
 A solve with magnitude keys first presolves its LP (after Andersen &
 Andersen, "Presolving in linear programming", 1995).  Each rule removes
@@ -74,16 +77,17 @@ weights scaled by the LCD of their denominators so that the costs stay
 integers; that scaling keeps the optimal solutions, and the optimum
 over the LCD is ``sum |k|`` of the original keys.  Its optimal
 solutions are those of the original LP with the eliminated keys
-dropped, so its probes are the original's: an eliminated magnitude key
-is 0 or ``g`` times a key that the probes cover, hence fixed when the
-remaining keys are, and the keys of rule (c) are no magnitude keys.
-The reduced LP lists its nonnegative keys first (in a synthesis LP,
-the multipliers before the template values), which shortens Bland's
-path there.  The order changes the pivots, not the answer: the probes
-are exact, and keys proven fixed have the same values at every optimal
-solution.  The eliminated values are rebuilt in reverse order, each
-from its row as an equation, so every original row holds exactly; a
-run with an objective reports it evaluated on the rebuilt assignment.
+dropped, so a proof on it holds for the original: an eliminated
+magnitude key is 0 or ``g`` times a key that the probe covers, hence
+fixed when the remaining keys are, and the keys of rule (c) are no
+magnitude keys.  The reduced LP lists its nonnegative keys first (in a
+synthesis LP, the multipliers before the template values), which
+shortens Bland's path there.  The order changes the pivots, not the
+answer: keys proven fixed have the same values at every optimal
+solution, and a solve whose keys are not proven fixed returns the
+explicit vertex.  The eliminated values are rebuilt in reverse order,
+each from its row as an equation, so every original row holds exactly;
+a run with an objective reports it evaluated on the rebuilt assignment.
 A solve without magnitude keys is not presolved.
 
 The vertex that a solve with magnitude keys returns is canonical: that
@@ -97,12 +101,15 @@ the same feasible points on the caller's keys: each sign row becomes a
 nonnegative column and the bound rows go.  Its optimal solutions never
 have both halves of a magnitude key positive, so their key values are
 exactly the explicit optimal ones, and the presolve keeps them.  So when
-the probes prove the keys fixed, every optimal solution has the
+the probe proves the keys fixed, every optimal solution has the
 returned key values, the explicit vertex among them, and the fast
-vertex is returned.  When they do not, the optimum ties: several key
-vectors have the least magnitude, and only the explicit pivot path says
-which one is canonical.  The solve then falls back to the explicit LP
-and returns its vertex, without the bound keys, with ``fixed`` False.
+vertex is returned.  When it does not, the optimum may tie: several key
+vectors may have the least magnitude, and only the explicit pivot path
+says which one is canonical.  The solve then falls back to the explicit
+LP and returns its vertex, without the bound keys, with ``fixed`` False.
+A key that every optimal solution fixes has that value at the explicit
+vertex too, so falling back where the probe could not prove a fixed key
+changes no value that a proof would have returned.
 An explicit LP without an optimum is a fault, raised as AssertionError
 even under ``python -O``.
 
@@ -166,9 +173,10 @@ class LPResult:
     status: str
     assignment: dict[Key, Fraction] | None = None
     objective: Fraction | None = None
-    # With ``magnitude`` keys, at an optimum: True exactly when every
-    # optimal solution gives those keys the values in ``assignment``;
-    # when False, ``assignment`` is the explicit formulation's vertex.
+    # With ``magnitude`` keys, at an optimum: True when the solve proved
+    # that every optimal solution gives those keys the values in
+    # ``assignment``; when False, ``assignment`` is the explicit
+    # formulation's vertex, and the keys may be fixed all the same.
     fixed: bool | None = None
 
 
@@ -474,15 +482,16 @@ def _solve(
 def _keys_fixed(
     tableau: list[Row], basis: list[int], columns: list[tuple[int, int | None]], n_cols: int
 ) -> bool:
-    """True exactly when no optimal solution moves a key off the final
-    vertex (the probes of the module docstring).  ``columns`` gives each
-    key's x+ and x- column (None for a nonnegative key); the last row of
-    the tableau holds the reduced costs."""
+    """True when no optimal solution can move a key off the final vertex:
+    no free column changes a key, or the one probe of the module docstring
+    is bounded.  False when the probe is unbounded, which leaves a tie
+    possible but not proven.  ``columns`` gives each key's x+ and x-
+    column (None for a nonnegative key); the last row of the tableau
+    holds the reduced costs."""
     *rows, (_, cost) = tableau
     row_of = {col: r for r, col in enumerate(basis)}
     free = {j for j in range(n_cols) if j not in row_of and not cost.get(j)}
     moving: set[int] = set()
-    changes: list[dict[int, Fraction]] = []
     for plus, minus in columns:
         change: dict[int, Fraction] = {}  # the key's change per unit move of a free column
         for col, sign in ((plus, 1), (minus, -1)):
@@ -494,7 +503,6 @@ def _keys_fixed(
                     if j in free:
                         change[j] = change.get(j, 0) - sign * Fraction(v, e)
         moving.update(j for j, v in change.items() if v)
-        changes.append(change)
     if not moving:
         return True
     # Each degenerate row's basic column, ``-sum row[j]/e * d_j``, must stay
@@ -508,15 +516,8 @@ def _keys_fixed(
             entries[n_cols + r] = 1
             probe.append((1, entries))
             probe_basis.append(n_cols + r)
-    if _simplex([*probe, (1, dict.fromkeys(moving, -1))], list(probe_basis), 1) is not None:
-        return True  # minimizing -sum of the moving d is bounded
-    for change in changes:
-        scale = lcm(*(v.denominator for v in change.values()))
-        for sign in (scale, -scale):
-            costs = {j: int(v * sign) for j, v in change.items() if v}
-            if _simplex([*probe, (1, costs)], list(probe_basis), 1) is None:
-                return False  # some optimal solution moves this key
-    return True
+    # proven fixed when minimizing -sum of the moving d is bounded
+    return _simplex([*probe, (1, dict.fromkeys(moving, -1))], probe_basis, 1) is not None
 
 
 def _cost_row(rows: list[Row], basis: list[int], costs: dict[int, int], d: int) -> Row:

@@ -136,8 +136,23 @@ class PathRecord:
     def key(self):
         return (self.initial.key(), tuple((n, c.key()) for n, c in self.steps))
 
+    def key_repr(self) -> str:
+        """``repr(self.key())``.  The repr without its closing ``"))"``
+        (``",))"`` after exactly one step) is kept as a hidden attribute and
+        carried on by :meth:`extended`, so a walk that reads it at every
+        step builds each step's repr once; the string stays as long as the
+        path."""
+        closing = ",))" if len(self.steps) == 1 else "))"
+        if "_key_prefix" not in self.__dict__:
+            object.__setattr__(self, "_key_prefix", repr(self.key())[: -len(closing)])
+        return self._key_prefix + closing
+
     def extended(self, name: str | None, config: Configuration, prob: Fraction):
-        return PathRecord(self.initial, self.steps + ((name, config),), self.probability * prob)
+        path = PathRecord(self.initial, self.steps + ((name, config),), self.probability * prob)
+        if "_key_prefix" in self.__dict__:  # only once a policy has read this path's key
+            step = f"{', ' if self.steps else ''}{(name, config.key())!r}"
+            object.__setattr__(path, "_key_prefix", self._key_prefix + step)
+        return path
 
     def render(self) -> str:
         parts = [str(self.initial)]
@@ -218,7 +233,8 @@ class SeededPolicy(Policy):
     """Deterministic pseudo-random choice among admissible candidates.
 
     The pick is a stable hash of the seed and the configuration (or the
-    whole path for the history-dependent variant), so equal inputs give
+    whole path for the history-dependent variant, whose key repr each
+    extension of a read path builds by one step), so equal inputs give
     equal choices across runs and processes.
     """
 
@@ -236,7 +252,7 @@ class SeededPolicy(Policy):
         candidates = scheduler_candidates(p, path.end, self.temp_values)
         if not candidates:
             return (None, {})
-        token = repr(path.key()) if self.history_dependent else repr(path.end.key())
+        token = path.key_repr() if self.history_dependent else repr(path.end.key())
         digest = hashlib.sha256(f"{self.seed}|{token}".encode()).digest()
         return candidates[int.from_bytes(digest[:8], "big") % len(candidates)]
 

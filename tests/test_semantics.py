@@ -209,6 +209,36 @@ def test_history_dependent_policy_enumerates_exactly(fig1):
     assert [f.key() for f in result.paths] == [f.key() for f in again.paths]
 
 
+def test_path_key_repr_is_the_key_repr(fig1):
+    """``PathRecord.key_repr``, the token of a history-dependent policy, is
+    ``repr(path.key())`` on paths of 0, 1, 2 and 40 steps, the last a
+    bottom step: built from scratch, and carried on by ``extended`` from a
+    path whose token was read."""
+    steps = [(f"t{i}", Configuration.make(fig1.location("l1"), {X: i, Y: -i})) for i in range(39)]
+    steps.append((None, Configuration.make(TERMINAL, {X: 0, Y: 0})))
+    carried = _path(fig1, {X: 0, Y: 2})
+    carried.key_repr()
+    for n in range(41):
+        fresh = _path(fig1, {X: 0, Y: 2})
+        for name, config in steps[:n]:
+            fresh = fresh.extended(name, config, Fraction(1, 2))
+        if n in (0, 1, 2, 40):
+            assert fresh.key_repr() == repr(fresh.key())
+        assert carried == fresh and carried.key_repr() == repr(fresh.key())
+        if n < 40:
+            carried = carried.extended(*steps[n], Fraction(1, 2))
+
+
+def test_history_dependent_walk_builds_the_path_key_once(fig1, monkeypatch):
+    """A history-dependent Monte-Carlo run builds ``PathRecord.key`` only
+    for its shared root; each extension adds one step to the repr."""
+    calls = []
+    key = PathRecord.key
+    monkeypatch.setattr(PathRecord, "key", lambda path: calls.append(1) or key(path))
+    monte_carlo(fig1, SeededPolicy(1, (1, 2), history_dependent=True), {X: 0, Y: 3}, 30, 60, 1)
+    assert len(calls) == 1
+
+
 def test_seeded_policies_are_valid_schedulers(fig1):
     # random but deterministic policies never trip the clause validator
     rng = random.Random(4)
