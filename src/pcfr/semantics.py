@@ -26,9 +26,11 @@ denominator ``L**k`` after ``k`` steps, where ``L`` is the least common
 multiple of the program's probability denominators, and the MDP iterates
 integer numerators over ``L**(h - i)``; a ``Fraction`` is built only for
 an answer, so every rational is the one the path sums give.  This holds
-for :func:`enumerate_paths` too: it extends a frontier of plain entries
-(steps, end node, mass, runtime count) and builds a :class:`PathRecord`
-and its ``Fraction`` only for each returned path.  :func:`monte_carlo`
+for :func:`enumerate_paths` too: a forward pass over levels of nodes
+with path counts resolves every node and applies the cap, then a
+depth-first walk of the resolved moves holds one path per depth, with
+its integer mass and runtime count, and builds a :class:`PathRecord` and
+its ``Fraction`` only for each returned path.  :func:`monte_carlo`
 draws only at branch points, nodes with more than one move.  A run hops
 over each *deterministic stretch*, the single non-bottom moves from a
 node up to the next branch point or bottom move, in one step of its
@@ -111,7 +113,7 @@ class Configuration:
         return f"({self.location.display()}, {{{inner}}})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathRecord:
     """A finite path: initial configuration plus (transition, configuration)
     steps; ``None`` as transition name marks the bottom transition into the
@@ -120,6 +122,8 @@ class PathRecord:
     initial: Configuration
     steps: tuple[tuple[str | None, Configuration], ...]
     probability: Fraction
+    # (seed, SHA-256 state) that key_digest keeps and extended carries on
+    _hash: tuple[int, object] | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def end(self) -> Configuration:
@@ -136,22 +140,28 @@ class PathRecord:
     def key(self):
         return (self.initial.key(), tuple((n, c.key()) for n, c in self.steps))
 
-    def key_repr(self) -> str:
-        """``repr(self.key())``.  The repr without its closing ``"))"``
-        (``",))"`` after exactly one step) is kept as a hidden attribute and
-        carried on by :meth:`extended`, so a walk that reads it at every
-        step builds each step's repr once; the string stays as long as the
-        path."""
+    def key_digest(self, seed: int) -> bytes:
+        """The SHA-256 digest of ``f"{seed}|" + repr(self.key())``.  The
+        hash state of those bytes without the repr's closing ``"))"``
+        (``",))"`` after exactly one step) is kept with its seed in a
+        hidden slot, and :meth:`extended` carries it on by one step's repr,
+        so a walk that reads the digest at every step hashes each step
+        once: one ``copy`` and one ``update`` per extension."""
         closing = ",))" if len(self.steps) == 1 else "))"
-        if "_key_prefix" not in self.__dict__:
-            object.__setattr__(self, "_key_prefix", repr(self.key())[: -len(closing)])
-        return self._key_prefix + closing
+        if self._hash is None or self._hash[0] != seed:
+            prefix = f"{seed}|{self.key()!r}"[: -len(closing)]
+            object.__setattr__(self, "_hash", (seed, hashlib.sha256(prefix.encode())))
+        state = self._hash[1].copy()
+        state.update(closing.encode())
+        return state.digest()
 
     def extended(self, name: str | None, config: Configuration, prob: Fraction):
         path = PathRecord(self.initial, self.steps + ((name, config),), self.probability * prob)
-        if "_key_prefix" in self.__dict__:  # only once a policy has read this path's key
-            step = f"{', ' if self.steps else ''}{(name, config.key())!r}"
-            object.__setattr__(path, "_key_prefix", self._key_prefix + step)
+        if self._hash is not None:  # only once a policy has read this path's digest
+            seed, state = self._hash
+            state = state.copy()
+            state.update(f"{', ' if self.steps else ''}{(name, config.key())!r}".encode())
+            object.__setattr__(path, "_hash", (seed, state))
         return path
 
     def render(self) -> str:
@@ -233,9 +243,10 @@ class SeededPolicy(Policy):
     """Deterministic pseudo-random choice among admissible candidates.
 
     The pick is a stable hash of the seed and the configuration (or the
-    whole path for the history-dependent variant, whose key repr each
-    extension of a read path builds by one step), so equal inputs give
-    equal choices across runs and processes.
+    whole path for the history-dependent variant, whose running hash
+    state each extension of a read path carries on by one step, see
+    :meth:`PathRecord.key_digest`), so equal inputs give equal choices
+    across runs and processes.
     """
 
     def __init__(
@@ -252,8 +263,10 @@ class SeededPolicy(Policy):
         candidates = scheduler_candidates(p, path.end, self.temp_values)
         if not candidates:
             return (None, {})
-        token = path.key_repr() if self.history_dependent else repr(path.end.key())
-        digest = hashlib.sha256(f"{self.seed}|{token}".encode()).digest()
+        if self.history_dependent:
+            digest = path.key_digest(self.seed)
+        else:
+            digest = hashlib.sha256(f"{self.seed}|{path.end.key()!r}".encode()).digest()
         return candidates[int.from_bytes(digest[:8], "big") % len(candidates)]
 
 
@@ -427,34 +440,46 @@ def enumerate_paths(
 ) -> EnumerationResult:
     """All admissible paths of length exactly ``horizon``, exact masses.
 
-    A level is a frontier of plain entries: the steps so far, the end
-    node, the probability as an integer over ``L**k`` and the runtime
-    count, all read from the :class:`StepTable`.  A :class:`PathRecord`,
+    Two passes over the :class:`StepTable`.  The first runs forward over
+    levels of nodes with the number of paths ending at each, resolving
+    the nodes in the order in which paths first reach them, and
+    ``path_cap`` bounds the paths of each length.  The second walks the
+    resolved moves depth first, children in order, so it yields the paths
+    in breadth-first order while it holds one path per depth (see
+    :func:`_depth_first`); under a history-dependent policy every node
+    of the last level is already its own path.  A :class:`PathRecord`,
     with its ``Fraction``, is built only for each returned path, and the
-    report is summed from the same integers.  ``path_cap`` bounds the
-    number of paths of each length."""
+    report is summed from integer masses over ``L**horizon``."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     if path_cap < 0:
         raise ValueError("path_cap must be nonnegative")
     start = _initial_path(p, sigma0)
     table = StepTable(p, policy)
-    scale = table.scale**horizon
     moves = table.moves
-    frontier = [((), table.root(start), 1, 0)]
+    root = table.root(start)
+    level = {root: 1}
     for _ in range(horizon):
-        nxt = [
-            (steps + (step,), j, weight * w, runtime + (step[0] is not None))
-            for steps, i, weight, runtime in frontier
-            for step, j, w, _ in moves(i)
-        ]
-        if len(nxt) > path_cap:
-            raise StateSpaceCapExceeded(len(nxt), path_cap)
-        frontier = nxt
+        nxt: dict[object, int] = {}
+        for node, count in level.items():
+            for move in moves(node):
+                nxt[move[1]] = nxt.get(move[1], 0) + count
+        reached = sum(nxt.values())
+        if reached > path_cap:
+            raise StateSpaceCapExceeded(reached, path_cap)
+        level = nxt
+    scale = table.scale**horizon
+    if isinstance(root, int):
+        leaves = _depth_first(moves, root, horizon)
+    else:  # the nodes are paths, with probabilities over L**k
+        leaves = (
+            (f.steps, f.probability.numerator * (scale // f.probability.denominator), f.runtime_count)
+            for f in level
+        )
     total = expected = terminated = 0
     probabilities: dict[int, Fraction] = {}  # paths share the few distinct weights
     paths = []
-    for steps, _, weight, runtime in frontier:
+    for steps, weight, runtime in leaves:
         total += weight
         expected += weight * runtime
         if steps and steps[-1][0] is None:
@@ -467,6 +492,34 @@ def enumerate_paths(
         horizon, Fraction(total, scale), Fraction(expected, scale), Fraction(terminated, scale)
     )
     return EnumerationResult(report, tuple(paths))
+
+
+def _depth_first(moves, root: int, horizon: int):
+    """Yield (steps, mass as an integer over ``L**horizon``, runtime count)
+    for each path of length ``horizon`` from node ``root``, reading only
+    nodes already resolved.  A node's moves are pushed in reverse, so the
+    paths come out in the order of the breadth-first levels; ``trail``
+    holds the current path's steps, and the stack at most one entry per
+    move at each depth.  A node one step above the horizon yields its
+    paths directly."""
+    if horizon == 0:
+        yield (), 1, 0
+        return
+    last = horizon - 1
+    trail: list = [None] * horizon
+    stack = [(0, None, root, 1, 0)]  # (depth, step into the node, node, mass, runtime)
+    while stack:
+        k, step, node, weight, runtime = stack.pop()
+        if k:
+            trail[k - 1] = step
+        if k < last:
+            k += 1
+            for step, child, w, _ in reversed(moves(node)):
+                stack.append((k, step, child, weight * w, runtime + (step[0] is not None)))
+        else:
+            for step, _, w, _ in moves(node):
+                trail[last] = step
+                yield tuple(trail), weight * w, runtime + (step[0] is not None)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -210,28 +212,35 @@ def test_history_dependent_policy_enumerates_exactly(fig1):
 
 
 def test_path_key_repr_is_the_key_repr(fig1):
-    """``PathRecord.key_repr``, the token of a history-dependent policy, is
-    ``repr(path.key())`` on paths of 0, 1, 2 and 40 steps, the last a
-    bottom step: built from scratch, and carried on by ``extended`` from a
-    path whose token was read."""
+    """``PathRecord.key_digest``, the token of a history-dependent policy,
+    is the SHA-256 digest of ``f"{seed}|" + repr(path.key())`` on paths of
+    0, 1, 2 and 40 steps, the last a bottom step: built from scratch, and
+    carried on by ``extended`` from a path whose digest was read.  Another
+    seed starts a new hash state."""
+
+    def expected(path, seed):
+        return hashlib.sha256(f"{seed}|{path.key()!r}".encode()).digest()
+
     steps = [(f"t{i}", Configuration.make(fig1.location("l1"), {X: i, Y: -i})) for i in range(39)]
     steps.append((None, Configuration.make(TERMINAL, {X: 0, Y: 0})))
     carried = _path(fig1, {X: 0, Y: 2})
-    carried.key_repr()
+    carried.key_digest(5)
     for n in range(41):
         fresh = _path(fig1, {X: 0, Y: 2})
         for name, config in steps[:n]:
             fresh = fresh.extended(name, config, Fraction(1, 2))
         if n in (0, 1, 2, 40):
-            assert fresh.key_repr() == repr(fresh.key())
-        assert carried == fresh and carried.key_repr() == repr(fresh.key())
+            assert fresh.key_digest(5) == expected(fresh, 5)
+        assert carried == fresh and carried.key_digest(5) == expected(fresh, 5)
         if n < 40:
             carried = carried.extended(*steps[n], Fraction(1, 2))
+    assert carried.key_digest(6) == expected(carried, 6)
+    assert carried.key_digest(5) == expected(carried, 5)
 
 
 def test_history_dependent_walk_builds_the_path_key_once(fig1, monkeypatch):
     """A history-dependent Monte-Carlo run builds ``PathRecord.key`` only
-    for its shared root; each extension adds one step to the repr."""
+    for its shared root; each extension hashes one step's repr."""
     calls = []
     key = PathRecord.key
     monkeypatch.setattr(PathRecord, "key", lambda path: calls.append(1) or key(path))
@@ -665,6 +674,90 @@ def test_enumeration_path_cap_boundary_matches_reference():
     assert max(largest_levels) > 1
 
 
+class _BreakAt(Policy):
+    """``base``, except at configuration ``at``, where it picks the bottom
+    transition although one is enabled (clause d)."""
+
+    def __init__(self, base, at):
+        self.base, self.at = base, at
+        self.temp_values = base.temp_values
+        self.history_dependent = base.history_dependent
+
+    def resolve(self, p, path):
+        return (None, {}) if path.end == self.at else self.base.resolve(p, path)
+
+
+class _Counting(Policy):
+    """``base``, counting its ``resolve`` calls."""
+
+    def __init__(self, base):
+        self.base, self.calls = base, 0
+        self.temp_values = base.temp_values
+        self.history_dependent = base.history_dependent
+
+    def resolve(self, p, path):
+        self.calls += 1
+        return self.base.resolve(p, path)
+
+
+def _outcome(enumerate_fn, *args, **kwargs):
+    try:
+        return enumerate_fn(*args, **kwargs)
+    except StateSpaceCapExceeded as err:
+        return type(err), str(err), err.count, err.cap
+    except SchedulerViolation as err:
+        return type(err), str(err), err.clause
+
+
+def test_enumeration_error_order_matches_reference(fig1):
+    """A policy that breaks a scheduler clause at one configuration three
+    steps deep, under caps just below, at and above every level's path
+    count: the level that trips first decides between the violation and
+    the cap, as in the path-tree reference, under a first-enabled, a
+    seeded and a seeded-history base policy."""
+    cases = [(fig1, {X: 0, Y: 3}, (FirstEnabledPolicy((1,)), SeededPolicy(3, (1, 2))))]
+    cases += [
+        (q, sigma0, policies)
+        for p, pruned, sigma0, policies in _differential_corpus()
+        for q in (p, pruned.program)
+    ]
+    horizon, seen = 7, set()
+    for q, sigma0, policies in cases:
+        for base in policies + (SeededPolicy(7, temp_values=(0, 1), history_dependent=True),):
+            levels = [reference.enumerate_paths(q, base, sigma0, k).paths for k in range(horizon + 1)]
+            enabled = [
+                f.end for f in levels[3]
+                if f.end.location != TERMINAL and scheduler_candidates(q, f.end, base.temp_values)
+            ]
+            if not enabled:
+                continue
+            policy = _BreakAt(base, enabled[len(enabled) // 2])
+            for cap in sorted({len(level) + d for level in levels[1:] for d in (-1, 0, 1)}):
+                expected = _outcome(reference.enumerate_paths, q, policy, sigma0, horizon, cap)
+                assert _outcome(enumerate_paths, q, policy, sigma0, horizon, cap) == expected
+                seen.add(expected[0])
+    assert seen == {StateSpaceCapExceeded, SchedulerViolation}
+
+
+def test_enumeration_resolves_each_node_once(fig1):
+    """A history-dependent enumeration resolves each path shorter than the
+    horizon once, as the path-tree reference does; a history-independent
+    one resolves each configuration reached below the horizon once."""
+    sigma0, horizon = {X: 0, Y: 3}, 8
+    history = SeededPolicy(5, temp_values=(1, 2), history_dependent=True)
+    levels = [reference.enumerate_paths(fig1, history, sigma0, k).paths for k in range(horizon)]
+    counting, stepping = _Counting(history), _Counting(history)
+    assert enumerate_paths(fig1, counting, sigma0, horizon) == (
+        reference.enumerate_paths(fig1, stepping, sigma0, horizon)
+    )
+    assert counting.calls == stepping.calls == sum(map(len, levels))
+    memoryless = FirstEnabledPolicy((1,))
+    configs = {f.end for k in range(horizon) for f in enumerate_paths(fig1, memoryless, sigma0, k).paths}
+    counting = _Counting(memoryless)
+    enumerate_paths(fig1, counting, sigma0, horizon)
+    assert counting.calls == len(configs)
+
+
 def test_semantic_queries_reject_out_of_range_arguments(fig1, fig1_refined):
     pruned, _ = fig1_refined
     policy = FirstEnabledPolicy((1,))
@@ -851,6 +944,25 @@ def test_random_walk_at_horizon_200_under_default_caps():
     report = check_embedding(walk, refined, policy, sigma0, horizon)
     assert report.ok, report.failure
     assert report.checked_paths == count
+
+
+def test_enumeration_holds_one_path_per_depth():
+    """Beyond the returned result, enumerating the walk's 13,495 paths of
+    length 16 holds less than a quarter of the result's own size, so no
+    level of paths is kept next to the answer."""
+    walk = parse_program(WALK)
+    sigma0 = {walk.program_vars[0]: 2}
+    enumerate_paths(walk, FirstEnabledPolicy(), sigma0, 2)  # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = enumerate_paths(walk, FirstEnabledPolicy(), sigma0, 16)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.paths) == 13_495
+    held, peak = held - base, peak - base
+    assert peak - held < held / 4, (held, peak)
 
 
 # --- embedding across probability denominators -----------------------------------
