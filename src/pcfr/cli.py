@@ -135,7 +135,12 @@ def _temp_values(args, config: dict) -> tuple[int, ...]:
         # with no value to choose, no transition of a program with
         # temporaries is enabled, and every run would stop at once
         raise ValueError("temp_values must be nonempty")
-    return tuple(_to_int(v, "temp_values") for v in value)
+    values = tuple(_to_int(v, "temp_values") for v in value)
+    # a repeated value would list every scheduler candidate once per repeat
+    repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"temp_values: {repeated} is listed twice")
+    return values
 
 
 def _policy(args, config: dict) -> Policy:

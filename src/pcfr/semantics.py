@@ -24,13 +24,15 @@ a map from node to (path count, mass, per-transition counts) instead of
 over the path tree.  Masses are integer numerators over the common
 denominator ``L**k`` after ``k`` steps, where ``L`` is the least common
 multiple of the program's probability denominators, and the MDP iterates
-integer numerators over ``L**(h - i)``; a ``Fraction`` is built only for
+integer numerators over ``L**(h - i)``, backwards over two lists indexed
+by node number that swap at each level; a ``Fraction`` is built only for
 an answer, so every rational is the one the path sums give.  This holds
 for :func:`enumerate_paths` too: a forward pass over levels of nodes
 with path counts resolves every node and applies the cap, then a
 depth-first walk of the resolved moves holds one path per depth, with
 its integer mass and runtime count, and builds a :class:`PathRecord` and
-its ``Fraction`` only for each returned path.  :func:`monte_carlo`
+its ``Fraction`` only for each returned path, through the private
+constructor :func:`_record` (see :class:`PathRecord`).  :func:`monte_carlo`
 draws only at branch points, nodes with more than one move.  A run hops
 over each *deterministic stretch*, the single non-bottom moves from a
 node up to the next branch point or bottom move, in one step of its
@@ -67,7 +69,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .model import PIP, TERMINAL, GeneralTransition, Location, outgoing
@@ -117,7 +119,14 @@ class Configuration:
 class PathRecord:
     """A finite path: initial configuration plus (transition, configuration)
     steps; ``None`` as transition name marks the bottom transition into the
-    terminal location."""
+    terminal location.
+
+    This module builds every record through :func:`_record`, which sets
+    the four slots through the class's member descriptors instead of
+    running the frozen dataclass ``__init__`` (one ``object.__setattr__``
+    call per field), at about half the cost per record; such a record is
+    equal to, hashes and prints like ``PathRecord(initial, steps,
+    probability)``."""
 
     initial: Configuration
     steps: tuple[tuple[str | None, Configuration], ...]
@@ -150,18 +159,18 @@ class PathRecord:
         closing = ",))" if len(self.steps) == 1 else "))"
         if self._hash is None or self._hash[0] != seed:
             prefix = f"{seed}|{self.key()!r}"[: -len(closing)]
-            object.__setattr__(self, "_hash", (seed, hashlib.sha256(prefix.encode())))
+            _set_hash(self, (seed, hashlib.sha256(prefix.encode())))
         state = self._hash[1].copy()
         state.update(closing.encode())
         return state.digest()
 
     def extended(self, name: str | None, config: Configuration, prob: Fraction):
-        path = PathRecord(self.initial, self.steps + ((name, config),), self.probability * prob)
+        path = _record(self.initial, self.steps + ((name, config),), self.probability * prob)
         if self._hash is not None:  # only once a policy has read this path's digest
             seed, state = self._hash
             state = state.copy()
             state.update(f"{', ' if self.steps else ''}{(name, config.key())!r}".encode())
-            object.__setattr__(path, "_hash", (seed, state))
+            _set_hash(path, (seed, state))
         return path
 
     def render(self) -> str:
@@ -169,6 +178,27 @@ class PathRecord:
         for name, cfg in self.steps:
             parts.append(f"--{name or 'bot'}--> {cfg}")
         return " ".join(parts) + f"  [pr={self.probability}]"
+
+
+_set_initial, _set_steps, _set_probability, _set_hash = (
+    PathRecord.__dict__[name].__set__ for name in ("initial", "steps", "probability", "_hash")
+)
+
+
+def _record(
+    initial: Configuration,
+    steps: tuple[tuple[str | None, Configuration], ...],
+    probability: Fraction,
+) -> PathRecord:
+    """``PathRecord(initial, steps, probability)``, with its slots set
+    through the member descriptors, which bypass the frozen
+    ``__setattr__``; the hash state starts unset (``None``), as there."""
+    path = object.__new__(PathRecord)
+    _set_initial(path, initial)
+    _set_steps(path, steps)
+    _set_probability(path, probability)
+    _set_hash(path, None)
+    return path
 
 
 @dataclass(frozen=True)
@@ -399,7 +429,7 @@ class StepTable(_NodeTable):
         return self._node(start.initial)
 
     def __missing__(self, i: int) -> list[Move]:
-        path = PathRecord(self.configs[i], (), Fraction(1))
+        path = _record(self.configs[i], (), Fraction(1))
         moves = self[i] = self._compile(path, lambda name, succ, prob: self._node(succ))
         return moves
 
@@ -428,7 +458,7 @@ def _initial_path(p: PIP, sigma0: Mapping[Variable, int]) -> PathRecord:
     missing = [v.name for v in p.program_vars if v not in sigma0]
     if missing:
         raise ValueError(f"initial state does not bind {', '.join(missing)}")
-    return PathRecord(Configuration.make(p.initial, sigma0), (), Fraction(1))
+    return _record(Configuration.make(p.initial, sigma0), (), Fraction(1))
 
 
 def enumerate_paths(
@@ -448,8 +478,9 @@ def enumerate_paths(
     in breadth-first order while it holds one path per depth (see
     :func:`_depth_first`); under a history-dependent policy every node
     of the last level is already its own path.  A :class:`PathRecord`,
-    with its ``Fraction``, is built only for each returned path, and the
-    report is summed from integer masses over ``L**horizon``."""
+    with its ``Fraction``, is built only for each returned path, by the
+    private constructor :func:`_record`, and the report is summed from
+    integer masses over ``L**horizon``."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     if path_cap < 0:
@@ -487,7 +518,7 @@ def enumerate_paths(
         prob = probabilities.get(weight)
         if prob is None:
             prob = probabilities[weight] = Fraction(weight, scale)
-        paths.append(PathRecord(start.initial, steps, prob))
+        paths.append(_record(start.initial, steps, prob))
     report = HorizonReport(
         horizon, Fraction(total, scale), Fraction(expected, scale), Fraction(terminated, scale)
     )
@@ -688,6 +719,7 @@ def monte_carlo(
     # nodes are numbers exactly when the table keeps their moves, and only
     # then does a stretch start at a node that runs reach again
     stretches: dict[int, _Hop] | None = {} if isinstance(root, int) else None
+    known = stretches.get if stretches is not None else _none
     draw = random.Random(seed).random
     censored = 0
     total = 0.0
@@ -696,7 +728,7 @@ def monte_carlo(
         node = root
         left = step_cap  # the run's runtime is step_cap - left
         while left:
-            hop = stretches.get(node) if stretches is not None else None
+            hop = known(node)
             if hop is None:
                 hop = _stretch(moves, node, left, stretches)
             node, steps, options = hop
@@ -724,6 +756,12 @@ def monte_carlo(
     else:
         stderr = 0.0
     return MonteCarloResult(mean, stderr, samples, censored)
+
+
+def _none(node) -> None:
+    """No kept stretch: a path node is never met twice, and hashing it
+    would cost time linear in its length."""
+    return None
 
 
 def _stretch(moves, start, budget: int, kept: dict[int, _Hop] | None) -> _Hop:
@@ -783,9 +821,16 @@ def mdp_sup_truncated(
     """Max over schedulers of the expected runtime truncated at ``horizon``,
     by backward value iteration over the reachable configuration graph.
 
-    ``state_cap`` bounds the configurations summed over all levels.  A
-    value with ``s`` steps left is kept as its integer numerator over
-    ``L**s`` (see the module docstring)."""
+    ``state_cap`` bounds the configurations summed over all levels.  The
+    forward pass builds level ``k + 1`` from the successor tuples of the
+    nodes of level ``k``, each tuple built once per node, in the order in
+    which nodes are first reached, so nodes are resolved in that order.
+    The backward induction keeps the values of two adjacent levels in two
+    lists indexed by node number, which swap at each level, and reads a
+    node's choices from a list of the same index: the list for ``s`` steps
+    left is written only at the nodes of its level, and read only at
+    theirs.  A value with ``s`` steps left is kept as its integer
+    numerator over ``L**s`` (see the module docstring)."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     if state_cap < 0:
@@ -798,23 +843,24 @@ def mdp_sup_truncated(
 
     layers: list[dict[int, None]] = [{0: None}]
     seen = 1
+    successors_of: dict[int, tuple[int, ...]] = {}  # node -> its successor nodes, each once
     for _ in range(horizon):
-        frontier: dict[int, None] = {}
-        for i in layers[-1]:
-            for dist in table[i]:
-                for j, _ in dist:
-                    frontier[j] = None
+        layer = layers[-1]
+        for i in layer:
+            if i not in successors_of:
+                successors_of[i] = tuple(dict.fromkeys(j for dist in table[i] for j, _ in dist))
+        frontier = dict.fromkeys(chain.from_iterable(map(successors_of.__getitem__, layer)))
         layers.append(frontier)
         seen += len(frontier)
         if seen > state_cap:
             raise StateSpaceCapExceeded(seen, state_cap)
 
-    choices = dict(table)  # a plain dict: its lookups are faster than a subclass's
-    values = dict.fromkeys(layers[horizon], 0)
+    size = len(table.configs)
+    choices = [table.get(i) for i in range(size)]  # None at nodes reached only at the horizon
+    values, step_values = [0] * size, [0] * size  # nodes at the horizon are worth 0
     reward = 1  # one step's reward over the current common denominator
     for i in range(horizon - 1, -1, -1):
         reward *= scale
-        step_values: dict[int, int] = {}
         for c in layers[i]:
             best = 0  # bottom action: reward 0 forever
             for dist in choices[c]:
@@ -824,7 +870,7 @@ def mdp_sup_truncated(
                 if value > best:
                     best = value
             step_values[c] = best
-        values = step_values
+        values, step_values = step_values, values
     return Fraction(values[0], scale**horizon)
 
 
@@ -865,9 +911,7 @@ class InducedPolicy(Policy):
         if loc.label is not None and not loc.label.satisfied_by(config.state_dict):
             return (None, {})
         base_loc = self.base_pip.location(loc.base or loc.name)
-        shadow = PathRecord(
-            Configuration(base_loc, config.state), (), Fraction(1)
-        )
+        shadow = _record(Configuration(base_loc, config.state), (), Fraction(1))
         gt, temps = self.base.resolve(self.base_pip, shadow)
         if gt is None:
             return (None, {})
@@ -943,7 +987,7 @@ def check_embedding(
             trail.append((base_move, refined_move)[side])
         trail.reverse()
         probability = Fraction(math.prod(m[2] for m in trail), tables[side].scale ** len(trail))
-        return PathRecord(roots[side].initial, tuple(m[0] for m in trail), probability)
+        return _record(roots[side].initial, tuple(m[0] for m in trail), probability)
 
     def failed(why: str, witness: PathRecord) -> EmbeddingReport:
         return EmbeddingReport(False, horizon, sum(level.values()), why, witness)

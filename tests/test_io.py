@@ -274,6 +274,23 @@ def test_cli_state_with_repeated_name_exits_2(capsys):
     assert err == "pcfr: initial state: 'x' is assigned twice\n"
 
 
+def test_cli_repeated_temp_value_exits_2(capsys, tmp_path):
+    """A value given twice in ``--temp-values`` or config ``temp_values``
+    is exit 2, named like a state variable assigned twice; it would list
+    every scheduler candidate once per repeat."""
+    fig1 = str(ROOT / "programs" / "fig1.pip")
+    code, out, err = _run(
+        capsys, "mdp-sup", fig1, "--state", "x=0, y=2", "--temp-values", "1,1"
+    )
+    assert (code, out) == (2, "")
+    assert err == "pcfr: temp_values: 1 is listed twice\n"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"state": {"x": 0, "y": 2}, "temp_values": [2, 1, 2]}))
+    code, out, err = _run(capsys, "enumerate", fig1, "--config", str(config))
+    assert (code, out) == (2, "")
+    assert err == "pcfr: temp_values: 2 is listed twice\n"
+
+
 def test_cli_check_embedding_history_policy_exits_2(capsys):
     code, out, err = _run(
         capsys,

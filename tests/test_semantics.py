@@ -2,7 +2,7 @@ import hashlib
 import math
 import random
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -30,6 +30,7 @@ from pcfr.semantics import (
     monte_carlo,
     scheduler_candidates,
     step_distribution,
+    successors,
     sweep,
 )
 from pcfr.syntax import Atom, Constraint, Polynomial, Update, pv, tmp
@@ -236,6 +237,39 @@ def test_path_key_repr_is_the_key_repr(fig1):
             carried = carried.extended(*steps[n], Fraction(1, 2))
     assert carried.key_digest(6) == expected(carried, 6)
     assert carried.key_digest(5) == expected(carried, 5)
+
+
+def test_enumerated_records_match_constructed_records(fig1):
+    """A record that ``enumerate_paths`` returns is indistinguishable from
+    ``PathRecord(initial, steps, probability)``: equal, with the same hash
+    and repr, extended like one (``extended`` reads the hash slot before
+    any digest was read), with the same ``key_digest``, and frozen; on the
+    walk at h = 6 and fig1 at h = 8, under a first-enabled, a seeded and a
+    seeded-history policy."""
+    walk = parse_program(WALK)
+    cases = [(walk, {walk.program_vars[0]: 3}, 6, (0,)), (fig1, {X: 0, Y: 2}, 8, (1, 2))]
+    counts = []
+    for q, sigma0, horizon, temps in cases:
+        policies = (
+            FirstEnabledPolicy(temps), SeededPolicy(3, temps), SeededPolicy(3, temps, True)
+        )
+        for policy in policies:
+            paths = enumerate_paths(q, policy, sigma0, horizon).paths
+            for path in paths:
+                built = PathRecord(path.initial, path.steps, path.probability)
+                assert path == built and hash(path) == hash(built)
+                assert repr(path) == repr(built)
+                name, config = path.steps[-1]
+                longer = path.extended(name, config, Fraction(1, 2))
+                assert longer == built.extended(name, config, Fraction(1, 2))
+                assert longer == PathRecord(
+                    path.initial, path.steps + ((name, config),), path.probability / 2
+                )
+                assert path.key_digest(5) == hashlib.sha256(f"5|{path.key()!r}".encode()).digest()
+                with pytest.raises(FrozenInstanceError):
+                    path.probability = Fraction(0)
+            counts.append(len(paths))
+    assert len(counts) == 6 and min(counts) > 1
 
 
 def test_history_dependent_walk_builds_the_path_key_once(fig1, monkeypatch):
@@ -785,6 +819,49 @@ def test_integer_value_iteration_matches_fraction_reference():
                 assert mdp_sup_truncated(q, sigma0, 9, temp_values) == (
                     reference.mdp_sup_truncated(q, sigma0, 9, temp_values)
                 )
+
+
+def _mdp_configurations(q, sigma0, horizon, temp_values):
+    """The configurations of the MDP's levels 0..horizon, summed over the
+    levels, from the one-step semantics."""
+    level = {Configuration.make(q.initial, sigma0)}
+    total = 1
+    for _ in range(horizon):
+        level = {
+            succ
+            for config in level
+            for g, values in scheduler_candidates(q, config, temp_values)
+            for _, succ, _ in successors(q, config, g, values)
+        }
+        total += len(level)
+    return total
+
+
+def test_mdp_matches_reference_at_longer_horizons_and_at_the_cap(fig1):
+    """The value, or the ``StateSpaceCapExceeded`` with its count and cap,
+    is the Fraction reference's at horizons 0, 1, 9 and 40, under the
+    default cap and under caps one below, at and one above the
+    configurations summed over all levels."""
+    walk = parse_program(WALK)
+    cases = [
+        (q, sigma0, temp_values)
+        for p, pruned, sigma0, _ in _differential_corpus()
+        for q in (p, pruned.program)
+        for temp_values in ((0, 1), (1,))
+    ]
+    cases += [(fig1, {X: 0, Y: 2}, (1, 2, 3)), (walk, {walk.program_vars[0]: 3}, (0,))]
+    tripped = set()  # ids of the programs that tripped a cap
+    for q, sigma0, temp_values in cases:
+        for horizon in (0, 1, 9, 40):
+            total = _mdp_configurations(q, sigma0, horizon, temp_values)
+            for cap in (200_000, total - 1, total, total + 1):
+                args = (q, sigma0, horizon, temp_values, cap)
+                expected = _outcome(reference.mdp_sup_truncated, *args)
+                assert _outcome(mdp_sup_truncated, *args) == expected
+                if isinstance(expected, tuple):
+                    assert expected[2:] == (total, cap)
+                    tripped.add(id(q))
+    assert {id(fig1), id(walk)} <= tripped
 
 
 def _stretch_lengths(q, policy, sigma0, depth=10, longest=40):
