@@ -3,12 +3,23 @@
 The abstract domain is conjunctions of atoms drawn from a fixed finite
 universe (guard atoms plus their post-states under the owning
 transition's update).  Inference runs a greatest-fixpoint iteration:
-every non-initial location starts with the full universe and an atom is
+every location starts from a set of universe atoms and an atom is
 dropped as soon as some incoming transition cannot prove it.  The join
-is atom-set intersection, the initial location stays ``true``, and
-locations without incoming transitions keep the full (typically
-contradictory) universe, which is exactly what unreachable-location
-pruning wants.
+is atom-set intersection.  The starting sets are:
+
+* the initial location starts empty and stays ``true``;
+* a location that the initial one cannot reach in the location graph
+  starts from the full (typically contradictory) universe, which is
+  exactly what unreachable-location pruning wants;
+* every other location starts from the universe atoms that mention no
+  variable, or some variable that is *live* there: read, in a guard or
+  in an update's images, by a general transition leaving the location
+  or a location it reaches.  An atom that joins a dead and a live
+  variable is kept.
+
+The greatest fixpoint below any starting set is inductive, so the
+invariants are sound whichever subset of the universe a location starts
+from; the live start leaves out atoms about values no later step reads.
 
 One query serves inference and refinement: :func:`provable_after`
 returns the candidate atoms ``psi`` that ``source and guard`` prove
@@ -52,7 +63,7 @@ from dataclasses import dataclass
 from typing import Collection, Iterable
 
 from .linear import entails, project
-from .model import PIP, Location, incoming
+from .model import PIP, Location, incoming, reachable_locations
 from .syntax import TRUE, Atom, Constraint, Polynomial, Update, Variable
 
 
@@ -141,12 +152,41 @@ def provable_after(
     return kept
 
 
+def _live_variables(p: PIP) -> dict[Location, set[Variable]]:
+    """The variables read, in a guard or in an update's images, by a
+    general transition leaving each location or a location it reaches."""
+    live: dict[Location, set[Variable]] = {loc: set() for loc in p.locations}
+    for g in p.gts:
+        reads = live[g.source]
+        reads |= g.guard.variables()
+        for t in g.members:
+            reads |= t.update.variables_used()
+    changed = True
+    while changed:
+        changed = False
+        for t in p.transitions:
+            if not live[t.target] <= live[t.source]:
+                live[t.source] |= live[t.target]
+                changed = True
+    return live
+
+
 def infer(p: PIP) -> InvariantMap:
-    """Greatest fixpoint of provable universe atoms at every location."""
+    """Greatest fixpoint of provable universe atoms at every location,
+    from the starting sets of the module docstring."""
     universe = atom_universe(p)
-    current: dict[Location, set[Atom]] = {
-        loc: (set() if loc == p.initial else set(universe)) for loc in p.locations
-    }
+    reachable = reachable_locations(p, p.gts)
+    live = _live_variables(p)
+    current: dict[Location, set[Atom]] = {}
+    for loc in p.locations:
+        if loc == p.initial:
+            current[loc] = set()
+        elif loc not in reachable:
+            current[loc] = set(universe)
+        else:
+            current[loc] = {
+                a for a in universe if not a.variables() or a.variables() & live[loc]
+            }
     changed = True
     while changed:
         changed = False

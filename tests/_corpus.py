@@ -146,6 +146,28 @@ def random_sigma0(rng: random.Random, p: PIP) -> dict:
     return {v: rng.randint(-3, 3) for v in p.program_vars}
 
 
+def differential_programs():
+    """The 16 random programs of the semantics differential tests, each
+    with its start state."""
+    rng = random.Random(3131)
+    for _ in range(16):
+        p = random_pip(rng)
+        yield p, random_sigma0(rng, p)
+
+
+def population(n: int) -> list[PIP]:
+    """The first ``n`` programs of the benchmark's ``refine-corpus``
+    population, generated by ``perfbench/inputs.py``."""
+    import importlib.util
+
+    path = PROGRAMS.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    rng = random.Random("refine-corpus")
+    return [parse_program(inputs.random_program(rng)) for _ in range(n)]
+
+
 def chain(k: int) -> str:
     """k copies of fig1's coin/countdown gadget in sequence, as ``.pip``
     text: gadget i is entered through ``e{i}`` and left through ``out{i}``."""

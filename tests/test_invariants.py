@@ -196,7 +196,8 @@ def _program(edges):
 
 def test_frame_atom_dropped_under_nonlinear_guard_as_reference():
     # x >= 1 holds at l1 and y := y + 1 leaves it alone, but the guard
-    # y*y >= 1 into l2 is nonlinear, so entails proves nothing there
+    # y*y >= 1 into l2 is nonlinear, so entails proves nothing there; the
+    # guard out of l2 reads x, so x >= 1 is live at l1 and l2
     from pcfr.syntax import Constraint
 
     x_pos = Atom(PX, ">=", 1)
@@ -205,6 +206,7 @@ def test_frame_atom_dropped_under_nonlinear_guard_as_reference():
         [
             ("l0", [x_pos], Update(), "l1"),
             ("l1", [square], Update({Y: PY + 1}), "l2"),
+            ("l2", [x_pos], Update(), "l3"),
         ]
     )
     assert not entails(Constraint([x_pos, square]), x_pos)
@@ -215,7 +217,7 @@ def test_frame_atom_dropped_under_nonlinear_guard_as_reference():
 
 
 def test_trivial_universe_atoms_as_reference(monkeypatch):
-    # l3 has no incoming transition, so it keeps the whole universe, and
+    # l0 cannot reach l3 or l4, so both start from the whole universe, and
     # l4 keeps the false atom by membership in l3's invariant
     true_atom, false_atom = Atom(0, "<=", 0), Atom(1, "<=", 0)
     false_eq = Atom(1, "=", 0)
@@ -274,3 +276,69 @@ def test_frame_update_still_projects_as_reference():
     got = post_image_atoms(atom, update, (a, b))
     assert got == _reference_invariants.post_image_atoms(atom, update, (a, b))
     assert set(got) == {Atom(pa, "=", pb + 1), atom}
+
+
+# ---------------------------------------------------------------------------
+# The live starting sets
+
+
+def test_live_start_keeps_atoms_read_after_a_location(monkeypatch):
+    # y is read after l1 and l4, x is not; l4 is entered only through a
+    # contradictory guard, so it keeps its whole starting set, and l3,
+    # which l0 cannot reach, keeps the whole universe
+    x_pos, x_nonpos = Atom(PX, ">=", 1), Atom(PX, "<=", 0)
+    y_pos, y_nonneg = Atom(PY, ">=", 1), Atom(PY, ">=", 0)
+    mixed, false_atom = Atom(PX + PY, ">=", 2), Atom(1, "<=", 0)
+    p, locs = _program(
+        [
+            ("l0", [x_pos, y_pos], Update(), "l1"),
+            ("l1", [y_pos], Update({Y: PY - 1}), "l2"),
+            ("l3", [x_nonpos], Update(), "l1"),
+            ("l0", [x_pos, x_nonpos], Update(), "l4"),
+            ("l4", [], Update(), "l1"),
+        ]
+    )
+    universe = atom_universe(p) | {mixed, false_atom}
+    assert universe == {x_pos, x_nonpos, y_pos, y_nonneg, mixed, false_atom}
+    inv = _infer_over(monkeypatch, p, universe)
+    assert set(inv.of(locs["l1"]).atoms) == {y_pos, y_nonneg, mixed}
+    assert set(inv.of(locs["l4"]).atoms) == {y_pos, y_nonneg, mixed, false_atom}
+    assert inv.of(locs["l2"]).is_true()
+    assert set(inv.of(locs["l3"]).atoms) == universe
+    full = _reference_invariants.infer_full_universe(p, universe)
+    assert set(full.of(locs["l1"]).atoms) == {x_pos, y_pos, y_nonneg, mixed}
+    assert inv.inv == _reference_invariants.infer(p, universe).inv
+
+
+def _live_and_full_prune_alike(r):
+    """The live invariants of ``r``'s program lie within the full-universe
+    ones at every location, and pruning ``r`` with either prints the same;
+    returns the number of locations where the two differ."""
+    from pcfr.refine import prune
+    from pcfr.textfmt import print_program
+
+    live = infer(r.program)
+    full = _reference_invariants.infer_full_universe(r.program)
+    for loc in r.program.locations:
+        assert set(live.of(loc).atoms) <= set(full.of(loc).atoms), loc
+    assert print_program(prune(r, live).program) == print_program(prune(r, full).program)
+    return sum(live.of(loc) != full.of(loc) for loc in r.program.locations)
+
+
+def test_live_invariants_prune_as_full_universe_reference(fig1, fig2):
+    from pcfr.abstraction import heuristic_layers
+    from pcfr.refine import refine
+    from pcfr.textfmt import parse_program
+
+    programs = [(fig1, fig1.transitions), (fig2, fig2.transitions)]
+    for k in range(1, 5):
+        p = parse_program(_corpus.chain(k))
+        programs.append((p, [t for t in p.transitions if not t.name.startswith("e")]))
+    programs += [(p, p.transitions) for p, _ in _corpus.differential_programs()]
+    programs += [(p, p.transitions) for p in _corpus.population(100)]
+    shrunk = 0
+    for p, s in programs:
+        for members in ([], s):
+            names = [t.name for t in members]
+            shrunk += _live_and_full_prune_alike(refine(p, names, heuristic_layers(p, members)))
+    assert shrunk > 100  # the live start drops atoms that hold (215 locations)

@@ -659,11 +659,8 @@ def test_embedding_on_random_corpus():
 
 
 def _differential_corpus():
-    rng = random.Random(3131)
-    for i in range(16):
-        p = _corpus.random_pip(rng)
+    for i, (p, sigma0) in enumerate(_corpus.differential_programs()):
         pruned, _ = refine_and_prune(p, p.transitions, heuristic_layers(p, p.transitions))
-        sigma0 = _corpus.random_sigma0(rng, p)
         yield p, pruned, sigma0, (SeededPolicy(i, temp_values=(0, 1)), FirstEnabledPolicy((1,)))
 
 
