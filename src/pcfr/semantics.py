@@ -26,28 +26,44 @@ denominator ``L**k`` after ``k`` steps, where ``L`` is the least common
 multiple of the program's probability denominators, and the MDP iterates
 integer numerators over ``L**(h - i)``, backwards over two lists indexed
 by node number that swap at each level; a ``Fraction`` is built only for
-an answer, so every rational is the one the path sums give.  This holds
-for :func:`enumerate_paths` too: a forward pass over levels of nodes
-with path counts resolves every node and applies the cap, then a
-depth-first walk of the resolved moves holds one path per depth, with
-its integer mass and runtime count, and builds a :class:`PathRecord` and
-its ``Fraction`` only for each returned path, through the private
-constructor :func:`_record` (see :class:`PathRecord`).  :func:`monte_carlo`
-draws only at branch points, nodes with more than one move.  A run hops
-over each *deterministic stretch*, the single non-bottom moves from a
-node up to the next branch point or bottom move, in one step of its
-loop.  Under a history-independent policy each stretch is resolved
-once, as far as the remaining budget of the first run that meets it,
-and kept if it ends within that budget; a run whose budget ends inside
-a stretch is censored at the cap as stepping would censor it.  So the
-draws, and every output, are bit-identical to stepping, and no node
-beyond a run's cap is resolved.  Under a history-dependent policy no
-stretch is kept, and each run walks its stretches step by step.
+an answer, so every rational is the one the path sums give.
+
+Each of the three hot loops reads a resolved node in the shape it
+consumes:
+
+- :func:`enumerate_paths` runs a forward pass over levels of nodes with
+  path counts, which resolves every node and applies the cap, then one
+  depth-first walk of the resolved moves that holds one path per depth,
+  with its integer mass and runtime count.  At each leaf the walk adds
+  the mass to the report's sums and builds the :class:`PathRecord`, with
+  its ``Fraction``, through the private constructor :func:`_record`.
+- :func:`mdp_sup_truncated` gives a node with exactly one admissible
+  choice the value ``reward + sum(w * v)`` without a max: every choice is
+  worth at least the step reward, which is positive, so the max with the
+  bottom action's 0 is that value.  When that choice's weights are all 1
+  and its successors distinct, each successor adds its value without a
+  multiplication.
+- :func:`monte_carlo` draws only at branch points, nodes with more than
+  one move.  A run hops over each *deterministic stretch*, the single
+  non-bottom moves from a node up to the next branch point or bottom
+  move, in one step of its loop.  Under a history-independent policy
+  each stretch is resolved once, as far as the remaining budget of the
+  first run that meets it, and kept if it ends within that budget.  A
+  kept stretch holds, for each option of its branch point, the option's
+  running sum and a link to the successor's kept stretch, filled on
+  first use, so a run goes from branch point to branch point without a
+  table lookup.  A run whose budget ends inside a stretch is censored at
+  the cap as stepping would censor it, and that stretch is neither kept
+  nor linked.  So the draws, and every output, are bit-identical to
+  stepping, and no node beyond a run's cap is resolved.  Under a
+  history-dependent policy nothing is kept or linked, and each run walks
+  its stretches step by step, in the same loop.
 
 Soundness of the pairwise embedding check.  A base path determines its
 image in the refinement step by step: each base transition lifts to the
 one refined copy of it at the current refined location, and the refined
-state is the base state without the temporaries pruning removed.  So every base path ends in a pair (base configuration, refined
+state is the base state without the temporaries pruning removed.  So
+every base path ends in a pair (base configuration, refined
 configuration).  With a history-independent base policy the step
 distribution at a base configuration is fixed by the configuration, and
 the induced policy's at a refined configuration is fixed by that
@@ -364,7 +380,8 @@ def step_distribution(
 
 Move = tuple[tuple[str | None, Configuration], object, int, float]  # see StepTable
 _Pair = tuple[int, int]  # (base, refined) node number
-_Hop = tuple[object, int, list[Move]]  # (end node, steps, moves of the end node)
+_Hop = tuple[int, list["_Option"]]  # (steps, options of the end), see _stretch
+_Option = list  # [running sum, successor node, its kept stretch or None]
 
 
 class _NodeTable(dict):
@@ -473,14 +490,19 @@ def enumerate_paths(
     Two passes over the :class:`StepTable`.  The first runs forward over
     levels of nodes with the number of paths ending at each, resolving
     the nodes in the order in which paths first reach them, and
-    ``path_cap`` bounds the paths of each length.  The second walks the
-    resolved moves depth first, children in order, so it yields the paths
-    in breadth-first order while it holds one path per depth (see
-    :func:`_depth_first`); under a history-dependent policy every node
-    of the last level is already its own path.  A :class:`PathRecord`,
-    with its ``Fraction``, is built only for each returned path, by the
-    private constructor :func:`_record`, and the report is summed from
-    integer masses over ``L**horizon``."""
+    ``path_cap`` bounds the paths of each length.  The second is one
+    depth-first walk of the resolved moves, children pushed in reverse,
+    so the paths come out in the order of the breadth-first levels while
+    the walk holds one path per depth: a trail of the current path's
+    steps, and a stack of at most one entry per move at each depth.  A
+    node one step above the horizon ends its paths there: for each of
+    its moves the walk adds the leaf's integer mass over ``L**horizon``
+    to the total, expected and terminated sums of the report, and builds
+    the leaf's :class:`PathRecord`, with its ``Fraction``, through the
+    private constructor :func:`_record`.  Every leaf is already a path
+    at horizon 0, where it is the start, and under a history-dependent
+    policy, where it is a node of the last level; those leaves are summed
+    and built the same way."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     if path_cap < 0:
@@ -500,57 +522,53 @@ def enumerate_paths(
             raise StateSpaceCapExceeded(reached, path_cap)
         level = nxt
     scale = table.scale**horizon
-    if isinstance(root, int):
-        leaves = _depth_first(moves, root, horizon)
-    else:  # the nodes are paths, with probabilities over L**k
-        leaves = (
-            (f.steps, f.probability.numerator * (scale // f.probability.denominator), f.runtime_count)
-            for f in level
-        )
-    total = expected = terminated = 0
+    initial = start.initial
+    total = expected = terminated = 0  # integer masses over scale
     probabilities: dict[int, Fraction] = {}  # paths share the few distinct weights
     paths = []
-    for steps, weight, runtime in leaves:
-        total += weight
-        expected += weight * runtime
-        if steps and steps[-1][0] is None:
-            terminated += weight
-        prob = probabilities.get(weight)
-        if prob is None:
-            prob = probabilities[weight] = Fraction(weight, scale)
-        paths.append(_record(start.initial, steps, prob))
+    if not (horizon and isinstance(root, int)):
+        # every leaf is a path already: the start at horizon 0, and under a
+        # history-dependent policy each node of the last level
+        for f in level if horizon else (start,):
+            weight = f.probability.numerator * (scale // f.probability.denominator)
+            total += weight
+            expected += weight * f.runtime_count
+            if f.terminated:
+                terminated += weight
+            prob = probabilities.get(weight)
+            if prob is None:
+                prob = probabilities[weight] = Fraction(weight, scale)
+            paths.append(_record(initial, f.steps, prob))
+    else:
+        last = horizon - 1
+        trail: list = [None] * horizon
+        stack = [(0, None, root, 1, 0)]  # (depth, step into the node, node, mass, runtime)
+        while stack:
+            k, step, node, mass, runtime = stack.pop()
+            if k:
+                trail[k - 1] = step
+            if k < last:
+                k += 1
+                for step, child, w, _ in reversed(moves(node)):
+                    stack.append((k, step, child, mass * w, runtime + (step[0] is not None)))
+                continue
+            for step, _, w, _ in moves(node):  # one step above the horizon: the leaves
+                trail[last] = step
+                weight = mass * w
+                total += weight
+                if step[0] is None:
+                    terminated += weight
+                    expected += weight * runtime
+                else:
+                    expected += weight * (runtime + 1)
+                prob = probabilities.get(weight)
+                if prob is None:
+                    prob = probabilities[weight] = Fraction(weight, scale)
+                paths.append(_record(initial, tuple(trail), prob))
     report = HorizonReport(
         horizon, Fraction(total, scale), Fraction(expected, scale), Fraction(terminated, scale)
     )
     return EnumerationResult(report, tuple(paths))
-
-
-def _depth_first(moves, root: int, horizon: int):
-    """Yield (steps, mass as an integer over ``L**horizon``, runtime count)
-    for each path of length ``horizon`` from node ``root``, reading only
-    nodes already resolved.  A node's moves are pushed in reverse, so the
-    paths come out in the order of the breadth-first levels; ``trail``
-    holds the current path's steps, and the stack at most one entry per
-    move at each depth.  A node one step above the horizon yields its
-    paths directly."""
-    if horizon == 0:
-        yield (), 1, 0
-        return
-    last = horizon - 1
-    trail: list = [None] * horizon
-    stack = [(0, None, root, 1, 0)]  # (depth, step into the node, node, mass, runtime)
-    while stack:
-        k, step, node, weight, runtime = stack.pop()
-        if k:
-            trail[k - 1] = step
-        if k < last:
-            k += 1
-            for step, child, w, _ in reversed(moves(node)):
-                stack.append((k, step, child, weight * w, runtime + (step[0] is not None)))
-        else:
-            for step, _, w, _ in moves(node):
-                trail[last] = step
-                yield tuple(trail), weight * w, runtime + (step[0] is not None)
 
 
 @dataclass(frozen=True)
@@ -686,11 +704,16 @@ def monte_carlo(
     the node's *deterministic stretch* (:func:`_stretch`), the single
     non-bottom moves up to the first branch point or bottom move, in one
     hop that adds the stretch's steps to its runtime, and then draws at
-    the end node or stops at its bottom move.  Under a
+    the end node or stops at its bottom move.  A stretch is (steps,
+    options of its end), with one ``[running sum, successor node, link]``
+    option per move of a branch point and none for a bottom move; a
+    branch point or bottom node is its own stretch of 0 steps.  Under a
     history-independent policy each node's stretch is resolved once and
-    kept as (end node, steps, moves of the end node); a branch point or
-    bottom node is its own stretch of 0 steps.  Every output is
-    bit-identical to stepping:
+    kept, and an option's link is the successor's kept stretch, filled
+    the first time a run takes the option, once that stretch is kept.
+    So a run reads the next stretch from the option it drew, without a
+    table lookup, and the root's stretch from an entry option of the
+    same shape.  Every output is bit-identical to stepping:
 
     - the same draws happen in the same order at the same nodes, since a
       stretch draws nothing;
@@ -699,14 +722,16 @@ def monte_carlo(
       censors it, also when the stretch would end at a branch point or
       bottom move with no budget left;
     - a stretch is resolved only as far as the remaining budget of the
-      run that first meets it, and a stretch cut there is not kept, so
+      run that first meets it, and a stretch cut there is neither kept
+      nor linked, so a later run with more budget resolves it again;
       no node beyond a run's cap is ever resolved, and a scheduler
       violation there stays unraised, as it does when stepping.
 
-    Under a history-dependent policy every path is its own node, so no
-    stretch is kept: each run walks its stretches step by step, through
-    the same :func:`_stretch`.  One run's node and the kept stretches
-    are all that is held, so memory does not grow with ``samples``.
+    Under a history-dependent policy every path is its own node, so
+    nothing is kept or linked: the same loop walks each stretch step by
+    step, through the same :func:`_stretch`.  One run's node and the
+    kept stretches are all that is held, so memory does not grow with
+    ``samples``.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -718,31 +743,30 @@ def monte_carlo(
     root = table.root(start)
     # nodes are numbers exactly when the table keeps their moves, and only
     # then does a stretch start at a node that runs reach again
-    stretches: dict[int, _Hop] | None = {} if isinstance(root, int) else None
-    known = stretches.get if stretches is not None else _none
+    kept: dict[int, _Hop] | None = {} if isinstance(root, int) else None
+    entry: _Option = [0.0, root, None]  # the option that leads to the root
     draw = random.Random(seed).random
     censored = 0
     total = 0.0
     total_sq = 0.0
     for _ in range(samples):
-        node = root
+        option = entry
         left = step_cap  # the run's runtime is step_cap - left
         while left:
-            hop = known(node)
+            hop = option[2]
             if hop is None:
-                hop = _stretch(moves, node, left, stretches)
-            node, steps, options = hop
+                hop = _stretch(moves, option, left, kept)
+            steps, options = hop
             left -= steps
             if left <= 0:  # the budget ends inside the stretch
                 left = 0
                 continue
-            if len(options) == 1:  # the bottom move
+            if not options:  # the bottom move
                 break
             r = draw()
-            for move in options:
-                if r < move[3]:
+            for option in options:
+                if r < option[0]:
                     break
-            node = move[1]
             left -= 1
         else:
             censored += 1
@@ -758,32 +782,38 @@ def monte_carlo(
     return MonteCarloResult(mean, stderr, samples, censored)
 
 
-def _none(node) -> None:
-    """No kept stretch: a path node is never met twice, and hashing it
-    would cost time linear in its length."""
-    return None
-
-
-def _stretch(moves, start, budget: int, kept: dict[int, _Hop] | None) -> _Hop:
-    """The deterministic stretch from node ``start``: follow single
-    non-bottom moves, for at most ``budget`` steps, to the first branch
-    point or bottom move, and return that end node, the steps taken and
-    the end node's moves; a branch point or bottom node is its own
-    stretch of 0 steps.  A stretch that ends within the budget is kept
-    in ``kept`` unless that is ``None``.  One cut by the budget is never
-    kept: it returns ``budget`` steps, and the node it stops at is not
-    resolved."""
-    node, steps = start, 0
-    while steps < budget:
-        options = moves(node)
-        if len(options) > 1 or options[0][0][0] is None:
-            hop = (node, steps, options)
-            if kept is not None:
-                kept[start] = hop
+def _stretch(moves, option: _Option, budget: int, kept: dict[int, _Hop] | None) -> _Hop:
+    """The deterministic stretch from the successor node of ``option``:
+    follow single non-bottom moves, for at most ``budget`` steps, to the
+    first branch point or bottom move, and return the steps taken and the
+    end's options, one ``[running sum, successor node, None]`` per move of
+    a branch point and none for a bottom move; a branch point or bottom
+    node is its own stretch of 0 steps.  Unless ``kept`` is ``None``, a
+    stretch that ends within the budget is kept there and linked from
+    ``option``, and a kept one is linked without being walked again.  One
+    cut by the budget is never kept or linked: it returns ``budget``
+    steps, and the node it stops at is not resolved."""
+    start = node = option[1]
+    if kept is not None:
+        hop = kept.get(start)
+        if hop is not None:
+            option[2] = hop
             return hop
-        node = options[0][1]
-        steps += 1
-    return node, steps, []
+    steps = 0
+    while steps < budget:
+        node_moves = moves(node)
+        if len(node_moves) > 1:
+            hop = (steps, [[acc, child, None] for _, child, _, acc in node_moves])
+        elif node_moves[0][0][0] is None:
+            hop = (steps, [])
+        else:
+            node = node_moves[0][1]
+            steps += 1
+            continue
+        if kept is not None:
+            kept[start] = option[2] = hop
+        return hop
+    return steps, []
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +860,24 @@ def mdp_sup_truncated(
     node's choices from a list of the same index: the list for ``s`` steps
     left is written only at the nodes of its level, and read only at
     theirs.  A value with ``s`` steps left is kept as its integer
-    numerator over ``L**s`` (see the module docstring)."""
+    numerator over ``L**s`` (see the module docstring).
+
+    After the forward pass each resolved node gets the shape the
+    induction consumes, and only a node with several choices takes a max:
+
+    - a node with exactly one admissible choice is worth ``reward +
+      sum(w * v)`` over the choice's (successor, weight) pairs, with no
+      max.  Values are never negative, so every choice is worth at least
+      the step reward, which is positive, and the max with the bottom
+      action's 0 is that choice's value.  When every weight of the choice
+      is 1 (a probability of ``1/L``) and no successor repeats, the node
+      reads only the successor tuple that the forward pass built, and each
+      successor adds its value without a multiplication;
+    - a node with several choices is worth the max of their values, and
+      of 0 for the bottom action;
+    - a node with no choice stays 0: only the bottom action is left;
+    - a node reached only at the horizon is never resolved, and is worth
+      0 with no steps left."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     if state_cap < 0:
@@ -857,19 +904,41 @@ def mdp_sup_truncated(
 
     size = len(table.configs)
     choices = [table.get(i) for i in range(size)]  # None at nodes reached only at the horizon
+    # one[c]: the one choice of node c, as its successor tuple from the
+    # forward pass when every weight is 1 and no successor repeats, and as
+    # its (successor, weight) pairs otherwise; None at a node with several
+    # choices or none, which reads choices[c]
+    one: list[tuple[int, ...] | list[tuple[int, int]] | None] = [None] * size
+    for c, node_choices in table.items():
+        if len(node_choices) == 1:
+            (dist,) = node_choices
+            succ = successors_of[c]
+            one[c] = succ if len(succ) == len(dist) and all(w == 1 for _, w in dist) else dist
     values, step_values = [0] * size, [0] * size  # nodes at the horizon are worth 0
     reward = 1  # one step's reward over the current common denominator
     for i in range(horizon - 1, -1, -1):
         reward *= scale
         for c in layers[i]:
-            best = 0  # bottom action: reward 0 forever
-            for dist in choices[c]:
+            dist = one[c]
+            if dist is None:
+                best = 0  # bottom action: reward 0 forever
+                for choice in choices[c]:
+                    value = reward
+                    for j, w in choice:
+                        value += w * values[j]
+                    if value > best:
+                        best = value
+                step_values[c] = best
+            elif dist.__class__ is tuple:
+                value = reward
+                for j in dist:
+                    value += values[j]
+                step_values[c] = value
+            else:
                 value = reward
                 for j, w in dist:
                     value += w * values[j]
-                if value > best:
-                    best = value
-            step_values[c] = best
+                step_values[c] = value
         values, step_values = step_values, values
     return Fraction(values[0], scale**horizon)
 

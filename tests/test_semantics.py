@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import tracemalloc
+from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
@@ -861,6 +862,52 @@ def test_mdp_matches_reference_at_longer_horizons_and_at_the_cap(fig1):
     assert {id(fig1), id(walk)} <= tripped
 
 
+def _mdp_node_shapes(q, sigma0, horizon, temp_values):
+    """How many nodes of the MDP's levels 0..horizon have each shape, from
+    the one-step semantics: below the horizon, one choice whose
+    probabilities are all 1/L ("unit"), one choice with another
+    probability ("weighted"), several choices or none; and the nodes
+    reached only at the horizon ("horizon")."""
+    scale = math.lcm(*(t.prob.denominator for t in q.transitions))
+    choices = {}  # configuration below the horizon -> its choices
+    level = {Configuration.make(q.initial, sigma0)}
+    for _ in range(horizon):
+        for config in level - choices.keys():
+            choices[config] = [
+                successors(q, config, g, values)
+                for g, values in scheduler_candidates(q, config, temp_values)
+            ]
+        level = {succ for config in level for dist in choices[config] for _, succ, _ in dist}
+    shapes = Counter(horizon=len(level - choices.keys()))
+    for dists in choices.values():
+        if len(dists) != 1:
+            shapes["several" if dists else "none"] += 1
+        else:
+            shapes["unit" if all(prob * scale == 1 for _, _, prob in dists[0]) else "weighted"] += 1
+    return shapes
+
+
+def test_mdp_matches_reference_on_every_node_shape(fig1):
+    """The suite programs from several starts, fig1 with temp values
+    (1, 2, 3) and the walk, at horizons 9 and 40, against the Fraction
+    reference; between them they reach every shape of node that the
+    backward induction reads differently."""
+    walk = parse_program(WALK)
+    cases = [(fig1, {X: 0, Y: 2}, (1, 2, 3)), (walk, {walk.program_vars[0]: 3}, (0,))]
+    for path in sorted((_corpus.PROGRAMS / "suite").glob("*.pip")):
+        q = parse_program(path.read_text())
+        for x, y in ((0, 0), (3, 2), (7, 1)):
+            cases.append((q, {v: {"x": x, "y": y}[v.name] for v in q.program_vars}, (1,)))
+    shapes = Counter()
+    for q, sigma0, temp_values in cases:
+        for horizon in (9, 40):
+            assert mdp_sup_truncated(q, sigma0, horizon, temp_values) == (
+                reference.mdp_sup_truncated(q, sigma0, horizon, temp_values)
+            ), (q, sigma0, horizon)
+            shapes += _mdp_node_shapes(q, sigma0, horizon, temp_values)
+    assert all(shapes[shape] > 0 for shape in ("unit", "weighted", "several", "none", "horizon")), shapes
+
+
 def _stretch_lengths(q, policy, sigma0, depth=10, longest=40):
     """The lengths of the deterministic stretches (single non-bottom steps
     up to a branch point or a bottom step, at most ``longest``) from the
@@ -935,6 +982,50 @@ def test_sampler_leaves_a_violation_beyond_the_cap_unraised(fig1):
             monte_carlo(fig1, policy, sigma0, 200, cap, 3)
         assert hopped.value.clause == stepped.value.clause == "b"
         assert str(hopped.value) == str(stepped.value)
+
+
+class _Meetings(Policy):
+    """``base``, recording for each run the remaining budget (``cap``
+    less the steps taken) at each configuration the first time the run
+    resolves it."""
+
+    def __init__(self, base, cap):
+        self.base, self.cap, self.budgets = base, cap, {}
+        self.temp_values = base.temp_values
+        self.history_dependent = base.history_dependent
+        self._met = set()
+
+    def resolve(self, p, path):
+        if not path.steps:  # a new run
+            self._met = set()
+        if path.end not in self._met:
+            self._met.add(path.end)
+            self.budgets.setdefault(path.end, []).append(self.cap - len(path.steps))
+        return self.base.resolve(p, path)
+
+
+def test_sampler_links_a_stretch_first_cut_by_a_run_budget(fig1):
+    """From S = (l1, x = 0, y = 2) the countdown t2 t3 t2 t3 takes 4 steps
+    to its bottom move, and a run reaches S after 1 + k steps, k >= 1
+    coin flips.  Under a step cap of 7 at seed 9 the first run to meet S
+    has fewer than 4 steps left, which cut the stretch short of its end,
+    so it is neither kept nor linked; a later run meets S with 5 steps
+    left, so the stretch is kept and linked from the coin's tails option;
+    and a run after that follows the link with too few steps left and is
+    censored inside it.  Every result is the stepping reference's."""
+    sigma0, cap, seed, stretch = {X: 0, Y: 2}, 7, 9, 4
+    history = SeededPolicy(3, (1, 2), history_dependent=True)
+    for policy in (FirstEnabledPolicy((1,)), SeededPolicy(3, (1, 2)), history):
+        meetings = _Meetings(policy, cap)
+        expected = reference.monte_carlo(fig1, meetings, sigma0, 40, cap, seed)
+        assert monte_carlo(fig1, policy, sigma0, 40, cap, seed) == expected
+        if policy is history:  # every path is its own node: nothing is kept
+            continue
+        starts = [c for c in meetings.budgets if c.location.name == "l1" and c.state_dict[X] == 0]
+        budgets = meetings.budgets[next(c for c in starts if c.state_dict[Y] == 2)]
+        kept = next(i for i, left in enumerate(budgets) if left > stretch)
+        assert budgets[0] < stretch and 0 < kept
+        assert any(left <= stretch for left in budgets[kept + 1:])
 
 
 def test_pairwise_embedding_matches_path_reference():
