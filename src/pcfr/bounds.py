@@ -15,8 +15,11 @@ is the linear part of the source invariant and the guard.  One compiler
 turns the conditions into LP rows for either kind of template
 (:meth:`_ConditionTable.rows`).  It composes each conclusion from the
 template values at the locations it reads, after their updates, as
-linear forms over the template unknowns.  An affine conclusion becomes
-the existence of Farkas multipliers over the premise rows
+linear forms over the template unknowns.  Composition, here and in the
+re-check, reads only the images an update assigns: a variable the
+update leaves alone keeps its coefficient, which is what its identity
+image would give.  An affine conclusion becomes the existence of
+Farkas multipliers over the premise rows
 (:func:`pcfr.linear.farkas_block`), and the exact rational simplex
 solves the resulting system.  That system has no refutation disjunct:
 it asks the multipliers to combine the premise into the conclusion even
@@ -422,10 +425,10 @@ def _condition_expr(
         const += factor * value.const
         for v, c in value.coeffs:
             c *= factor
-            if update is None:
+            image = update.assigned_image(v) if update is not None else None
+            if image is None:
                 coeffs[v] = coeffs.get(v, 0) + c
                 continue
-            image = update.image_of(v)
             if not image.is_linear():
                 raise UnsupportedProgram(f"nonlinear update image for '{v.name}'")
             lin, b = image.linear_form()
@@ -509,22 +512,24 @@ def _composed_template(
     """The template value over ``variables`` (none for a constant
     template) at a location, after the update: the coefficient of each
     variable and the constant, as linear forms over the template
-    unknowns.  Only the images of ``variables`` are read."""
-    var_forms = {v: {("a", location.name, v.name): Fraction(1)} for v in variables}
+    unknowns.  A variable the update leaves alone passes its coefficient
+    through; only the images the update assigns are read."""
+    var_forms: dict[Variable, dict] = {}
     const_form = {("c", location.name): Fraction(1)}
-    if update is None:
-        return var_forms, const_form
-    out_vars: dict[Variable, dict] = {}
-    for v, form in var_forms.items():
-        image = update.image_of(v)
+    for v in variables:
+        key = ("a", location.name, v.name)
+        image = update.assigned_image(v) if update is not None else None
+        if image is None:
+            var_forms.setdefault(v, {})[key] = Fraction(1)
+            continue
         if not image.is_linear():
             raise UnsupportedProgram(f"nonlinear update image for '{v.name}'")
         lin, b = image.linear_form()
         if b:
-            _form_add(const_form, form, Fraction(b))
+            const_form[key] = Fraction(b)
         for w, a in lin.items():
-            _form_add(out_vars.setdefault(w, {}), form, Fraction(a))
-    return out_vars, const_form
+            var_forms.setdefault(w, {})[key] = Fraction(a)
+    return var_forms, const_form
 
 
 def _synthesize(

@@ -26,8 +26,8 @@ returns the candidate atoms ``psi`` that ``source and guard`` prove
 after the update, ``source and guard |= psi∘update``.  Inference asks
 it with a source invariant and the universe atoms still held at the
 target; :func:`pcfr.abstraction.label` asks it with a source label and
-the target's abstraction layer.  Two shortcuts skip work whose answer
-is already known; each returns exactly what the full computation
+the target's abstraction layer.  The shortcuts below skip work whose
+answer is already known; each returns exactly what the full computation
 returns, so invariants, labels and atom universes are unchanged.
 
 *Frame queries.*  When the update assigns none of ``psi``'s variables,
@@ -44,16 +44,27 @@ and is dropped from the premise, so it needs no separate case.  Every
 other query still goes to ``entails``, with the premise built once per
 call and only when some atom needs it.
 
-*Identity post-images.*  Under the identity update the post-state is the
-pre-state, so the projection in :func:`post_image_atoms` eliminates each
-old variable through its equality ``v__post = v`` and returns the atom
-with every variable primed, which renames back to the atom.  It is
-returned as it is for a linear, non-constant atom over program
-variables.  A constant atom is not: the projection drops a trivially
-true one and turns a false equality into ``1 <= 0``.  Neither is an
-atom over a temporary, whose rows the projection drops.  Only the
-identity update qualifies: an update that assigns some other variable
-adds that variable's equality to the post-state, so ``0 <= b`` under
+*Frame variables in post-images.*  :func:`post_image_atoms` writes the
+equality ``v__post = image(v)`` only for the variables the atom or the
+update touch: the atom's variables, the assigned ones and those their
+images read.  Any other program variable ``w`` would add just the row
+``w__post = w``, the only row that mentions ``w``, so the projection
+eliminates ``w`` through that row and drops the row with it, leaving
+every other row as it was; ``w__post`` is then unconstrained, as it is
+when the row is never written.  The columns of ``w`` and ``w__post``
+are zero in every other row, so neither the canonical order of those
+rows nor the elimination of the other variables sees them, and the
+image is the same list of atoms.  Every assigned image is still checked
+for nonlinearity.  Under the identity update only the atom's variables
+get an equality, ``v__post = v``, so the projection eliminates each old
+variable through it and returns the atom with every variable primed,
+which renames back to the atom.  That atom is returned as it is, with
+no projection, for a linear, non-constant atom over program variables.
+A constant atom is not: the projection drops a trivially true one and
+turns a false equality into ``1 <= 0``.  Neither is an atom over a
+temporary, whose rows the projection drops.  Only the identity update
+qualifies: an update that assigns some other variable adds that
+variable's equality to the post-state, so ``0 <= b`` under
 ``a := b + 1`` gives ``a = b + 1`` and ``0 <= b``.
 """
 
@@ -83,9 +94,10 @@ def post_image_atoms(atom_in: Atom, update: Update, program_vars) -> list[Atom]:
 
     Encodes ``atom(old) and new_v = eta_v(old)`` and projects onto the
     new variables.  Temporaries in update images are projected away.
-    Returns [] when anything goes nonlinear.  Under the identity update a
-    linear, non-constant atom over program variables is its own image
-    (see the module docstring).
+    Returns [] when anything goes nonlinear.  Only the variables the
+    atom or the update touch get an equality, and under the identity
+    update a linear, non-constant atom over program variables is its own
+    image (see the module docstring).
     """
     if not atom_in.is_linear():
         return []
@@ -93,17 +105,20 @@ def post_image_atoms(atom_in: Atom, update: Update, program_vars) -> list[Atom]:
         variables = atom_in.variables()
         if variables and variables <= set(program_vars):
             return [atom_in]
-    primed = {v: Variable(f"{v.name}__post", v.kind) for v in program_vars}
+    assigned = update.assigned()
+    if not all(update.image_of(v).is_linear() for v in assigned):
+        return []
+    touched = atom_in.variables() | assigned | update.variables_used()
+    primed = {
+        v: Variable(f"{v.name}__post", v.kind) for v in program_vars if v in touched
+    }
     atoms = [atom_in]
-    for v in program_vars:
-        image = update.image_of(v)
-        if not image.is_linear():
-            return []
-        atoms.append(Atom(Polynomial.var(primed[v]), "=", image))
+    for v, post in primed.items():
+        atoms.append(Atom(Polynomial.var(post), "=", update.image_of(v)))
     shadow = project(Constraint(atoms), primed.values())
     if shadow is None:
         return []
-    back = {primed[v]: Polynomial.var(v) for v in program_vars}
+    back = {post: Polynomial.var(v) for v, post in primed.items()}
     return [a.substitute(back) for a in shadow]
 
 

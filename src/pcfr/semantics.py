@@ -361,7 +361,7 @@ def successors(
     extended = {**config.state_dict, **dict(temps)}
     out = []
     for t in gt.members:
-        new_state = t.update.apply_to_state(extended, p.program_vars)
+        new_state = t.update.apply_to_state(extended)
         out.append((t.name, Configuration.make(t.target, new_state), t.prob))
     return out
 

@@ -470,6 +470,10 @@ class Update:
         p = self._images_map.get(v)
         return p if p is not None else Polynomial.var(v)
 
+    def assigned_image(self, v: Variable) -> Polynomial | None:
+        """The image of ``v`` if the update assigns it, else None."""
+        return self._images_map.get(v)
+
     def variables_used(self) -> frozenset[Variable]:
         return frozenset(v for _, p in self._images for v in p.variables())
 
@@ -479,13 +483,13 @@ class Update:
     def apply_to_atom(self, a: Atom) -> Atom:
         return a.substitute(dict(self._images))
 
-    def apply_to_state(
-        self, state: Mapping[Variable, int], program_vars: Iterable[Variable]
-    ) -> dict[Variable, int]:
-        """Next-state values: updated program variables, temporaries as-is."""
+    def apply_to_state(self, state: Mapping[Variable, int]) -> dict[Variable, int]:
+        """Next-state values: each assigned variable takes its image over
+        ``state``; every other variable, temporaries included, keeps its
+        value."""
         out = dict(state)
-        for v in program_vars:
-            out[v] = self.image_of(v).evaluate(state)
+        for v, p in self._images:
+            out[v] = p.evaluate(state)
         return out
 
     def __eq__(self, other: object) -> bool:

@@ -6,7 +6,7 @@ from pcfr import invariants
 from pcfr.invariants import atom_universe, infer, post_image_atoms
 from pcfr.linear import entails
 from pcfr.semantics import SeededPolicy, enumerate_paths
-from pcfr.syntax import Atom, Polynomial, Update, pv, tmp
+from pcfr.syntax import Atom, Constraint, Polynomial, Update, pv, tmp
 
 X, Y = pv("x"), pv("y")
 PX, PY = Polynomial.var(X), Polynomial.var(Y)
@@ -180,7 +180,6 @@ def _program(edges):
     from fractions import Fraction
 
     from pcfr.model import PIP, GeneralTransition, Location, Transition
-    from pcfr.syntax import Constraint
 
     names = sorted({e[0] for e in edges} | {e[3] for e in edges})
     locs = {n: Location(n) for n in names}
@@ -198,8 +197,6 @@ def test_frame_atom_dropped_under_nonlinear_guard_as_reference():
     # x >= 1 holds at l1 and y := y + 1 leaves it alone, but the guard
     # y*y >= 1 into l2 is nonlinear, so entails proves nothing there; the
     # guard out of l2 reads x, so x >= 1 is live at l1 and l2
-    from pcfr.syntax import Constraint
-
     x_pos = Atom(PX, ">=", 1)
     square = Atom(PY * PY, ">=", 1)
     p, locs = _program(
@@ -276,6 +273,39 @@ def test_frame_update_still_projects_as_reference():
     got = post_image_atoms(atom, update, (a, b))
     assert got == _reference_invariants.post_image_atoms(atom, update, (a, b))
     assert set(got) == {Atom(pa, "=", pb + 1), atom}
+    # only the atom's variables, the assigned ones and those their images
+    # read get an equality; d and e are left alone and read by no image
+    c, d, e = pv("c"), pv("d"), pv("e")
+    pc, pd, pe = Polynomial.var(c), Polynomial.var(d), Polynomial.var(e)
+    program_vars = (a, b, c, d, e)
+    # a := c, b := c read the unassigned c, whose equality keeps a = b
+    # in the image of an atom over d
+    atom = Atom(pd, ">=", 0)
+    update = Update({a: pc, b: pc})
+    got = post_image_atoms(atom, update, program_vars)
+    assert got == _reference_invariants.post_image_atoms(atom, update, program_vars)
+    assert set(got) == {Atom(pa, "=", pc), Atom(pb, "=", pc), atom}
+    assert entails(Constraint(got), Atom(pa, "=", pb))
+    # an assigned image that reads the atom's own variable
+    atom = Atom(pc + pd, "<=", 4)
+    update = Update({a: 2 * pc - pe, c: pc + 1})
+    got = post_image_atoms(atom, update, program_vars)
+    assert got == _reference_invariants.post_image_atoms(atom, update, program_vars)
+    assert set(got) == {Atom(pa, "=", 2 * pc - pe - 2), Atom(pc + pd, "<=", 5)}
+    # a nonlinear image of a variable the atom does not read still gives []
+    atom = Atom(pd, ">=", 0)
+    update = Update({a: pc * pc, b: pb + 1})
+    assert post_image_atoms(atom, update, program_vars) == []
+    assert _reference_invariants.post_image_atoms(atom, update, program_vars) == []
+    # every guard atom of the refined chain and of random programs, as lists
+    rng = random.Random(5)
+    programs = [_corpus.refined_chain(2)] + [_corpus.random_pip(rng) for _ in range(40)]
+    for p in programs:
+        for t in p.transitions:
+            for atom in t.guard.atoms:
+                assert post_image_atoms(
+                    atom, t.update, p.program_vars
+                ) == _reference_invariants.post_image_atoms(atom, t.update, p.program_vars)
 
 
 # ---------------------------------------------------------------------------

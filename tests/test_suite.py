@@ -20,6 +20,7 @@ RUNTIME = {
     "nested_loops": lambda x, y: Fraction(1 + 2 * x + x * (x + 1) // 2),
     "biased_walk": lambda x, y: Fraction(1 + 3 * x),
     "coin_or_step": lambda x, y: Fraction(1 + 2 * x),
+    "geometric_loop": lambda x, y: Fraction(3 if x > 0 else 1),
     "symmetric_walk": None,
 }
 FINITE = [name for name, runtime in RUNTIME.items() if runtime is not None]
@@ -94,6 +95,20 @@ def test_suite_bound_is_the_closed_form(name):
     assert report.ok, report.failures
     for x in (0, 1, 7, 30):
         assert report.bound.evaluate_total(_start(p, x, 0)) == RUNTIME[name](x, 0)
+
+
+def test_geometric_loop_bound_is_exact_up_to_one():
+    """``bound_program`` finds ``1 + 2*x``, the closed form for x <= 1 and
+    above it from x = 2 on, where no affine certificate is tighter."""
+    p = _corpus.load("suite/geometric_loop.pip")
+    report = bound_program(p)
+    assert report.ok, report.failures
+    assert report.bound.render_total() == "1 + 2*x"
+    for x in (0, 1, 2, 7, 30):
+        bound = report.bound.evaluate_total(_start(p, x, 0))
+        exact = RUNTIME["geometric_loop"](x, 0)
+        assert bound >= exact
+        assert (bound == exact) == (x <= 1), x
 
 
 def test_symmetric_walk_has_no_finite_bound_and_unbounded_values():

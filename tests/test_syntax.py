@@ -166,8 +166,15 @@ def test_update_rejects_temporary_assignment():
 
 def test_update_apply_to_state_keeps_temporaries():
     up = Update({X: PU, Y: PY + 1})
-    out = up.apply_to_state({X: 9, Y: 1, U: 5}, [X, Y])
+    out = up.apply_to_state({X: 9, Y: 1, U: 5})
     assert out == {X: 5, Y: 2, U: 5}
+    # an unassigned program variable keeps its value, and the images are
+    # evaluated simultaneously over the old state
+    z = pv("z")
+    swap = Update({X: PY, Y: PX + Polynomial.var(z)})
+    state = {X: 9, Y: 1, z: 4, U: 5}
+    assert swap.apply_to_state(state) == {X: 1, Y: 13, z: 4, U: 5}
+    assert state == {X: 9, Y: 1, z: 4, U: 5}
 
 
 def test_constraint_drops_trivially_true_atoms():
