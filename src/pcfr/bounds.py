@@ -166,9 +166,6 @@ class AffineExpr:
             coeffs[v] = coeffs.get(v, Fraction(0)) + c
         return AffineExpr.make(coeffs, self.const + other.const)
 
-    def __sub__(self, other: "AffineExpr") -> "AffineExpr":
-        return self + other.scale(Fraction(-1))
-
     def scaled_integer_poly(self) -> Polynomial:
         """The expression times the LCD of its coefficients, as an integer
         polynomial (same sign everywhere)."""
@@ -179,9 +176,6 @@ class AffineExpr:
         for v, c in self.coeffs:
             poly = poly + int(c * lcd) * Polynomial.var(v)
         return poly
-
-    def is_zero(self) -> bool:
-        return not self.coeffs and self.const == 0
 
     def render(self) -> str:
         parts: list[str] = []
@@ -532,26 +526,30 @@ def _composed_template(
     return var_forms, const_form
 
 
+def _target_names(p: PIP, targets: Iterable[GeneralTransition | str]) -> tuple[str, ...]:
+    """The targets' names; a KeyError for one that names no general
+    transition of ``p``."""
+    names = tuple(item if isinstance(item, str) else item.name for item in targets)
+    for name in names:
+        p.gt(name)
+    return names
+
+
 def _synthesize(
     p: PIP,
     table: _ConditionTable,
-    targets: Iterable[GeneralTransition | str],
+    target_names: Sequence[str],
     linear: bool,
     skip_temp_nonincrease: bool = False,
 ) -> PLRF | None:
-    target_names = set()
-    for item in targets:
-        name = item if isinstance(item, str) else item.name
-        p.gt(name)  # raises KeyError on unknown targets
-        target_names.add(name)
-
+    targets = frozenset(target_names)
     variables = p.program_vars if linear else ()
     constraints: list[ratlp.LinearConstraint] = []
     template_keys: list = [("c", loc.name) for loc in p.locations]
     template_keys.extend(("a", loc.name, v.name) for loc in p.locations for v in variables)
     skipped: set[str] = set()
     for g in p.gts:
-        is_target = g.name in target_names
+        is_target = g.name in targets
         if not is_target and skip_temp_nonincrease and _update_temporaries(p, g):
             # The non-increase fact cannot be required without also
             # forbidding any dependence of the ranking value on the
@@ -579,7 +577,7 @@ def _synthesize(
         for loc in p.locations
     }
 
-    plrf = PLRF(values, frozenset(target_names), "linear" if linear else "constant")
+    plrf = PLRF(values, targets, "linear" if linear else "constant")
     failures, taints = verify_plrf(p, table.inv, plrf)
     if failures:
         raise AssertionError(
@@ -620,8 +618,9 @@ def find_constant_plrf(
     p: PIP, inv: InvariantMap, targets: Iterable[GeneralTransition | str]
 ) -> PLRF | None:
     """Location constants with expected decrease on the targets, or None."""
+    target_names = _target_names(p, targets)
     with _condition_table(p, inv) as table:
-        return _synthesize(p, table, targets, linear=False)
+        return _synthesize(p, table, target_names, linear=False)
 
 
 def find_linear_plrf(
@@ -636,7 +635,7 @@ def find_linear_plrf(
     certificate.  Raises UnsupportedProgram on nonlinear guards or
     updates.
     """
-    targets = [item if isinstance(item, str) else item.name for item in targets]
+    targets = _target_names(p, targets)
     with _condition_table(p, inv) as table:
         plrf = _synthesize(p, table, targets, linear=True)
         if plrf is not None or not any(
@@ -690,11 +689,7 @@ def compose_bound(
     """
     entries: list[BoundEntry] = []
     for index, (targets, plrf) in enumerate(cover):
-        names = tuple(
-            item if isinstance(item, str) else item.name for item in targets
-        )
-        for name in names:
-            p.gt(name)
+        names = _target_names(p, targets)
         if set(names) != set(plrf.targets):
             raise CoverError(
                 f"entry {index}: targets {sorted(names)} do not match the "

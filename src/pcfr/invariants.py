@@ -85,9 +85,6 @@ class InvariantMap:
     def of(self, location: Location) -> Constraint:
         return self.inv.get(location, TRUE)
 
-    def __getitem__(self, location: Location) -> Constraint:
-        return self.of(location)
-
 
 def post_image_atoms(atom_in: Atom, update: Update, program_vars) -> list[Atom]:
     """Strongest linear post-state of one atom under an update.
@@ -116,30 +113,22 @@ def post_image_atoms(atom_in: Atom, update: Update, program_vars) -> list[Atom]:
     for v, post in primed.items():
         atoms.append(Atom(Polynomial.var(post), "=", update.image_of(v)))
     shadow = project(Constraint(atoms), primed.values())
-    if shadow is None:
-        return []
     back = {post: Polynomial.var(v) for v, post in primed.items()}
     return [a.substitute(back) for a in shadow]
 
 
 def atom_universe(p: PIP) -> frozenset[Atom]:
-    """Guard atoms over program variables plus their one-step post-images."""
+    """Guard atoms over program variables plus their one-step post-images.
+
+    An image is the guard atom itself, a projected row over program
+    variables or ``1 <= 0``, so none is trivially true and all are kept."""
     pv_set = set(p.program_vars)
-    seeds: set[Atom] = set()
+    universe: set[Atom] = set()
     for t in p.transitions:
         for a in t.guard.atoms:
             if a.is_linear() and a.variables() <= pv_set:
-                seeds.add(a)
-    universe = set(seeds)
-    for t in p.transitions:
-        for a in t.guard.atoms:
-            if not (a.is_linear() and a.variables() <= pv_set):
-                continue
-            for image in post_image_atoms(a, t.update, p.program_vars):
-                if image.is_trivially_true():
-                    continue
-                if image.variables() <= pv_set:
-                    universe.add(image)
+                universe.add(a)
+                universe.update(post_image_atoms(a, t.update, p.program_vars))
     return frozenset(universe)
 
 

@@ -182,7 +182,6 @@ def validate(p: PIP) -> list[str]:
     for v in pv_set:
         if not v.is_program:
             issues.append(f"program variable '{v.name}' declared with kind temporary")
-    seen_members: set[str] = set()
     for g in p.gts:
         total = g.total_probability()
         if total != 1:
@@ -194,9 +193,6 @@ def validate(p: PIP) -> list[str]:
         if len(guards) != 1:
             issues.append(f"gt {{{_member_names(g)}}} members have differing guards")
         for t in g.members:
-            if t.name in seen_members:
-                issues.append(f"transition '{t.name}' appears in more than one gt")
-            seen_members.add(t.name)
             if t.prob <= 0 or t.prob > 1:
                 issues.append(f"transition '{t.name}' has probability {t.prob}")
             if t.target == p.initial:

@@ -244,14 +244,10 @@ def scheduler_candidates(
     state = config.state_dict
     out = []
     for g in outgoing(p, config.location):
-        if temps:
-            for values in product(temp_values, repeat=len(temps)):
-                chosen = dict(zip(temps, values))
-                if g.guard.satisfied_by({**state, **chosen}):
-                    out.append((g, chosen))
-        else:
-            if g.guard.satisfied_by(state):
-                out.append((g, {}))
+        for values in product(temp_values, repeat=len(temps)):
+            chosen = dict(zip(temps, values))
+            if g.guard.satisfied_by({**state, **chosen}):
+                out.append((g, chosen))
     return out
 
 

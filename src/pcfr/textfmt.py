@@ -255,6 +255,20 @@ class _Parser:
 
     # program items --------------------------------------------------------
 
+    def head(self) -> tuple[str, Location, Constraint]:
+        """``IDENT "{" "from" location ";" ("guard" constraint ";")?``, the
+        head that ``trans`` and ``gt`` share."""
+        name = self.expect_ident()
+        self.expect("{")
+        self.expect("from")
+        source = self.location_token()
+        self.expect(";")
+        guard = TRUE
+        if self.accept("guard"):
+            guard = self.constraint(stop=";")
+            self.expect(";")
+        return name, source, guard
+
     def parse_program(self) -> PIP:
         initial_name: str | None = None
         gts: list[GeneralTransition] = []
@@ -279,15 +293,7 @@ class _Parser:
                 self.expect(";")
             elif tok.text == "trans":
                 self.next()
-                name = self.expect_ident()
-                self.expect("{")
-                self.expect("from")
-                source = self.location_token()
-                self.expect(";")
-                guard = TRUE
-                if self.accept("guard"):
-                    guard = self.constraint(stop=";")
-                    self.expect(";")
+                name, source, guard = self.head()
                 update = Update()
                 if self.accept("update"):
                     update = self.updates()
@@ -300,15 +306,7 @@ class _Parser:
                 gts.append(GeneralTransition(name, (member,)))
             elif tok.text == "gt":
                 self.next()
-                gt_name = self.expect_ident()
-                self.expect("{")
-                self.expect("from")
-                source = self.location_token()
-                self.expect(";")
-                guard = TRUE
-                if self.accept("guard"):
-                    guard = self.constraint(stop=";")
-                    self.expect(";")
+                gt_name, source, guard = self.head()
                 members: list[Transition] = []
                 while self.peek().text == "branch":
                     self.next()

@@ -96,6 +96,60 @@ def test_labeled_location_tokens_are_canonical():
     assert a.locations[-1].display() == "l1[x=0]"
 
 
+HEADER = "vars x;\nstart l0;\n"
+
+
+def test_parse_grouping_true_guards_and_unnamed_branches():
+    """A parenthesised sum, a ``true`` guard, and unnamed branches, which
+    are numbered across the whole document: ``h``'s first is ``h_2``."""
+    p = parse_program(
+        HEADER
+        + "trans t { from l0; guard true; update x := (x + 1) * 2; to l1; }\n"
+        + "gt g { from l1; branch p=1/2 {} -> l2; branch p=1/2 { x := 0 } -> l2; }\n"
+        + "gt h { from l2; guard x > 0; branch p=1/3 {} -> l3; branch k p=2/3 {} -> l3; }\n"
+    )
+    assert [t.name for t in p.transitions] == ["t", "g_0", "g_1", "h_2", "k"]
+    assert [g.name for g in p.gts] == ["t", "g", "h"]
+    t = p.transition("t")
+    assert t.guard.is_true()
+    assert t.update.image_of(X) == 2 * Polynomial.var(X) + 2
+
+
+def _parse_constraint(text):
+    return parse_constraint(text, parse_program(HEADER))
+
+
+PARSE_ERRORS = [
+    pytest.param(parse_program, HEADER + "trans t { from l0; guard x > 0 $ ; to l1; }\n",
+                 "3:32: unexpected character '$'", id="character"),
+    pytest.param(parse_program, HEADER + "trans t { from l0; guard x + 1; to l1; }\n",
+                 "3:31: expected a relation, found ';'", id="relation"),
+    pytest.param(parse_program, HEADER + "trans t { from l0; guard x ^ y > 0; to l1; }\n",
+                 "3:30: exponent must be an integer literal", id="exponent"),
+    pytest.param(parse_program, HEADER + "gt g { from l0; branch a p=x {} -> l1; }\n",
+                 "3:28: expected a probability", id="probability"),
+    pytest.param(parse_program, HEADER + "gt g { from l0; branch a p=1/y {} -> l1; }\n",
+                 "3:30: expected a denominator", id="denominator"),
+    pytest.param(parse_program, HEADER + "gt g { from l0; }\n",
+                 "4:1: gt 'g' has no branches", id="no-branches"),
+    pytest.param(parse_program, "vars x;\ntrans t { from l0; to l1; }\n",
+                 "3:1: program has no 'start' declaration", id="no-start"),
+    pytest.param(parse_program, HEADER + "branch b;\n",
+                 "3:1: expected 'vars', 'start', 'gt' or 'trans', found 'branch'", id="item"),
+    pytest.param(_parse_constraint, "x > 0 y",
+                 "1:7: trailing input after constraint", id="trailing"),
+]
+
+
+@pytest.mark.parametrize("parse,text,message", PARSE_ERRORS)
+def test_parse_error_names_line_and_column(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+    line, column = message.split(":")[:2]
+    assert (err.value.line, err.value.column) == (int(line), int(column))
+
+
 @pytest.mark.parametrize("module", ["pcfr.textfmt", "pcfr.semantics"])
 def test_text_format_loads_no_analysis(module):
     """Parsing and printing, and the executable semantics, need the
@@ -306,6 +360,67 @@ def test_cli_check_embedding_history_policy_exits_2(capsys):
     assert err == "pcfr: check-embedding needs a history-independent policy (first or seeded:N)\n"
 
 
+# Pruning the refinement on {a} removes t1, and with it the temporary u, so
+# no policy of the refinement can mirror the seeded one, which chooses u.
+UNMIRRORED = """\
+vars x, y;
+start l0;
+trans t0 { from l0; update x := 0; to l1; }
+trans t1 { from l1; guard x > 0 && u > 0; update y := u; to l2; }
+trans a { from l1; guard x <= 0; update y := y + 1; to l2; }
+trans b { from l1; guard x <= 0; update y := y + 2; to l2; }
+"""
+
+
+def test_cli_check_embedding_failure_exits_1(capsys, tmp_path):
+    program = tmp_path / "unmirrored.pip"
+    program.write_text(UNMIRRORED)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"S": ["a"]}))
+    argv = (
+        "check-embedding", str(program), "--config", str(config), "--state", "x=0, y=0",
+        "--horizon", "3", "--temp-values", "1,2", "--policy", "seeded:0",
+    )
+    code, out, err = _run(capsys, *argv)
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[0] == "embedding FAILED: embedded path is not admissible in the refinement"
+    assert lines[1].startswith("counterexample: (l0, {x=0, y=0}) --t0--> ")
+    assert len(lines) == 2
+    code, out, _ = _run(capsys, *argv, "--format", "json")
+    assert code == 1
+    report = json.loads(out)
+    jsonschema.validate(report, SCHEMA)
+    result = report["result"]
+    assert result["ok"] is False
+    assert result["failure"] == "embedded path is not admissible in the refinement"
+    assert lines[1] == f"counterexample: {result['witness']}"
+
+
+def test_cli_policy_objects_match_policy_strings(capsys, tmp_path):
+    """The object forms of config ``policy`` print what the string forms
+    print, on a program where the first-enabled, seeded and seeded
+    history-dependent policies each print something else."""
+    run = (
+        "enumerate", str(ROOT / "programs" / "suite" / "coin_or_step.pip"),
+        "--state", "x=3", "--horizon", "8",
+    )
+    printed = {}
+    for spec, text in [
+        ({"kind": "first"}, "first"),
+        ({"kind": "seeded", "seed": 3}, "seeded:3"),
+        ({"kind": "seeded", "seed": 3, "history": True}, "seeded-history:3"),
+    ]:
+        config = tmp_path / "policy.json"
+        config.write_text(json.dumps({"policy": spec}))
+        code, from_object, _ = _run(capsys, *run, "--config", str(config))
+        assert code == 0
+        code, printed[text], _ = _run(capsys, *run, "--policy", text)
+        assert code == 0
+        assert from_object == printed[text], spec
+    assert len(set(printed.values())) == 3
+
+
 def _usage_error(capsys, *argv):
     code, out, err = _run(capsys, *argv)
     assert code == 2
@@ -384,6 +499,10 @@ BAD_SETTINGS = [
     pytest.param(("enumerate", *FIG1_RUN), {"policy": 3}, None, id="policy"),
     pytest.param(("enumerate", *FIG1_RUN), {"policy": {"kind": "seeded", "history": "false"}},
                  None, id="policy-history"),
+    pytest.param(("enumerate", *FIG1_RUN), {"policy": {"kind": "seeded", "history": 1}},
+                 None, id="policy-history-int"),
+    pytest.param(("enumerate", *FIG1_RUN), {"policy": {"kind": "greedy"}}, None,
+                 id="policy-kind"),
     pytest.param(("refine", "programs/fig1.pip"), {**FIG1_S, "split_equalities": "no"}, None,
                  id="split-equalities"),
     pytest.param(("refine", "programs/fig1.pip"), {**FIG1_S, "alpha": {"l1": ["x = = 0"]}},

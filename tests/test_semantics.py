@@ -133,6 +133,15 @@ def test_candidates_enumerate_temporaries(fig1):
     assert [(g.name, tv[U]) for g, tv in cands] == [("t0", 1), ("t0", 2)]
 
 
+def test_candidates_without_temporaries_choose_nothing():
+    p = _corpus.load("suite/biased_walk.pip")
+    config = Configuration.make(p.location("l1"), {p.program_vars[0]: 2})
+    cands = scheduler_candidates(p, config, (0, 1))
+    assert [(g.name, tv) for g, tv in cands] == [("step", {})]
+    config = Configuration.make(p.location("l1"), {p.program_vars[0]: 0})
+    assert scheduler_candidates(p, config, (0, 1)) == []
+
+
 # --- scheduler clause validation ----------------------------------------------
 
 
@@ -390,6 +399,13 @@ def test_monte_carlo_deterministic_straight_line():
     result = monte_carlo(p, FirstEnabledPolicy((0,)), {X: 0}, 50, 100, 3)
     assert result.mean == 4.0
     assert result.stderr == 0.0
+
+
+def test_monte_carlo_one_sample_has_zero_stderr(fig1):
+    """One run leaves no spread to estimate: the stderr is reported as 0."""
+    result = monte_carlo(fig1, FirstEnabledPolicy((1,)), {X: 0, Y: 2}, 1, 1000, 7)
+    assert (result.samples, result.stderr, result.censored) == (1, 0.0, 0)
+    assert result.mean == int(result.mean) >= 3
 
 
 def _chain(k):
@@ -897,7 +913,8 @@ def test_mdp_matches_reference_on_every_node_shape(fig1):
     for path in sorted((_corpus.PROGRAMS / "suite").glob("*.pip")):
         q = parse_program(path.read_text())
         for x, y in ((0, 0), (3, 2), (7, 1)):
-            cases.append((q, {v: {"x": x, "y": y}[v.name] for v in q.program_vars}, (1,)))
+            start = {"x": x, "y": y, "c": x}  # the coupon collectors' c starts at x
+            cases.append((q, {v: start[v.name] for v in q.program_vars}, (1,)))
     shapes = Counter()
     for q, sigma0, temp_values in cases:
         for horizon in (9, 40):

@@ -21,6 +21,8 @@ RUNTIME = {
     "biased_walk": lambda x, y: Fraction(1 + 3 * x),
     "coin_or_step": lambda x, y: Fraction(1 + 2 * x),
     "geometric_loop": lambda x, y: Fraction(3 if x > 0 else 1),
+    "coupon_collector_2": lambda x, y: Fraction(3),
+    "coupon_collector_3": lambda x, y: Fraction(11, 2),
     "symmetric_walk": None,
 }
 FINITE = [name for name, runtime in RUNTIME.items() if runtime is not None]
@@ -37,8 +39,9 @@ STATE_CAP = 1_000_000
 
 
 def _start(p, x, y):
-    """The start state (x, y), restricted to the program's variables."""
-    return {v: {"x": x, "y": y}[v.name] for v in p.program_vars}
+    """The start state (x, y), restricted to the program's variables; the
+    coupon collectors' c starts at x."""
+    return {v: {"x": x, "y": y, "c": x}[v.name] for v in p.program_vars}
 
 
 @pytest.mark.parametrize("name", RUNTIME)
@@ -109,6 +112,23 @@ def test_geometric_loop_bound_is_exact_up_to_one():
         exact = RUNTIME["geometric_loop"](x, 0)
         assert bound >= exact
         assert (bound == exact) == (x <= 1), x
+
+
+@pytest.mark.parametrize(
+    "name,total,ranking",
+    [("coupon_collector_2", "3", "4 - 2*c"), ("coupon_collector_3", "7", "9 - 3*c")],
+)
+def test_coupon_collector_bounds(name, total, ranking):
+    """``bound_program`` finds 3 for two coupons, which is exact, and 7 for
+    three, above 11/2, through one affine value at l1 (its header argues
+    why no affine certificate does better)."""
+    p = _corpus.load(f"suite/{name}.pip")
+    report = bound_program(p)
+    assert report.ok, report.failures
+    assert report.bound.render_total() == total
+    (loop,) = [e for e in report.bound.entries if e.targets != ("t0",)]
+    assert loop.plrf.of(p.location("l1")).render() == ranking
+    assert report.bound.evaluate_total(_start(p, 0, 0)) >= RUNTIME[name](0, 0)
 
 
 def test_symmetric_walk_has_no_finite_bound_and_unbounded_values():
