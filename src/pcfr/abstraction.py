@@ -35,11 +35,7 @@ class AbstractionLayer:
 
 def _program_atoms(guard: Constraint, p: PIP) -> set[Atom]:
     pv_set = set(p.program_vars)
-    return {
-        a
-        for a in guard.atoms
-        if a.variables() <= pv_set and not a.is_trivially_true()
-    }
+    return {a for a in guard.atoms if a.variables() <= pv_set}
 
 
 def heuristic_layers(

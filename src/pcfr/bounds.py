@@ -157,9 +157,6 @@ class AffineExpr:
             (c * state[v] for v, c in self.coeffs), Fraction(0)
         )
 
-    def scale(self, factor: Fraction) -> "AffineExpr":
-        return AffineExpr.make({v: c * factor for v, c in self.coeffs}, self.const * factor)
-
     def __add__(self, other: "AffineExpr") -> "AffineExpr":
         coeffs = dict(self.coeffs)
         for v, c in other.coeffs:

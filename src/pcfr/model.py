@@ -125,13 +125,16 @@ class PIP:
                 ins.setdefault(t.target, []).append(t)
         self._outgoing = {loc: tuple(gs) for loc, gs in outs.items()}
         self._incoming = {loc: tuple(ts) for loc, ts in ins.items()}
-        names = [t.name for t in self.transitions]
-        if len(set(names)) != len(names):
-            raise ValueError("transition names must be unique")
-        if len(self._gt_by_name) != len(self.gts):
-            raise ValueError("general transition names must be unique")
-        if len(self._loc_by_name) != len(self.locations):
-            raise ValueError("location names must be unique")
+        for kind, items in (
+            ("transition", self.transitions),
+            ("general transition", self.gts),
+            ("location", self.locations),
+        ):
+            seen: set[str] = set()
+            for item in items:
+                if item.name in seen:
+                    raise ValueError(f"duplicate {kind} name '{item.name}'")
+                seen.add(item.name)
 
     # -- lookups ---------------------------------------------------------
 

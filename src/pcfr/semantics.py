@@ -19,24 +19,28 @@ itself under a history-dependent one, whose moves are resolved on every
 call and never kept.  Paths are built only where a path is the answer:
 :func:`enumerate_paths`, the witness of a failed embedding, and the
 nodes of a history-dependent policy.  Otherwise every reported quantity
-is linear in the path probabilities, so :func:`sweep` runs forward over
-a map from node to (path count, mass, per-transition counts) instead of
-over the path tree.  Masses are integer numerators over the common
-denominator ``L**k`` after ``k`` steps, where ``L`` is the least common
-multiple of the program's probability denominators, and the MDP iterates
-integer numerators over ``L**(h - i)``, backwards over two lists indexed
-by node number that swap at each level; a ``Fraction`` is built only for
-an answer, so every rational is the one the path sums give.
+is linear in the path probabilities, so one forward level pass,
+:func:`_levels`, runs over a map from node to (path count, mass) instead
+of over the path tree, and sums per level the mass fired per general
+transition and the mass that stopped; :func:`sweep` and
+:func:`enumerate_paths` both run on it, and accumulate the expected
+runtime level by level (see :func:`sweep`).  Masses are integer
+numerators over the common denominator ``L**k`` after ``k`` steps, where
+``L`` is the least common multiple of the program's probability
+denominators, and the MDP iterates integer numerators over
+``L**(h - i)``, backwards over two lists indexed by node number that
+swap at each level; a ``Fraction`` is built only for an answer, so every
+rational is the one the path sums give.
 
 Each of the three hot loops reads a resolved node in the shape it
 consumes:
 
-- :func:`enumerate_paths` runs a forward pass over levels of nodes with
-  path counts, which resolves every node and applies the cap, then one
-  depth-first walk of the resolved moves that holds one path per depth,
-  with its integer mass and runtime count.  At each leaf the walk adds
-  the mass to the report's sums and builds the :class:`PathRecord`, with
-  its ``Fraction``, through the private constructor :func:`_record`.
+- :func:`enumerate_paths` takes its report from the level pass, which
+  resolves every node and applies the cap, then runs one depth-first
+  walk of the resolved moves that holds one path per depth, with its
+  integer mass, and only builds records: at each leaf the
+  :class:`PathRecord`, with its ``Fraction``, through the private
+  constructor :func:`_record`.
 - :func:`mdp_sup_truncated` gives a node with exactly one admissible
   choice the value ``reward + sum(w * v)`` without a max: every choice is
   worth at least the step reward, which is positive, so the max with the
@@ -474,6 +478,55 @@ def _initial_path(p: PIP, sigma0: Mapping[Variable, int]) -> PathRecord:
     return _record(Configuration.make(p.initial, sigma0), (), Fraction(1))
 
 
+def _levels(table: StepTable, root, horizon: int):
+    """The forward level pass under :func:`enumerate_paths` and
+    :func:`sweep`.  For k = 1..horizon it yields level k, a map from each
+    node that a path of length k ends at to ``[paths, mass]``, the number
+    of those paths and their mass as an integer over ``L**k``; the mass
+    fired into the level per general transition, a list in the order of
+    ``p.gts``; and the level's :class:`HorizonReport`, whose terminated
+    mass is the mass that stopped, that is took the bottom move into the
+    level, and whose expected runtime is accumulated as ``acc * L +
+    fired`` (see :func:`sweep`).  Nodes are resolved in the order in
+    which paths first reach them, and level k + 1 is built only when the
+    caller asks for it, so a caller that checks its cap after each level
+    resolves no node beyond a level it rejects."""
+    moves = table.moves
+    scale = table.scale
+    gt_index = {t.name: i for i, g in enumerate(table.p.gts) for t in g.members}
+    level = {root: [1, 1]}
+    expected = 0
+    for k in range(1, horizon + 1):
+        nxt: dict[object, list[int]] = {}
+        fired = [0] * len(table.p.gts)
+        stopped = 0
+        for node, (paths, mass) in level.items():
+            for (name, _), child, w, _ in moves(node):
+                weight = mass * w
+                entry = nxt.get(child)
+                if entry is None:
+                    nxt[child] = [paths, weight]
+                else:
+                    entry[0] += paths
+                    entry[1] += weight
+                if name is None:
+                    stopped += weight
+                else:
+                    fired[gt_index[name]] += weight
+        level = nxt
+        expected = expected * scale + sum(fired)
+        denominator = scale**k
+        yield level, fired, HorizonReport(
+            k,
+            Fraction(sum(mass for _, mass in level.values()), denominator),
+            Fraction(expected, denominator),
+            Fraction(stopped, denominator),
+        )
+
+
+_HORIZON_0 = HorizonReport(0, Fraction(1), Fraction(0), Fraction(0))
+
+
 def enumerate_paths(
     p: PIP,
     policy: Policy,
@@ -483,87 +536,64 @@ def enumerate_paths(
 ) -> EnumerationResult:
     """All admissible paths of length exactly ``horizon``, exact masses.
 
-    Two passes over the :class:`StepTable`.  The first runs forward over
-    levels of nodes with the number of paths ending at each, resolving
-    the nodes in the order in which paths first reach them, and
-    ``path_cap`` bounds the paths of each length.  The second is one
-    depth-first walk of the resolved moves, children pushed in reverse,
-    so the paths come out in the order of the breadth-first levels while
-    the walk holds one path per depth: a trail of the current path's
-    steps, and a stack of at most one entry per move at each depth.  A
-    node one step above the horizon ends its paths there: for each of
-    its moves the walk adds the leaf's integer mass over ``L**horizon``
-    to the total, expected and terminated sums of the report, and builds
-    the leaf's :class:`PathRecord`, with its ``Fraction``, through the
-    private constructor :func:`_record`.  Every leaf is already a path
-    at horizon 0, where it is the start, and under a history-dependent
-    policy, where it is a node of the last level; those leaves are summed
-    and built the same way."""
+    The level pass :func:`_levels` resolves every node and gives the
+    report; ``path_cap`` bounds the paths of each length, checked after
+    each level.  Then one depth-first walk of the resolved moves only
+    builds the records.  It pushes children in reverse, so the paths come
+    out in the order of the levels, while the walk holds one path per
+    depth: a trail of the current path's steps, and a stack of at most
+    one entry per move at each depth, with the entry's integer mass over
+    ``L**k``.  A node one step above the horizon ends its paths there:
+    each of its moves gives a leaf :class:`PathRecord`, with its
+    ``Fraction``, built through the private constructor :func:`_record`.
+    Every leaf is already a path at horizon 0, where it is the start, and
+    under a history-dependent policy, where it is a node of the last
+    level; those leaves take their masses from the last level."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     if path_cap < 0:
         raise ValueError("path_cap must be nonnegative")
     start = _initial_path(p, sigma0)
     table = StepTable(p, policy)
-    moves = table.moves
     root = table.root(start)
-    level = {root: 1}
-    for _ in range(horizon):
-        nxt: dict[object, int] = {}
-        for node, count in level.items():
-            for move in moves(node):
-                nxt[move[1]] = nxt.get(move[1], 0) + count
-        reached = sum(nxt.values())
+    level, report = {start: [1, 1]}, _HORIZON_0  # the one path of length 0
+    for level, _, report in _levels(table, root, horizon):
+        reached = sum(paths for paths, _ in level.values())
         if reached > path_cap:
             raise StateSpaceCapExceeded(reached, path_cap)
-        level = nxt
     scale = table.scale**horizon
     initial = start.initial
-    total = expected = terminated = 0  # integer masses over scale
     probabilities: dict[int, Fraction] = {}  # paths share the few distinct weights
     paths = []
     if not (horizon and isinstance(root, int)):
         # every leaf is a path already: the start at horizon 0, and under a
         # history-dependent policy each node of the last level
-        for f in level if horizon else (start,):
-            weight = f.probability.numerator * (scale // f.probability.denominator)
-            total += weight
-            expected += weight * f.runtime_count
-            if f.terminated:
-                terminated += weight
+        for f, (_, weight) in level.items():
             prob = probabilities.get(weight)
             if prob is None:
                 prob = probabilities[weight] = Fraction(weight, scale)
             paths.append(_record(initial, f.steps, prob))
     else:
+        moves = table.moves
         last = horizon - 1
         trail: list = [None] * horizon
-        stack = [(0, None, root, 1, 0)]  # (depth, step into the node, node, mass, runtime)
+        stack = [(0, None, root, 1)]  # (depth, step into the node, node, mass)
         while stack:
-            k, step, node, mass, runtime = stack.pop()
+            k, step, node, mass = stack.pop()
             if k:
                 trail[k - 1] = step
             if k < last:
                 k += 1
                 for step, child, w, _ in reversed(moves(node)):
-                    stack.append((k, step, child, mass * w, runtime + (step[0] is not None)))
+                    stack.append((k, step, child, mass * w))
                 continue
             for step, _, w, _ in moves(node):  # one step above the horizon: the leaves
                 trail[last] = step
                 weight = mass * w
-                total += weight
-                if step[0] is None:
-                    terminated += weight
-                    expected += weight * runtime
-                else:
-                    expected += weight * (runtime + 1)
                 prob = probabilities.get(weight)
                 if prob is None:
                     prob = probabilities[weight] = Fraction(weight, scale)
                 paths.append(_record(initial, tuple(trail), prob))
-    report = HorizonReport(
-        horizon, Fraction(total, scale), Fraction(expected, scale), Fraction(terminated, scale)
-    )
     return EnumerationResult(report, tuple(paths))
 
 
@@ -583,68 +613,46 @@ def sweep(
 ) -> tuple[list[HorizonReport], int, RuntimeEstimate]:
     """The horizon reports for 0..horizon, the number of admissible paths
     of length ``horizon`` and the truncated runtime estimate there, from
-    one forward sweep over the levels of the path tree.
-
-    A level maps a node of the :class:`StepTable` to the number of paths
-    ending there, their mass and their mass-weighted
-    per-general-transition counts, so paths with a common end
-    configuration are summed, not stored; under a history-dependent
+    the level pass :func:`_levels`, whose levels sum the paths with a
+    common end node instead of storing them; under a history-dependent
     policy every path is its own node.  ``path_cap`` bounds the nodes of
-    each level: configurations, or paths under a history-dependent
-    policy."""
+    each level, checked after each level: configurations, or paths under
+    a history-dependent policy.
+
+    The per-general-transition counts, like the pass's expected runtime,
+    are accumulated level by level from the fired masses, as ``acc * L +
+    fired``, and this is exact.  Every step distribution of a validated
+    program sums to 1: a general transition's branch probabilities do,
+    and the bottom move has probability 1.  So the paths of length k that
+    extend one path of length j carry that path's mass between them, its
+    integer over ``L**j`` times ``L**(k - j)`` over ``L**k``.  A path's
+    count of a general transition is the number of its steps that fire
+    it, so the mass-weighted count over the paths of length k is the sum,
+    over j <= k, of the mass fired into level j times ``L**(k - j)``,
+    which is what the accumulator holds after level k.  The expected
+    runtime counts every non-bottom step, so it is the sum of the
+    counts."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     if path_cap < 0:
         raise ValueError("path_cap must be nonnegative")
     start = _initial_path(p, sigma0)
     table = StepTable(p, policy)
-    moves = table.moves
-    scale = table.scale
-    gt_index = {t.name: i for i, g in enumerate(p.gts) for t in g.members}
-    # entry: [paths, mass, count of general transition 0, 1, ...], where
-    # the mass and the counts are numerators over scale ** k
-    zero = [0] * len(p.gts)
-    level: dict[object, list[int]] = {table.root(start): [1, 1, *zero]}
-    reports = [HorizonReport(0, Fraction(1), Fraction(0), Fraction(0))]
-    terminated = 0
-    for k in range(1, horizon + 1):
-        nxt: dict[object, list[int]] = {}
-        terminated = 0
-        for node, entry in level.items():
-            paths, mass = entry[0], entry[1]
-            for (name, _), child, w, _ in moves(node):
-                target = nxt.get(child)
-                if target is None:
-                    target = nxt[child] = [0, 0, *zero]
-                target[0] += paths
-                for i in range(1, len(entry)):
-                    if entry[i]:
-                        target[i] += entry[i] * w
-                if name is None:
-                    terminated += mass * w
-                else:
-                    target[2 + gt_index[name]] += mass * w
-        if len(nxt) > path_cap:
-            raise StateSpaceCapExceeded(len(nxt), path_cap)
-        level = nxt
-        denominator = scale**k
-        reports.append(HorizonReport(
-            k,
-            Fraction(sum(e[1] for e in level.values()), denominator),
-            Fraction(sum(sum(e[2:]) for e in level.values()), denominator),
-            Fraction(terminated, denominator),
-        ))
-    denominator = scale**horizon
-    per_gt = {
-        g.name: Fraction(sum(e[2 + i] for e in level.values()), denominator)
-        for i, g in enumerate(p.gts)
-    }
+    counts = [0] * len(p.gts)  # per general transition, over L ** k
+    level, reports = {start: [1, 1]}, [_HORIZON_0]  # the one path of length 0
+    for level, fired, report in _levels(table, table.root(start), horizon):
+        if len(level) > path_cap:
+            raise StateSpaceCapExceeded(len(level), path_cap)
+        counts = [c * table.scale + f for c, f in zip(counts, fired)]
+        reports.append(report)
+    denominator = table.scale**horizon
+    last = reports[-1]
     estimate = RuntimeEstimate(
-        reports[-1].expected_truncated_runtime,
-        reports[-1].total_mass - Fraction(terminated, denominator),
-        per_gt,
+        last.expected_truncated_runtime,
+        last.total_mass - last.terminated_mass,
+        {g.name: Fraction(c, denominator) for g, c in zip(p.gts, counts)},
     )
-    return reports, sum(e[0] for e in level.values()), estimate
+    return reports, sum(paths for paths, _ in level.values()), estimate
 
 
 def horizon_reports(
@@ -654,7 +662,7 @@ def horizon_reports(
     max_horizon: int,
     path_cap: int = 100_000,
 ) -> list[HorizonReport]:
-    """Reports for every horizon 0..max_horizon from one forward sweep;
+    """Reports for every horizon 0..max_horizon from one level pass;
     ``path_cap`` bounds the nodes of each level (see :func:`sweep`)."""
     return sweep(p, policy, sigma0, max_horizon, path_cap)[0]
 

@@ -107,6 +107,7 @@ class _Parser:
         self.pos = 0
         self.program_vars: dict[str, Variable] = {}
         self.locations: dict[str, Location] = {}
+        self.names: dict[str, set[str]] = {"transition": set(), "gt": set()}
 
     # token helpers -------------------------------------------------------
 
@@ -118,8 +119,9 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def fail(self, message: str) -> ParseError:
-        tok = self.peek()
+    def fail(self, message: str, tok: Token | None = None) -> ParseError:
+        """A parse error at ``tok``, by default at the next token."""
+        tok = tok or self.peek()
         return ParseError(message, tok.line, tok.column)
 
     def expect(self, text: str) -> Token:
@@ -255,10 +257,21 @@ class _Parser:
 
     # program items --------------------------------------------------------
 
-    def head(self) -> tuple[str, Location, Constraint]:
+    def declare(self, kinds: tuple[str, ...], name: str, tok: Token) -> None:
+        """Declare ``name`` as a name of each of ``kinds`` ("transition",
+        "gt"), failing at ``tok`` on the first kind that has it already."""
+        for kind in kinds:
+            if name in self.names[kind]:
+                raise self.fail(f"duplicate {kind} name '{name}'", tok)
+            self.names[kind].add(name)
+
+    def head(self, kinds: tuple[str, ...]) -> tuple[str, Location, Constraint]:
         """``IDENT "{" "from" location ";" ("guard" constraint ";")?``, the
-        head that ``trans`` and ``gt`` share."""
+        head that ``trans`` and ``gt`` share; the name is declared as one
+        of each of ``kinds``."""
+        tok = self.peek()
         name = self.expect_ident()
+        self.declare(kinds, name, tok)
         self.expect("{")
         self.expect("from")
         source = self.location_token()
@@ -293,7 +306,7 @@ class _Parser:
                 self.expect(";")
             elif tok.text == "trans":
                 self.next()
-                name, source, guard = self.head()
+                name, source, guard = self.head(("transition", "gt"))
                 update = Update()
                 if self.accept("update"):
                     update = self.updates()
@@ -306,15 +319,17 @@ class _Parser:
                 gts.append(GeneralTransition(name, (member,)))
             elif tok.text == "gt":
                 self.next()
-                gt_name, source, guard = self.head()
+                gt_name, source, guard = self.head(("gt",))
                 members: list[Transition] = []
                 while self.peek().text == "branch":
-                    self.next()
+                    at = self.next()  # where a repeated name is reported
                     if self.peek().kind == "ident" and self.peek().text != "p":
-                        branch_name = self.expect_ident()
+                        at = self.next()
+                        branch_name = at.text
                     else:
                         branch_name = f"{gt_name}_{auto_branch}"
                         auto_branch += 1
+                    self.declare(("transition",), branch_name, at)
                     self.expect("p")
                     self.expect("=")
                     prob = self.rational()
@@ -331,11 +346,11 @@ class _Parser:
                     )
                 self.expect("}")
                 if not members:
-                    raise self.fail(f"gt '{gt_name}' has no branches")
+                    raise self.fail(f"gt '{gt_name}' has no branches", tok)
                 gts.append(GeneralTransition(gt_name, tuple(members)))
             else:
                 raise self.fail(
-                    f"expected 'vars', 'start', 'gt' or 'trans', found {tok.text!r}"
+                    f"expected 'vars', 'start', 'loc', 'trans' or 'gt', found {tok.text!r}"
                 )
         if initial_name is None:
             raise self.fail("program has no 'start' declaration")

@@ -75,7 +75,9 @@ def _combination_expr(
         expr = plrf_values[location]
         if update is not None:
             expr = _compose(expr, update)
-        total = total + expr.scale(factor)
+        total = total + AffineExpr.make(
+            {v: c * factor for v, c in expr.coeffs}, expr.const * factor
+        )
     return total
 
 

@@ -79,7 +79,10 @@ def test_constant_scaling_preserves_all_but_decrease_tightness(fig2):
     inv = infer(fig2)
     plrf = find_constant_plrf(fig2, inv, [_coin_gt(fig2).name])
     doubled = type(plrf)(
-        {loc: expr.scale(Fraction(2)) for loc, expr in plrf.values.items()},
+        {
+            loc: AffineExpr.make({v: 2 * c for v, c in expr.coeffs}, 2 * expr.const)
+            for loc, expr in plrf.values.items()
+        },
         plrf.targets,
         plrf.kind,
     )

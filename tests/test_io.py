@@ -131,11 +131,25 @@ PARSE_ERRORS = [
     pytest.param(parse_program, HEADER + "gt g { from l0; branch a p=1/y {} -> l1; }\n",
                  "3:30: expected a denominator", id="denominator"),
     pytest.param(parse_program, HEADER + "gt g { from l0; }\n",
-                 "4:1: gt 'g' has no branches", id="no-branches"),
+                 "3:1: gt 'g' has no branches", id="no-branches"),
     pytest.param(parse_program, "vars x;\ntrans t { from l0; to l1; }\n",
                  "3:1: program has no 'start' declaration", id="no-start"),
     pytest.param(parse_program, HEADER + "branch b;\n",
-                 "3:1: expected 'vars', 'start', 'gt' or 'trans', found 'branch'", id="item"),
+                 "3:1: expected 'vars', 'start', 'loc', 'trans' or 'gt', found 'branch'", id="item"),
+    pytest.param(parse_program, HEADER + "trans t { from l0; to l1; }\ntrans t { from l1; to l2; }\n",
+                 "4:7: duplicate transition name 't'", id="duplicate-trans"),
+    pytest.param(parse_program,
+                 HEADER + "gt g { from l0; branch a p=1 {} -> l1; }\n"
+                 + "gt h { from l1; branch b p=1/2 {} -> l2; branch a p=1/2 {} -> l2; }\n",
+                 "4:49: duplicate transition name 'a'", id="duplicate-branch"),
+    pytest.param(parse_program,
+                 HEADER + "gt g { from l0; branch g_1 p=1 {} -> l1; }\n"
+                 + "gt g { from l1; branch p=1 {} -> l2; }\n",
+                 "4:4: duplicate gt name 'g'", id="duplicate-gt"),
+    pytest.param(parse_program,
+                 HEADER + "gt g { from l0; branch h_0 p=1 {} -> l1; }\n"
+                 + "gt h { from l1; branch p=1 {} -> l2; }\n",
+                 "4:17: duplicate transition name 'h_0'", id="duplicate-unnamed-branch"),
     pytest.param(_parse_constraint, "x > 0 y",
                  "1:7: trailing input after constraint", id="trailing"),
 ]

@@ -67,6 +67,22 @@ def test_transition_in_two_gts_rejected_at_construction(fig1):
         )
 
 
+def test_repeated_names_are_named_at_construction(fig1):
+    """Each of the three uniqueness checks names the name that repeats."""
+    t0, l1 = fig1.transition("t0"), fig1.location("l1")
+    renamed = GeneralTransition("t0", (replace(t0, name="t0b"),))
+    cases = [
+        (fig1.locations, list(fig1.gts) + [GeneralTransition("dup", (t0,))],
+         "duplicate transition name 't0'"),
+        (fig1.locations, list(fig1.gts) + [renamed], "duplicate general transition name 't0'"),
+        (fig1.locations + (Location(l1.name),), fig1.gts, "duplicate location name 'l1'"),
+    ]
+    for locations, gts, message in cases:
+        with pytest.raises(ValueError) as err:
+            PIP(fig1.program_vars, locations, fig1.initial, gts)
+        assert str(err.value) == message
+
+
 def test_reachability_whole_example(fig1):
     assert {l.name for l in reachable_locations(fig1, fig1.gts)} == {"l0", "l1", "l2"}
 

@@ -697,6 +697,37 @@ def test_sweep_matches_path_tree_reference():
                 assert sweep(q, policy, sigma0, 8)[1] == len(paths.paths)
 
 
+def test_suite_matches_path_tree_reference():
+    """The level pass and the embedding check against the path-tree
+    reference on the programs of ``programs/suite`` and their
+    refinements, from two starts (the coupon collectors' c starts at x).
+    ``coin_or_step`` and the coupon collectors fire several general
+    transitions besides ``t0``, so the per-transition counts are checked
+    one by one."""
+    history = SeededPolicy(7, temp_values=(1,), history_dependent=True)
+    fired = set()
+    for i, path in enumerate(sorted((_corpus.PROGRAMS / "suite").glob("*.pip"))):
+        p = parse_program(path.read_text())
+        pruned, _ = refine_and_prune(p, p.transitions, heuristic_layers(p, p.transitions))
+        policies = (SeededPolicy(i, temp_values=(1,)), FirstEnabledPolicy((1,)))
+        for x, y in ((3, 2), (5, 0)):
+            sigma0 = {v: {"x": x, "y": y, "c": x}[v.name] for v in p.program_vars}
+            for policy in policies:
+                report = check_embedding(p, pruned, policy, sigma0, 8)
+                assert report == reference.check_embedding(p, pruned, policy, sigma0, 8)
+            for q in (p, pruned.program):
+                for policy in policies + (history,):
+                    paths = reference.enumerate_paths(q, policy, sigma0, 8)
+                    estimate = reference.expected_runtime_estimate(q, policy, sigma0, 8)
+                    assert enumerate_paths(q, policy, sigma0, 8) == paths
+                    assert sweep(q, policy, sigma0, 8) == (
+                        reference.horizon_reports(q, policy, sigma0, 8), len(paths.paths), estimate
+                    ), (path.name, sigma0, q is p)
+                    if sum(count > 0 for count in estimate.per_gt.values()) > 2:
+                        fired.add(path.stem)
+    assert {"coin_or_step", "coupon_collector_3"} <= fired, fired
+
+
 def test_enumeration_path_cap_boundary_matches_reference():
     # a cap equal to the largest level passes, one below it trips with the
     # reference's count, under both kinds of policy
