@@ -24,6 +24,16 @@ it proves ``1 <= 0`` (``sum lam_i lin_i = 0``, ``sum lam_i c_i >= 1``).
 :mod:`pcfr.bounds` uses the same encoder with template unknowns in the
 conclusion.
 
+A refutation is solved one variable-connected part of the premise at a
+time (atoms share a part when a chain of shared variables joins them).
+Parts share no variable, so the union of a model of each part is a
+model of the premise: the premise is unsatisfiable exactly when one of
+its parts is, and multipliers that refute a part refute the premise.
+The verdict is therefore the same as for one LP over the whole premise,
+and so is every answer built on it.  A part of one atom that mentions a
+variable always has a rational model and needs no LP; a premise of one
+part is refuted whole.
+
 Only the verdicts that soundness depends on need a proof: "entailed",
 "unsat" and a finite supremum.  Each one is re-checked on the returned
 multipliers in plain ``Fraction`` arithmetic, and a failed check raises
@@ -143,9 +153,50 @@ def _sup(premise: Constraint, lin: Mapping[Variable, int], const: int) -> Fracti
     return _certified_sup(premise, result.assignment, lin, const)
 
 
+def _parts(atoms: tuple[Atom, ...]) -> list[tuple[frozenset[Variable], list[Atom]]]:
+    """The atoms grouped into variable-connected parts, each with its
+    variables: two atoms share a part when a chain of atoms, each sharing
+    a variable with the next, joins them.  A constant atom is a part of
+    its own."""
+    parts: list[tuple[frozenset[Variable], list[Atom]]] = []
+    for a in atoms:
+        variables, joined, apart = a.variables(), [a], []
+        for part in parts:
+            if variables.isdisjoint(part[0]):
+                apart.append(part)
+            else:
+                variables, joined = variables | part[0], part[1] + joined
+        apart.append((variables, joined))
+        parts = apart
+    return parts
+
+
 def _unsat(premise: Constraint) -> bool:
     """True only if the linear premise is certified unsatisfiable: it
-    proves ``1 <= 0``."""
+    proves ``1 <= 0``.
+
+    A premise of two or more variable-connected parts is refuted one part
+    at a time, smallest first, and the first refuted part answers.  Parts
+    share no variable, so a union of models of the parts is a model of
+    the premise: the premise is unsatisfiable exactly when some part is,
+    and that part's checked refutation refutes the premise.  A part of
+    one atom that mentions a variable has a rational model (its
+    coefficients are not all zero) and gets no LP."""
+    if len(premise.atoms) > 1:
+        parts = _parts(premise.atoms)
+        if len(parts) > 1:
+            parts.sort(key=lambda part: len(part[1]))
+            return any(
+                _refuted(Constraint(atoms))
+                for variables, atoms in parts
+                if len(atoms) > 1 or not variables
+            )
+    return _refuted(premise)
+
+
+def _refuted(premise: Constraint) -> bool:
+    """True only if multipliers over all of the premise's atoms prove
+    ``1 <= 0``; they are checked before the verdict is returned."""
     if not premise.atoms:
         return False
     constraints: list[ratlp.LinearConstraint] = []

@@ -158,14 +158,6 @@ class PathRecord:
     def end(self) -> Configuration:
         return self.steps[-1][1] if self.steps else self.initial
 
-    @property
-    def runtime_count(self) -> int:
-        return sum(1 for name, _ in self.steps if name is not None)
-
-    @property
-    def terminated(self) -> bool:
-        return bool(self.steps) and self.steps[-1][0] is None
-
     def key(self):
         return (self.initial.key(), tuple((n, c.key()) for n, c in self.steps))
 

@@ -48,15 +48,25 @@ def _initial_path(p: PIP, sigma0: Mapping[Variable, int]) -> PathRecord:
     return PathRecord(Configuration.make(p.initial, sigma0), (), Fraction(1))
 
 
+def runtime_count(f: PathRecord) -> int:
+    """The steps of the path that fire a transition (not the bottom one)."""
+    return sum(1 for name, _ in f.steps if name is not None)
+
+
+def terminated(f: PathRecord) -> bool:
+    """Whether the path's last step is the bottom transition."""
+    return bool(f.steps) and f.steps[-1][0] is None
+
+
 def _report(paths: Sequence[PathRecord], horizon: int) -> HorizonReport:
     total = sum((f.probability for f in paths), Fraction(0))
     expected = sum(
-        (f.probability * min(f.runtime_count, horizon) for f in paths), Fraction(0)
+        (f.probability * min(runtime_count(f), horizon) for f in paths), Fraction(0)
     )
-    terminated = sum(
-        (f.probability for f in paths if f.terminated), Fraction(0)
+    terminated_mass = sum(
+        (f.probability for f in paths if terminated(f)), Fraction(0)
     )
-    return HorizonReport(horizon, total, expected, terminated)
+    return HorizonReport(horizon, total, expected, terminated_mass)
 
 
 def enumerate_paths(
@@ -118,7 +128,7 @@ def expected_runtime_estimate(
     per_gt = {g.name: Fraction(0) for g in p.gts}
     residual = Fraction(0)
     for f in result.paths:
-        if not f.terminated:
+        if not terminated(f):
             residual += f.probability
         for name, _ in f.steps:
             if name is not None:
@@ -321,7 +331,7 @@ def check_embedding(
                 False, horizon, len(base_paths),
                 f"probability changed: {f.probability} vs {g.probability}", f,
             )
-        if g.runtime_count != f.runtime_count or g.terminated != f.terminated:
+        if runtime_count(g) != runtime_count(f) or terminated(g) != terminated(f):
             return EmbeddingReport(
                 False, horizon, len(base_paths),
                 "runtime or termination flag changed", f,

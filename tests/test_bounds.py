@@ -733,7 +733,7 @@ def test_bound_synthesis_pivots_on_the_refined_chain(monkeypatch):
         return pivot(*args)
 
     monkeypatch.setattr(bounds.ratlp, "_pivot", counting)
-    for k, want in ((1, 85), (2, 334), (3, 719), (4, 1240)):
+    for k, want in ((1, 80), (2, 287), (3, 597), (4, 1010)):
         program = _corpus.refined_chain(k)
         entails.cache_clear()
         pivots.clear()

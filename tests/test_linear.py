@@ -299,6 +299,162 @@ def test_projection_matches_elimination_on_post_images():
     assert changed > 30
 
 
+# --- premises of variable-disjoint parts -------------------------------------
+
+_SPLIT_VARIABLES = [W, X, Y, Z]
+
+
+def _split_block(rng, kind, variables):
+    """Atoms over ``variables`` alone, of a kind whose satisfiability is
+    known: True when they have an integer model, False when they have no
+    rational one."""
+    p = Polynomial.var(variables[0])
+    if kind == "lone inequality":
+        rel = rng.choice(["<", "<=", ">=", ">"])
+        return [Atom(rng.choice([-3, -1, 1, 2]) * p + rng.randint(-3, 3), rel, 0)], True
+    if kind == "lone equality":
+        return [Atom(rng.choice([-1, 1]) * p + rng.randint(-2, 2), "=", 0)], True
+    if kind == "constant":
+        return [Atom(1, "<=", 0)], False
+    form = _random_form(rng, variables) + rng.randint(1, 3) * p
+    if kind == "unsatisfiable pair":
+        return [Atom(form, "<=", 0), Atom(form, ">=", 1)], False
+    # satisfiable: atoms that hold at an integer point of the box
+    point = {v: rng.randint(-2, 2) for v in variables}
+    atoms = []
+    for _ in range(rng.randint(2, 3)):
+        form = _random_form(rng, variables)
+        value = form.evaluate(point)
+        rel = rng.choice(["<=", ">=", "="])
+        atoms.append(Atom(form, rel, value + {"<=": 1, ">=": -1, "=": 0}[rel] * rng.randint(0, 2)))
+    return atoms, True
+
+
+def _split_premise(rng):
+    """2-4 blocks over disjoint variables, at most four variables in all;
+    the premise, its blocks and each block's known satisfiability."""
+    kinds = ["lone inequality", "lone equality", "constant", "unsatisfiable pair", "satisfiable"]
+    free = list(_SPLIT_VARIABLES)
+    blocks = []
+    for _ in range(rng.randint(2, 4)):
+        kind = rng.choices(kinds, weights=[3, 2, 1, 1, 3])[0]
+        if kind == "constant":
+            atoms, known = _split_block(rng, kind, [X])
+            blocks.append((atoms, known, []))
+            continue
+        width = 1 if kind.startswith("lone") else rng.randint(1, 2)
+        if len(free) < width:
+            break
+        variables, free = free[:width], free[width:]
+        atoms, known = _split_block(rng, kind, variables)
+        blocks.append((atoms, known, variables))
+    return Constraint(a for atoms, _, _ in blocks for a in atoms), blocks
+
+
+def _counting_solves(monkeypatch):
+    calls = []
+    solve_lp = linear.ratlp.solve_lp
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(linear.ratlp, "solve_lp", counting)
+    return calls
+
+
+def test_split_premise_matches_reference_and_brute_force(monkeypatch):
+    """Premises joined from variable-disjoint blocks: satisfiability,
+    entailment and both expression bounds agree with the Fourier-Motzkin
+    engine and with integer enumeration on a box, and a refutation makes
+    at most one LP per part that is not a lone atom over a variable."""
+    rng = random.Random(2808)
+    calls = _counting_solves(monkeypatch)
+    seen = Counter()
+    for _ in range(250):
+        premise, blocks = _split_premise(rng)
+        pool = sorted(premise.variables())
+        points = [pt for pt in _integer_points(pool, 2) if premise.satisfied_by(pt)]
+        calls.clear()
+        sat = constraint_satisfiability(premise)
+        parts = linear._parts(premise.atoms)
+        lone = sum(1 for variables, atoms in parts if len(atoms) == 1 and variables)
+        if len(parts) == 1:
+            assert len(calls) == (0 if premise.has_trivially_false_atom() else 1)
+        else:
+            assert len(calls) <= len(parts) - lone, premise
+        seen["only lone atoms"] += len(parts) > 1 and lone == len(parts)
+        assert sat is _reference_linear.constraint_satisfiability(premise), premise
+        assert sat is (Satisfiability.SAT if all(k for _, k, _ in blocks) else Satisfiability.UNSAT)
+        if sat is Satisfiability.UNSAT:
+            assert not points, premise
+        entails.cache_clear()
+        for _ in range(2):
+            _, _, variables = rng.choice(blocks)
+            conclusion = Atom(_random_form(rng, variables or pool), rng.choice(["<=", "="]), 0)
+            verdict = entails(premise, conclusion)
+            if verdict != _reference_linear.entails(premise, conclusion):
+                assert sat is Satisfiability.UNSAT and verdict, (premise, conclusion)
+            if verdict:
+                assert all(conclusion.satisfied_by(pt) for pt in points), (premise, conclusion)
+            seen[f"entailed={verdict} sat={sat}"] += 1
+        for poly in [atoms[0].expr for atoms, _, _ in blocks] + [_random_form(rng, pool)]:
+            bounds = expression_bounds(premise, poly)
+            want = _reference_linear.expression_bounds(premise, poly)
+            if want is not None and None not in want and want[0] > want[1]:
+                assert sat is Satisfiability.UNSAT  # see the reference test above
+                want = None
+            assert bounds == want, (premise, poly)
+            if bounds is None:
+                assert sat is Satisfiability.UNSAT
+                continue
+            lower, upper = bounds
+            values = [poly.evaluate(pt) for pt in points]
+            assert all(
+                (lower is None or lower <= v) and (upper is None or v <= upper) for v in values
+            ), (premise, poly)
+            seen["finite bound"] += lower is not None or upper is not None
+        seen[f"{len(parts)} parts, {sat}"] += 1
+    cases = ["only lone atoms", "finite bound", "entailed=True sat=unsat"]
+    cases += [f"entailed={v} sat=sat" for v in (True, False)]
+    cases += [f"{n} parts, {sat}" for n in (2, 3) for sat in ("sat", "unsat")]
+    assert all(seen[case] >= 5 for case in cases), seen
+
+
+def test_a_part_refutation_decides_the_premise(monkeypatch):
+    """A bounded conclusion over a satisfiable part beside an unsatisfiable
+    rest: the rest is refuted on its own, so the premise has no bounds and
+    entails the conclusion, as a whole-premise refutation says too."""
+    box = [Atom(PX, ">=", 0), Atom(PX, "<=", 3), Atom(PX, ">=", -1)]
+    premise = Constraint(box + [Atom(PY + PZ, ">=", 1), Atom(PY + PZ, "<=", 0)])
+    calls = _counting_solves(monkeypatch)
+    assert constraint_satisfiability(premise) is Satisfiability.UNSAT
+    assert len(calls) == 1  # the smaller part first, and it is refuted
+    assert expression_bounds(Constraint(box), PX) == (0, 3)
+    entails.cache_clear()
+    assert entails(premise, Atom(PX, "<=", -1))
+    assert expression_bounds(premise, PX) is None
+    assert _reference_linear.expression_bounds(premise, PX) is None
+
+
+def test_lone_atom_parts_need_no_lp(monkeypatch):
+    """A premise whose parts are each one atom over a variable has a model
+    without an LP; a premise of one part is refuted by one LP, as before."""
+    calls = _counting_solves(monkeypatch)
+    lone = Constraint([Atom(PX, ">=", 0), Atom(PY, ">=", 1)])
+    assert constraint_satisfiability(lone) is Satisfiability.SAT
+    assert constraint_satisfiability(lone & Atom(PZ, "=", 3)) is Satisfiability.SAT
+    assert calls == []
+    for one_part in (
+        Constraint([Atom(PX, ">=", 0)]),
+        Constraint([Atom(PX, ">=", 0), Atom(PX + PY, "<=", 1)]),
+        Constraint([Atom(PX, ">=", 1), Atom(PX, "<=", 0)]),
+    ):
+        calls.clear()
+        constraint_satisfiability(one_part)
+        assert len(calls) == 1, one_part
+
+
 # --- every soundness verdict is backed by checked multipliers ----------------
 
 
@@ -342,6 +498,33 @@ def test_corrupted_farkas_certificate_with_negative_multiplier_raises(monkeypatc
     monkeypatch.setattr(linear.ratlp, "solve_lp", corrupted)
     with pytest.raises(AssertionError, match="negative Farkas multiplier"):
         expression_bounds(box, PX)
+
+
+def test_corrupted_farkas_certificate_on_a_part_raises(monkeypatch):
+    """The refutation of one part is checked against that part: a perturbed
+    multiplier on the x-part fails, and the y-part is not in the message.
+    Uses no ``assert``, so it checks the same under ``python -O``."""
+    premise = Constraint(
+        [Atom(PX, ">=", 1), Atom(PX, "<=", 0), Atom(PY, ">=", 0), Atom(PY, "<=", 3)]
+    )
+    solve_lp = linear.ratlp.solve_lp
+
+    def corrupted(constraints, objective=None, extra_variables=()):
+        result = solve_lp(constraints, objective, extra_variables)
+        if result.assignment is not None:
+            first = min(k for k in result.assignment if k[0] == "lam")
+            result.assignment[first] += 1
+        return result
+
+    entails.cache_clear()
+    monkeypatch.setattr(linear.ratlp, "solve_lp", corrupted)
+    x_part = r"Farkas multipliers do not \w+ 1 <= x && x <= 0(?! &&)"
+    with pytest.raises(AssertionError, match=x_part):
+        constraint_satisfiability(premise)
+    with pytest.raises(AssertionError, match=x_part):
+        entails(premise, Atom(PY, "<=", 2))
+    with pytest.raises(AssertionError, match=x_part):
+        expression_bounds(premise, PY)
 
 
 def test_sixteen_inequalities_in_six_variables():

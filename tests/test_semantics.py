@@ -315,7 +315,10 @@ def test_horizon_zero_single_initial_path(fig1):
 def test_depth3_matches_independent_oracle(fig1):
     expected = oracle_paths(fig1, {X: 0, Y: 1}, 3, 1)
     result = enumerate_paths(fig1, FirstEnabledPolicy((1,)), {X: 0, Y: 1}, 3)
-    got = [(f.runtime_count, f.probability, f.terminated) for f in result.paths]
+    got = [
+        (reference.runtime_count(f), f.probability, reference.terminated(f))
+        for f in result.paths
+    ]
     assert sorted(got) == sorted(expected)
     assert len(result.paths) == 3
     assert result.report.total_mass == 1
@@ -328,7 +331,10 @@ def test_depth_oracle_on_random_programs():
         sigma0 = _corpus.random_sigma0(rng, p)
         expected = oracle_paths(p, sigma0, 6, 1)
         result = enumerate_paths(p, FirstEnabledPolicy((1,)), sigma0, 6)
-        got = [(f.runtime_count, f.probability, f.terminated) for f in result.paths]
+        got = [
+            (reference.runtime_count(f), f.probability, reference.terminated(f))
+            for f in result.paths
+        ]
         assert sorted(got) == sorted(expected)
 
 
