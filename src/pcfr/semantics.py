@@ -12,19 +12,23 @@ a program and its refined version and verifying that it is a
 probability-, runtime- and termination-preserving bijection.
 
 Every policy-driven back-end is one loop over the *nodes* of one
-:class:`StepTable` per (program, policy) run.  A node is what the
-policy's choice depends on: a numbered configuration under a
-history-independent policy, whose moves are resolved once, and the path
-itself under a history-dependent one, whose moves are resolved on every
-call and never kept.  Paths are built only where a path is the answer:
+:class:`StepTable` per (program, policy) run, and the embedding check
+one loop over the nodes of a :class:`_PairTable`, the reachable pairs of
+a node of each of two such tables.  A node is what the policy's choice
+depends on: a numbered configuration under a history-independent
+policy, whose moves are resolved once, and the path itself under a
+history-dependent one, whose moves are resolved on every call and never
+kept.  Paths are built only where a path is the answer:
 :func:`enumerate_paths`, the witness of a failed embedding, and the
 nodes of a history-dependent policy.  Otherwise every reported quantity
 is linear in the path probabilities, so one forward level pass,
 :func:`_levels`, runs over a map from node to (path count, mass) instead
 of over the path tree, and sums per level the mass fired per general
-transition and the mass that stopped; :func:`sweep` and
-:func:`enumerate_paths` both run on it, and accumulate the expected
-runtime level by level (see :func:`sweep`).  Masses are integer
+transition and the mass that stopped.  :func:`sweep`,
+:func:`enumerate_paths` and :func:`check_embedding` all run on it: the
+first two accumulate the expected runtime level by level (see
+:func:`sweep`), and the third counts the base paths over pairs (see
+:func:`check_embedding`).  Masses are integer
 numerators over the common denominator ``L**k`` after ``k`` steps, where
 ``L`` is the least common multiple of the program's probability
 denominators, and the MDP iterates integer numerators over
@@ -79,7 +83,9 @@ reached by a path of length k, the lifted base steps are admissible
 refined steps with equal probabilities and cover every refined step
 (bottom steps lift to bottom steps, so runtime and termination follow).
 Checking every reachable pair at the levels below the horizon is
-therefore equivalent to checking the path bijection at the horizon.
+therefore equivalent to checking the path bijection at the horizon, and
+since the step at a pair is fixed by the pair, checking it once, on the
+first level that holds it, checks it on every level that holds it.
 """
 
 from __future__ import annotations
@@ -345,7 +351,6 @@ def validate_resolution(
 
 
 def successors(
-    p: PIP,
     config: Configuration,
     gt: GeneralTransition,
     temps: Mapping[Variable, int],
@@ -367,7 +372,7 @@ def step_distribution(
     validate_resolution(p, config, gt, temps, policy.temp_values)
     if gt is None:
         return [(None, Configuration(TERMINAL, config.state), Fraction(1))]
-    return successors(p, config, gt, temps)
+    return successors(config, gt, temps)
 
 
 Move = tuple[tuple[str | None, Configuration], object, int, float]  # see StepTable
@@ -470,19 +475,22 @@ def _initial_path(p: PIP, sigma0: Mapping[Variable, int]) -> PathRecord:
     return _record(Configuration.make(p.initial, sigma0), (), Fraction(1))
 
 
-def _levels(table: StepTable, root, horizon: int):
-    """The forward level pass under :func:`enumerate_paths` and
-    :func:`sweep`.  For k = 1..horizon it yields level k, a map from each
-    node that a path of length k ends at to ``[paths, mass]``, the number
-    of those paths and their mass as an integer over ``L**k``; the mass
-    fired into the level per general transition, a list in the order of
-    ``p.gts``; and the level's :class:`HorizonReport`, whose terminated
-    mass is the mass that stopped, that is took the bottom move into the
-    level, and whose expected runtime is accumulated as ``acc * L +
-    fired`` (see :func:`sweep`).  Nodes are resolved in the order in
-    which paths first reach them, and level k + 1 is built only when the
-    caller asks for it, so a caller that checks its cap after each level
-    resolves no node beyond a level it rejects."""
+def _levels(table: StepTable | _PairTable, root, horizon: int):
+    """The forward level pass under :func:`enumerate_paths`, :func:`sweep`
+    and :func:`check_embedding`, over the nodes of a :class:`StepTable`
+    or, for the embedding check, a :class:`_PairTable`; it reads the
+    table's ``moves``, ``scale`` and program ``p``.  For k = 1..horizon it
+    yields level k, a map from each node that a path of length k ends at
+    to ``[paths, mass]``, the number of those paths and their mass as an
+    integer over ``L**k``; the mass fired into the level per general
+    transition, a list in the order of ``p.gts``; and the level's
+    :class:`HorizonReport`, whose terminated mass is the mass that
+    stopped, that is took the bottom move into the level, and whose
+    expected runtime is accumulated as ``acc * L + fired`` (see
+    :func:`sweep`).  Nodes are resolved in the order in which paths first
+    reach them, and level k + 1 is built only when the caller asks for it,
+    so a caller that checks its cap after each level resolves no node
+    beyond a level it rejects."""
     moves = table.moves
     scale = table.scale
     gt_index = {t.name: i for i, g in enumerate(table.p.gts) for t in g.members}
@@ -830,7 +838,7 @@ class _ChoiceTable(_NodeTable):
         choices = self[i] = [
             [
                 (self._node(succ), _weight(prob, self.scale))
-                for _, succ, prob in successors(self.p, config, g, tv)
+                for _, succ, prob in successors(config, g, tv)
             ]
             for g, tv in scheduler_candidates(self.p, config, self.temp_values)
         ]
@@ -998,6 +1006,90 @@ class EmbeddingReport:
         return self.ok
 
 
+class _Mismatch(Exception):
+    """A step at which :func:`check_embedding` fails: (failure, witness)."""
+
+
+class _PairTable(dict):
+    """The reachable (base node, refined node) pairs of
+    :func:`check_embedding`, as nodes for :func:`_levels`.  A pair maps to
+    the base moves, each with its successor pair as the child, resolved
+    on the first lookup (``__missing__``): the base and refined moves at
+    the pair are matched one-to-one, and a step that does not match
+    raises :class:`_Mismatch`.  So the pass counts base paths, with the
+    base program's weights.  ``first`` maps each pair reached to the pair
+    and the (base, refined) moves by which it was first reached, and the
+    root to ``None``; a witness is read back through it."""
+
+    def __init__(
+        self, p: PIP, refinement: RefinementResult, policy: Policy, sigma0: Mapping[Variable, int]
+    ):
+        super().__init__()
+        p2 = refinement.program
+        self.p = p
+        self.tables = (StepTable(p, policy), StepTable(p2, InducedPolicy(policy, p, refinement)))
+        self.scale = self.tables[0].scale
+        self.lift = {(t.source.name, refinement.origin[t.name]): t for t in p2.transitions}
+        self.dropped = frozenset(p.temporaries()) - frozenset(p2.temporaries())
+        self.starts = (_initial_path(p, sigma0), _initial_path(p2, sigma0))
+        self.root = (self.tables[0].root(self.starts[0]), self.tables[1].root(self.starts[1]))
+        self.first: dict[_Pair, tuple[_Pair, Move, Move] | None] = {self.root: None}
+
+    moves = dict.__getitem__  # pair -> its list of moves, as in StepTable.moves
+
+    def __missing__(self, pair: _Pair) -> list[Move]:
+        base, refined = self.tables
+        moves = base[pair[0]]
+        try:
+            images = {move[0]: move for move in refined[pair[1]]}
+        except SchedulerViolation as violation:
+            why = f"induced policy is not a valid scheduler: {violation}"
+            raise _Mismatch(why, self._path(pair, moves[0], 0))
+        location2 = refined.configs[pair[1]].location.name
+        matched: list[Move] = []
+        for move in moves:
+            (name, succ), j, w, acc = move
+            state = tuple((v, n) for v, n in succ.state if v not in self.dropped)
+            if name is None:
+                key = (None, Configuration(TERMINAL, state))
+            else:
+                lifted = self.lift.get((location2, name))
+                if lifted is None:
+                    why = "no refined counterpart for a step of this path"
+                    raise _Mismatch(why, self._path(pair, move, 0))
+                key = (lifted.name, Configuration(lifted.target, state))
+            image = images.pop(key, None)
+            if image is None:
+                why = "embedded path is not admissible in the refinement"
+                raise _Mismatch(why, self._path(pair, move, 0))
+            if w * refined.scale != image[2] * self.scale:
+                f, g = self._path(pair, move, 0), self._path(pair, image, 1)
+                raise _Mismatch(f"probability changed: {f.probability} vs {g.probability}", f)
+            child = (j, image[1])
+            self.first.setdefault(child, (pair, move, image))
+            matched.append((move[0], child, w, acc))
+        if images:
+            why = "refined path has no preimage (embedding not surjective)"
+            raise _Mismatch(why, self._path(pair, next(iter(images.values())), 1))
+        self[pair] = matched
+        return matched
+
+    def _path(self, pair: _Pair, move: Move, side: int) -> PathRecord:
+        """The path of the base (``side`` 0) or the refined program (1)
+        that reaches ``pair`` the way it was first reached and then takes
+        ``move``."""
+        trail = [move]
+        back = self.first[pair]
+        while back is not None:
+            pair = back[0]
+            trail.append(back[1 + side])
+            back = self.first[pair]
+        trail.reverse()
+        scale = self.tables[side].scale ** len(trail)
+        probability = Fraction(math.prod(m[2] for m in trail), scale)
+        return _record(self.starts[side].initial, tuple(m[0] for m in trail), probability)
+
+
 def check_embedding(
     p: PIP,
     refinement: RefinementResult,
@@ -1015,101 +1107,39 @@ def check_embedding(
     value of a temporary that pruning removed from the refinement, which
     the induced policy cannot see; :class:`SeededPolicy` hashes the whole
     state, so it qualifies only when no state stores a removed temporary
-    (see :class:`InducedPolicy`).  The check runs forward over the
+    (see :class:`InducedPolicy`).  The check is the level pass
+    :func:`_levels` over a :class:`_PairTable`, whose nodes are the
     reachable pairs of a base node and the refined node its paths embed
-    to, and matches the two step distributions at each pair one-to-one
-    (see the module docstring), comparing probabilities as integers
-    across the two programs' denominators; ``path_cap`` bounds the pairs
-    of each level.
+    to.  A pair is resolved once, on the first level that holds it: the
+    two step distributions there are matched one-to-one (see the module
+    docstring), comparing probabilities as integers across the two
+    programs' denominators.  ``path_cap`` bounds the pairs of each level,
+    checked after each level.
+
     ``checked_paths`` is the number of admissible base paths of length
-    ``horizon``.  When the check fails at a step from a pair reached in
-    k steps, ``checked_paths`` is the number of base paths of length k,
-    all of which embed, and the witness is a shortest failing path: the
-    base path whose last step is the offending one or, when a refined
-    step has no preimage, the refined path ending in that step."""
+    ``horizon``.  A mismatch stops the pass.  When it is at a step from a
+    pair reached in k steps, ``checked_paths`` is the number of base paths
+    of length k, all of which embed, and the witness is a shortest
+    failing path: the base path whose last step is the offending one or,
+    when a refined step has no preimage, the refined path ending in that
+    step.  It is read back through the pair and moves by which each pair
+    was first reached.  That path is a shortest one: the failing pair is
+    resolved on the first level k that holds it, so each of its parents
+    is first held by level k - 1, and the first parent resolved is the
+    first one on that level; by induction the path read back has length
+    k up to the pair, and it is the first such path in level order."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     if path_cap < 0:
         raise ValueError("path_cap must be nonnegative")
-    p2 = refinement.program
-    tables = (StepTable(p, policy), StepTable(p2, InducedPolicy(policy, p, refinement)))
-    base, refined = tables[0].moves, tables[1].moves
-    scale, scale2 = tables[0].scale, tables[1].scale
-    configs2 = tables[1].configs
-    lift = {(t.source.name, refinement.origin[t.name]): t for t in p2.transitions}
-    dropped = frozenset(p.temporaries()) - frozenset(p2.temporaries())
-    roots = (_initial_path(p, sigma0), _initial_path(p2, sigma0))
-
-    level: dict[_Pair, int] = {(tables[0].root(roots[0]), tables[1].root(roots[1])): 1}
-    # parents[k] maps a pair reached in k + 1 steps to its first parent
-    # pair and the base and refined moves between them
-    parents: list[dict[_Pair, tuple[_Pair, Move, Move]]] = []
-
-    def path_to(pair: _Pair, k: int, move: Move, side: int) -> PathRecord:
-        trail = [move]
-        for back in reversed(parents[:k]):
-            pair, base_move, refined_move = back[pair]
-            trail.append((base_move, refined_move)[side])
-        trail.reverse()
-        probability = Fraction(math.prod(m[2] for m in trail), tables[side].scale ** len(trail))
-        return _record(roots[side].initial, tuple(m[0] for m in trail), probability)
-
-    def failed(why: str, witness: PathRecord) -> EmbeddingReport:
-        return EmbeddingReport(False, horizon, sum(level.values()), why, witness)
-
-    for k in range(horizon):
-        nxt: dict[_Pair, int] = {}
-        back: dict[_Pair, tuple[_Pair, Move, Move]] = {}
-        for pair, count in level.items():
-            moves = base(pair[0])
-            try:
-                images = {move[0]: move for move in refined(pair[1])}
-            except SchedulerViolation as violation:
-                return failed(
-                    f"induced policy is not a valid scheduler: {violation}",
-                    path_to(pair, k, moves[0], 0),
-                )
-            location2 = configs2[pair[1]].location.name
-            for move in moves:
-                (name, succ), j, w, _ = move
-                state = succ.state
-                if dropped:
-                    state = tuple((v, n) for v, n in state if v not in dropped)
-                if name is None:
-                    key = (None, Configuration(TERMINAL, state))
-                else:
-                    lifted = lift.get((location2, name))
-                    if lifted is None:
-                        return failed(
-                            "no refined counterpart for a step of this path",
-                            path_to(pair, k, move, 0),
-                        )
-                    key = (lifted.name, Configuration(lifted.target, state))
-                image = images.pop(key, None)
-                if image is None:
-                    return failed(
-                        "embedded path is not admissible in the refinement",
-                        path_to(pair, k, move, 0),
-                    )
-                if w * scale2 != image[2] * scale:
-                    f = path_to(pair, k, move, 0)
-                    g = path_to(pair, k, image, 1)
-                    return failed(
-                        f"probability changed: {f.probability} vs {g.probability}", f
-                    )
-                child = (j, image[1])
-                if child in nxt:
-                    nxt[child] += count
-                else:
-                    nxt[child] = count
-                    back[child] = (pair, move, image)
-            if images:
-                return failed(
-                    "refined path has no preimage (embedding not surjective)",
-                    path_to(pair, k, next(iter(images.values())), 1),
-                )
-        if len(nxt) > path_cap:
-            raise StateSpaceCapExceeded(len(nxt), path_cap)
-        parents.append(back)
-        level = nxt
-    return EmbeddingReport(True, horizon, sum(level.values()))
+    failure = witness = None
+    table = _PairTable(p, refinement, policy, sigma0)
+    level = {table.root: [1, 1]}  # the one path of length 0
+    try:
+        for level, _, _ in _levels(table, table.root, horizon):
+            if len(level) > path_cap:
+                raise StateSpaceCapExceeded(len(level), path_cap)
+    except _Mismatch as mismatch:
+        failure, witness = mismatch.args
+    checked = sum(paths for paths, _ in level.values())
+    return EmbeddingReport(failure is None, horizon, checked, failure, witness)

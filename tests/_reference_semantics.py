@@ -158,7 +158,7 @@ def mdp_sup_truncated(
         cached = action_cache.get(config)
         if cached is None:
             cached = [
-                [(succ, prob) for _, succ, prob in successors(p, config, g, tv)]
+                [(succ, prob) for _, succ, prob in successors(config, g, tv)]
                 for g, tv in scheduler_candidates(p, config, temp_values)
             ]
             action_cache[config] = cached

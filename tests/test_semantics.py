@@ -562,24 +562,33 @@ def _extra_branch(t, o):
 
 
 # corruption of the fig1 refinement -> (failure prefix, origin of the
-# offending step, length of the shortest failing path)
+# offending step, length of the shortest failing path, (checked_paths,
+# rendered witness))
 CORRUPTIONS = [
     (lambda t, o: [] if o == "t1a" else [t],
-     "no refined counterpart for a step of this path", "t1a", 2),
-    (_stay_one, "embedded path is not admissible in the refinement", "t1b", 2),
-    (_biased_coin, "probability changed: 1/2 vs 1/3", "t1a", 2),
-    (_strict_entry, "induced policy is not a valid scheduler: scheduler clause (c)", "t0", 1),
+     "no refined counterpart for a step of this path", "t1a", 2,
+     (1, "(l0, {x=0, y=2}) --t0--> (l1, {u=1, x=1, y=2}) --t1a--> (l1, {u=1, x=1, y=2})"
+         "  [pr=1/2]")),
+    (_stay_one, "embedded path is not admissible in the refinement", "t1b", 2,
+     (1, "(l0, {x=0, y=2}) --t0--> (l1, {u=1, x=1, y=2}) --t1b--> (l1, {u=1, x=0, y=2})"
+         "  [pr=1/2]")),
+    (_biased_coin, "probability changed: 1/2 vs 1/3", "t1a", 2,
+     (1, "(l0, {x=0, y=2}) --t0--> (l1, {u=1, x=1, y=2}) --t1a--> (l1, {u=1, x=1, y=2})"
+         "  [pr=1/2]")),
+    (_strict_entry, "induced policy is not a valid scheduler: scheduler clause (c)", "t0", 1,
+     (1, "(l0, {x=0, y=2}) --t0--> (l1, {u=1, x=1, y=2})  [pr=1]")),
 ]
 
 
 def test_embedding_rejects_corrupted_refinement(fig1, fig1_refined):
     pruned, _ = fig1_refined
     policy, sigma0 = FirstEnabledPolicy((1,)), {X: 0, Y: 2}
-    for edit, failure, offending, length in CORRUPTIONS:
+    for edit, failure, offending, length, pinned in CORRUPTIONS:
         corrupted = _corrupt(pruned, edit)
         report = check_embedding(fig1, corrupted, policy, sigma0, 6)
         assert not report.ok
         assert report.failure.startswith(failure), report.failure
+        assert (report.checked_paths, report.witness.render()) == pinned
         assert reference.check_embedding(fig1, corrupted, policy, sigma0, 6).ok is False
         # the witness is a shortest admissible base path ending in the offending step
         witness = report.witness
@@ -605,6 +614,47 @@ def test_embedding_rejects_refined_step_without_preimage(fig1, fig1_refined):
     assert corrupted.origin[witness.steps[-1][0]] == "t1b"
     induced = InducedPolicy(policy, fig1, corrupted)
     assert witness in enumerate_paths(corrupted.program, induced, sigma0, 2).paths
+    assert report.checked_paths == 1
+    assert witness.render() == (
+        "(l0, {x=0, y=2}) --t0--> (l1, {u=1, x=1, y=2}) --t1b--> (l1[x=0], {u=1, x=0, y=2})"
+        "  [pr=1/2]"
+    )
+
+
+def _walk_refined():
+    walk = parse_program(WALK)
+    refined, _ = refine_and_prune(walk, walk.transitions, heuristic_layers(walk, walk.transitions))
+    return walk, refined
+
+
+def test_embedding_witness_is_read_back_through_several_steps():
+    """The walk's refinement with the guard of ``step`` at the unlabeled
+    l1 raised to x >= 2: from x = 3 the first step it refuses is the
+    fourth, from x = 1 after two ``down`` steps, so the witness is read
+    back through three pairs, each the first to reach the next."""
+    walk, refined = _walk_refined()
+    x = walk.program_vars[0]
+
+    def strict(t, o):
+        if t.source.display() != "l1":
+            return [t]
+        return [replace(t, guard=Constraint([Atom(Polynomial.var(x), ">=", 2)]))]
+
+    corrupted = _corrupt(refined, strict)
+    policy, sigma0 = FirstEnabledPolicy(), {x: 3}
+    report = check_embedding(walk, corrupted, policy, sigma0, 12)
+    assert reference.check_embedding(walk, corrupted, policy, sigma0, 12).ok is False
+    assert report.failure == (
+        "induced policy is not a valid scheduler: scheduler clause (c) violated: "
+        "chosen valuation does not satisfy the guard of 'step'"
+    )
+    assert report.checked_paths == 4
+    assert report.witness.render() == (
+        "(l0, {x=3}) --t0--> (l1, {x=3}) --down--> (l1, {x=2}) --down--> (l1, {x=1})"
+        " --down--> (l1, {x=0})  [pr=1/8]"
+    )
+    assert report.witness in enumerate_paths(walk, policy, sigma0, 4).paths
+    assert report.checked_paths == len(enumerate_paths(walk, policy, sigma0, 3).paths)
 
 
 def test_embedding_requires_memoryless_policy(fig1, fig1_refined):
@@ -759,6 +809,24 @@ def test_enumeration_path_cap_boundary_matches_reference():
     assert max(largest_levels) > 1
 
 
+def test_embedding_path_cap_boundary(fig1, fig1_refined):
+    # (arguments, pairs in the largest level of (base, refined) pairs up to
+    # horizon 12, checked_paths at horizon 12): a cap equal to that level
+    # passes, and one below it trips with that level's pair count
+    walk, refined = _walk_refined()
+    cases = [
+        ((walk, refined, FirstEnabledPolicy(), {walk.program_vars[0]: 3}), 15, 1385),
+        ((fig1, fig1_refined[0], FirstEnabledPolicy((1,)), {X: 0, Y: 2}), 7, 12),
+    ]
+    for args, largest, checked in cases:
+        report = check_embedding(*args, 12, path_cap=largest)
+        assert report == check_embedding(*args, 12)
+        assert (report.ok, report.checked_paths) == (True, checked)
+        with pytest.raises(StateSpaceCapExceeded) as err:
+            check_embedding(*args, 12, path_cap=largest - 1)
+        assert (err.value.count, err.value.cap) == (largest, largest - 1)
+
+
 class _BreakAt(Policy):
     """``base``, except at configuration ``at``, where it picks the bottom
     transition although one is enabled (clause d)."""
@@ -882,7 +950,7 @@ def _mdp_configurations(q, sigma0, horizon, temp_values):
             succ
             for config in level
             for g, values in scheduler_candidates(q, config, temp_values)
-            for _, succ, _ in successors(q, config, g, values)
+            for _, succ, _ in successors(config, g, values)
         }
         total += len(level)
     return total
@@ -927,7 +995,7 @@ def _mdp_node_shapes(q, sigma0, horizon, temp_values):
     for _ in range(horizon):
         for config in level - choices.keys():
             choices[config] = [
-                successors(q, config, g, values)
+                successors(config, g, values)
                 for g, values in scheduler_candidates(q, config, temp_values)
             ]
         level = {succ for config in level for dist in choices[config] for _, succ, _ in dist}
