@@ -14,8 +14,10 @@ is atom-set intersection.  The starting sets are:
 * every other location starts from the universe atoms that mention no
   variable, or some variable that is *live* there: read, in a guard or
   in an update's images, by a general transition leaving the location
-  or a location it reaches.  An atom that joins a dead and a live
-  variable is kept.
+  or a location it reaches.  The live set is a union over the
+  location's reach set (:func:`pcfr.model.reach`), the same sets that
+  say which locations the initial one reaches.  An atom that joins a
+  dead and a live variable is kept.
 
 The greatest fixpoint below any starting set is inductive, so the
 invariants are sound whichever subset of the universe a location starts
@@ -74,7 +76,7 @@ from dataclasses import dataclass
 from typing import Collection, Iterable
 
 from .linear import entails, project
-from .model import PIP, Location, incoming, reachable_locations
+from .model import PIP, Location, incoming, reach
 from .syntax import TRUE, Atom, Constraint, Polynomial, Update, Variable
 
 
@@ -156,31 +158,27 @@ def provable_after(
     return kept
 
 
-def _live_variables(p: PIP) -> dict[Location, set[Variable]]:
+def _live_variables(
+    p: PIP, closure: dict[Location, set[Location]]
+) -> dict[Location, set[Variable]]:
     """The variables read, in a guard or in an update's images, by a
-    general transition leaving each location or a location it reaches."""
-    live: dict[Location, set[Variable]] = {loc: set() for loc in p.locations}
+    general transition leaving some location in each location's reach set
+    ``closure`` (:func:`pcfr.model.reach`), the location itself included."""
+    reads: dict[Location, set[Variable]] = {loc: set() for loc in p.locations}
     for g in p.gts:
-        reads = live[g.source]
-        reads |= g.guard.variables()
+        reads[g.source] |= g.guard.variables()
         for t in g.members:
-            reads |= t.update.variables_used()
-    changed = True
-    while changed:
-        changed = False
-        for t in p.transitions:
-            if not live[t.target] <= live[t.source]:
-                live[t.source] |= live[t.target]
-                changed = True
-    return live
+            reads[g.source] |= t.update.variables_used()
+    return {loc: set().union(*(reads[o] for o in closure[loc])) for loc in p.locations}
 
 
 def infer(p: PIP) -> InvariantMap:
     """Greatest fixpoint of provable universe atoms at every location,
     from the starting sets of the module docstring."""
     universe = atom_universe(p)
-    reachable = reachable_locations(p, p.gts)
-    live = _live_variables(p)
+    closure = reach(p)
+    reachable = closure[p.initial]
+    live = _live_variables(p, closure)
     current: dict[Location, set[Atom]] = {}
     for loc in p.locations:
         if loc == p.initial:

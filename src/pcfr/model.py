@@ -10,7 +10,9 @@ A refined location is named after its base location and its label
 (:func:`labeled_location`); the refinement and the text format both name
 locations by that rule.  A program indexes its general transitions by
 source and its transitions by target once (:func:`outgoing`,
-:func:`incoming`).
+:func:`incoming`); :func:`reach` gives each location's reach set in the
+location graph, which the SCCs, pruning and the live invariant starts
+read.
 """
 
 from __future__ import annotations
@@ -225,33 +227,32 @@ def incoming(p: PIP, location: Location) -> tuple[Transition, ...]:
     return p._incoming.get(location, ())
 
 
-def location_sccs(p: PIP) -> dict[Location, int]:
-    """Strongly connected components of the location graph: two locations
-    share a component when each reaches the other.  A component's id is
-    the program-order index of its first location."""
-    reach: dict[Location, set[Location]] = {}
+def reach(
+    p: PIP, gts: Sequence[GeneralTransition] | None = None
+) -> dict[Location, set[Location]]:
+    """For each location, the locations it reaches through ``gts``, itself
+    included; ``gts`` defaults to every general transition of ``p``."""
+    succ: dict[Location, set[Location]] = {loc: set() for loc in p.locations}
+    for g in p.gts if gts is None else gts:
+        succ[g.source].update(t.target for t in g)
+    closure: dict[Location, set[Location]] = {}
     for root in p.locations:
         seen, frontier = {root}, [root]
         while frontier:
-            new = {t.target for g in outgoing(p, frontier.pop()) for t in g} - seen
+            new = succ[frontier.pop()] - seen
             seen |= new
             frontier.extend(new)
-        reach[root] = seen
+        closure[root] = seen
+    return closure
+
+
+def location_sccs(p: PIP) -> dict[Location, int]:
+    """Strongly connected components of the location graph, read from
+    :func:`reach`: two locations share a component when each reaches the
+    other.  A component's id is the program-order index of its first
+    location."""
+    closure = reach(p)
     index = {loc: i for i, loc in enumerate(p.locations)}
-    return {loc: min(index[o] for o in reach[loc] if loc in reach[o]) for loc in p.locations}
-
-
-def reachable_locations(p: PIP, gts: Sequence[GeneralTransition]) -> set[Location]:
-    """Locations reachable from the initial one through ``gts``."""
-    reached = {p.initial}
-    frontier = [p.initial]
-    while frontier:
-        loc = frontier.pop()
-        for g in gts:
-            if g.source != loc:
-                continue
-            for t in g.members:
-                if t.target not in reached:
-                    reached.add(t.target)
-                    frontier.append(t.target)
-    return reached
+    return {
+        loc: min(index[o] for o in closure[loc] if loc in closure[o]) for loc in p.locations
+    }

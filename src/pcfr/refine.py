@@ -32,7 +32,7 @@ from .model import (
     label_suffix,
     labeled_location,
     outgoing,
-    reachable_locations,
+    reach,
     validate,
 )
 from .syntax import TRUE, Constraint
@@ -168,7 +168,7 @@ def prune(r: RefinementResult, inv: InvariantMap) -> RefinementResult:
         else:
             kept_gts.append(g)
 
-    reachable = reachable_locations(p, kept_gts)
+    reachable = reach(p, kept_gts)[p.initial]
     final_gts = []
     for g in kept_gts:
         if g.source in reachable:

@@ -481,7 +481,7 @@ class Update:
         return frozenset(v for v, _ in self._images)
 
     def apply_to_atom(self, a: Atom) -> Atom:
-        return a.substitute(dict(self._images))
+        return a.substitute(self._images_map)
 
     def apply_to_state(self, state: Mapping[Variable, int]) -> dict[Variable, int]:
         """Next-state values: each assigned variable takes its image over

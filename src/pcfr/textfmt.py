@@ -99,6 +99,9 @@ def _lex(text: str) -> list[Token]:
 # Parser
 
 _RELS = ("<", "<=", "=", "==", ">=", ">")
+#: ``x^n`` is expanded by ``n`` multiplications here and again in every
+#: substitution, so a larger literal could stall the tool.
+_MAX_EXPONENT = 16
 
 
 class _Parser:
@@ -204,6 +207,8 @@ class _Parser:
             exp = self.peek()
             if exp.kind != "int":
                 raise self.fail("exponent must be an integer literal")
+            if int(exp.text) > _MAX_EXPONENT:
+                raise self.fail(f"exponent must be at most {_MAX_EXPONENT}, found {exp.text}")
             self.next()
             value = value ** int(exp.text)
         return value
@@ -427,41 +432,37 @@ def print_program(p: PIP) -> str:
     lines: list[str] = []
     if p.program_vars:
         lines.append("vars " + ", ".join(v.name for v in p.program_vars) + ";")
-    lines.append(f"start {_loc(p.initial)};")
+    lines.append(f"start {p.initial.display()};")
     mentioned = {p.initial}
     for t in p.transitions:
         mentioned.add(t.source)
         mentioned.add(t.target)
     for loc in p.locations:
         if loc not in mentioned:
-            lines.append(f"loc {_loc(loc)};")
+            lines.append(f"loc {loc.display()};")
     lines.append("")
     for g in p.gts:
         if len(g.members) == 1:
             t = g.members[0]
-            parts = [f"trans {t.name} {{ from {_loc(t.source)};"]
+            parts = [f"trans {t.name} {{ from {t.source.display()};"]
             if not t.guard.is_true():
                 parts.append(f"guard {t.guard};")
             if not t.update.is_identity():
                 parts.append(f"update {t.update};")
-            parts.append(f"to {_loc(t.target)}; }}")
+            parts.append(f"to {t.target.display()}; }}")
             lines.append(" ".join(parts))
         else:
             lines.append(f"gt {g.name} {{")
-            lines.append(f"  from {_loc(g.source)};")
+            lines.append(f"  from {g.source.display()};")
             if not g.guard.is_true():
                 lines.append(f"  guard {g.guard};")
             for t in g.members:
                 update = "" if t.update.is_identity() else f" {t.update} "
                 lines.append(
-                    f"  branch {t.name} p={t.prob} {{{update}}} -> {_loc(t.target)};"
+                    f"  branch {t.name} p={t.prob} {{{update}}} -> {t.target.display()};"
                 )
             lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _loc(location: Location) -> str:
-    return location.display()
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,8 @@ PARSE_ERRORS = [
                  "3:31: expected a relation, found ';'", id="relation"),
     pytest.param(parse_program, HEADER + "trans t { from l0; guard x ^ y > 0; to l1; }\n",
                  "3:30: exponent must be an integer literal", id="exponent"),
+    pytest.param(parse_program, HEADER + "trans t { from l0; guard x ^ 17 > 0; to l1; }\n",
+                 "3:30: exponent must be at most 16, found 17", id="exponent-bound"),
     pytest.param(parse_program, HEADER + "gt g { from l0; branch a p=x {} -> l1; }\n",
                  "3:28: expected a probability", id="probability"),
     pytest.param(parse_program, HEADER + "gt g { from l0; branch a p=1/y {} -> l1; }\n",

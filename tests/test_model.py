@@ -14,7 +14,7 @@ from pcfr.model import (
     incoming,
     location_sccs,
     outgoing,
-    reachable_locations,
+    reach,
     validate,
 )
 from pcfr.syntax import Atom, Constraint, Polynomial, Update, pv
@@ -84,11 +84,11 @@ def test_repeated_names_are_named_at_construction(fig1):
 
 
 def test_reachability_whole_example(fig1):
-    assert {l.name for l in reachable_locations(fig1, fig1.gts)} == {"l0", "l1", "l2"}
+    assert {l.name for l in reach(fig1, fig1.gts)[fig1.initial]} == {"l0", "l1", "l2"}
 
 
 def test_reachability_refined_program(fig2):
-    assert reachable_locations(fig2, fig2.gts) == set(fig2.locations)
+    assert reach(fig2, fig2.gts)[fig2.initial] == set(fig2.locations)
 
 
 def test_reachability_excludes_orphan(fig1):
@@ -99,7 +99,7 @@ def test_reachability_excludes_orphan(fig1):
         fig1.initial,
         fig1.gts,
     )
-    assert orphan not in reachable_locations(extended, extended.gts)
+    assert orphan not in reach(extended, extended.gts)[extended.initial]
 
 
 def test_reachability_walks_unsat_guards_it_is_given(fig1):
@@ -113,13 +113,13 @@ def test_reachability_walks_unsat_guards_it_is_given(fig1):
         fig1.initial,
         list(fig1.gts) + [GeneralTransition("gdead", (dead,))],
     )
-    assert lx in reachable_locations(extended, extended.gts)
+    assert lx in reach(extended, extended.gts)[extended.initial]
 
 
 def test_reachability_through_given_transitions(fig1):
-    assert reachable_locations(fig1, []) == {fig1.initial}
+    assert reach(fig1, [])[fig1.initial] == {fig1.initial}
     from_l0 = [g for g in fig1.gts if g.source == fig1.initial]
-    assert reachable_locations(fig1, from_l0) == {fig1.initial} | {
+    assert reach(fig1, from_l0)[fig1.initial] == {fig1.initial} | {
         t.target for g in from_l0 for t in g.members
     }
 
@@ -128,10 +128,10 @@ def test_reachability_monotone_under_added_transitions():
     rng = random.Random(5)
     for _ in range(20):
         p = _corpus.random_pip(rng)
-        base = reachable_locations(p, p.gts)
+        base = reach(p, p.gts)[p.initial]
         if len(p.gts) < 2:
             continue
-        assert reachable_locations(p, p.gts[:-1]) <= base
+        assert reach(p, p.gts[:-1])[p.initial] <= base
 
 
 def test_outgoing_indices(fig1):
@@ -182,6 +182,29 @@ def _closure_sccs(p):
     return {
         frozenset(b for b in p.locations if b in reach[a] and a in reach[b]) for a in p.locations
     }
+
+
+def test_reach_matches_warshall_closure(fig1, fig2):
+    """``reach`` against a brute-force closure, through every general
+    transition and through a seeded random subset of them."""
+    rng = random.Random(43)
+    programs = [fig1, fig2, _corpus.refined_chain(2)]
+    programs += [_corpus.random_pip(rng, max_locations=6) for _ in range(60)]
+    for p in programs:
+        subset = [g for g in p.gts if rng.random() < 0.5]
+        assert reach(p) == _warshall_closure(p, p.gts)
+        assert reach(p, subset) == _warshall_closure(p, subset)
+
+
+def _warshall_closure(p, gts):
+    closure = {a: {a} for a in p.locations}
+    for g in gts:
+        closure[g.source] |= {t.target for t in g.members}
+    for k in p.locations:
+        for a in p.locations:
+            if k in closure[a]:
+                closure[a] |= closure[k]
+    return closure
 
 
 def test_isomorphic_accepts_renaming(fig1):
