@@ -109,6 +109,7 @@ class _Parser:
         self.tokens = _lex(text)
         self.pos = 0
         self.program_vars: dict[str, Variable] = {}
+        self.temporaries: set[str] = set()  # names read as temporaries so far
         self.locations: dict[str, Location] = {}
         self.names: dict[str, set[str]] = {"transition": set(), "gt": set()}
 
@@ -148,7 +149,11 @@ class _Parser:
     # variables and locations ---------------------------------------------
 
     def variable(self, name: str) -> Variable:
-        return self.program_vars.get(name, tmp(name))
+        var = self.program_vars.get(name)
+        if var is None:
+            self.temporaries.add(name)
+            var = tmp(name)
+        return var
 
     def location_token(self) -> Location:
         base = self.expect_ident()
@@ -169,6 +174,14 @@ class _Parser:
         return existing
 
     # expressions ----------------------------------------------------------
+
+    def integer(self) -> int:
+        """The value of the ``int`` token next in line, which it consumes."""
+        tok = self.next()
+        try:
+            return int(tok.text)
+        except ValueError:  # above the interpreter's digit limit
+            raise self.fail(f"integer literal too long ({len(tok.text)} digits)", tok) from None
 
     def polynomial(self) -> Polynomial:
         value = self.term()
@@ -195,8 +208,7 @@ class _Parser:
             value = self.polynomial()
             self.expect(")")
         elif tok.kind == "int":
-            self.next()
-            value = Polynomial.const(int(tok.text))
+            value = Polynomial.const(self.integer())
         elif tok.kind == "ident":
             self.next()
             value = Polynomial.var(self.variable(tok.text))
@@ -207,10 +219,10 @@ class _Parser:
             exp = self.peek()
             if exp.kind != "int":
                 raise self.fail("exponent must be an integer literal")
-            if int(exp.text) > _MAX_EXPONENT:
-                raise self.fail(f"exponent must be at most {_MAX_EXPONENT}, found {exp.text}")
-            self.next()
-            value = value ** int(exp.text)
+            n = self.integer()
+            if n > _MAX_EXPONENT:
+                raise self.fail(f"exponent must be at most {_MAX_EXPONENT}, found {exp.text}", exp)
+            value = value ** n
         return value
 
     def atom(self) -> Atom:
@@ -234,28 +246,29 @@ class _Parser:
         return Constraint(atoms)
 
     def rational(self) -> Fraction:
-        tok = self.peek()
-        if tok.kind != "int":
+        if self.peek().kind != "int":
             raise self.fail("expected a probability")
-        self.next()
-        num = int(tok.text)
+        num = self.integer()
         if self.accept("/"):
             den_tok = self.peek()
             if den_tok.kind != "int":
                 raise self.fail("expected a denominator")
-            if int(den_tok.text) == 0:
-                raise self.fail("zero probability denominator")
-            self.next()
-            return Fraction(num, int(den_tok.text))
+            den = self.integer()
+            if den == 0:
+                raise self.fail("zero probability denominator", den_tok)
+            return Fraction(num, den)
         return Fraction(num)
 
     def updates(self) -> Update:
         images: dict[Variable, Polynomial] = {}
         while True:
+            tok = self.peek()
             name = self.expect_ident()
-            var = self.variable(name)
+            var = self.program_vars.get(name) or pv(name)
+            if var in images:
+                raise self.fail(f"'{var.name}' is assigned twice", tok)
             self.expect(":=")
-            images[var if var.is_program else pv(name)] = self.polynomial()
+            images[var] = self.polynomial()
             if not self.accept(","):
                 break
         return Update(images)
@@ -296,12 +309,17 @@ class _Parser:
             if tok.text == "vars":
                 self.next()
                 while True:
+                    at = self.peek()
                     name = self.expect_ident()
+                    if name in self.temporaries:
+                        raise self.fail(f"'{name}' is declared after its use as a temporary", at)
                     self.program_vars[name] = pv(name)
                     if not self.accept(","):
                         break
                 self.expect(";")
             elif tok.text == "start":
+                if initial_name is not None:
+                    raise self.fail("duplicate 'start' declaration")
                 self.next()
                 initial_name = self.location_token().name
                 self.expect(";")

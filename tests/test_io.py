@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import random
@@ -152,6 +153,15 @@ PARSE_ERRORS = [
                  HEADER + "gt g { from l0; branch h_0 p=1 {} -> l1; }\n"
                  + "gt h { from l1; branch p=1 {} -> l2; }\n",
                  "4:17: duplicate transition name 'h_0'", id="duplicate-unnamed-branch"),
+    pytest.param(parse_program,
+                 HEADER + "trans t { from l0; guard y > 0; update x := y; to l1; }\nvars y;\n",
+                 "4:6: 'y' is declared after its use as a temporary", id="late-vars"),
+    pytest.param(parse_program, HEADER + "trans t { from l0; update x := 0, x := 5; to l1; }\n",
+                 "3:35: 'x' is assigned twice", id="assigned-twice"),
+    pytest.param(parse_program, HEADER + "start l1;\n",
+                 "3:1: duplicate 'start' declaration", id="duplicate-start"),
+    pytest.param(parse_program, HEADER + "trans t { from l0; guard x > " + "1" * 5000 + "; to l1; }\n",
+                 "3:30: integer literal too long (5000 digits)", id="long-literal"),
     pytest.param(_parse_constraint, "x > 0 y",
                  "1:7: trailing input after constraint", id="trailing"),
 ]
@@ -180,6 +190,20 @@ def test_text_format_loads_no_analysis(module):
     assert module in loaded and "pcfr.model" in loaded
     analyses = {"pcfr.linear", "pcfr.ratlp", "pcfr.refine", "pcfr.abstraction", "pcfr.invariants"}
     assert not loaded & analyses, sorted(loaded & analyses)
+
+
+def test_no_assert_statement_outside_test_modules():
+    """Every check of the library and of the tests' helpers raises, so it
+    still runs under ``python -O``: pytest rewrites the asserts of test
+    modules and ``conftest.py`` alone, and ``-O`` strips any other."""
+    sources = sorted((ROOT / "src" / "pcfr").glob("*.py")) + sorted((ROOT / "tests").glob("_*.py"))
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found
 
 
 def test_parse_constraint_and_atom(fig1_parsed):
