@@ -53,17 +53,16 @@ Synthesis and verification share one condition table per public call
 (:class:`_ConditionTable`).  Per general transition it holds the
 premise, built once, and its unsatisfiability verdict, computed on
 first use, which only synthesis reads.  Per (general transition, target
-or not) it holds the conditions, and per (general transition, target or
-not, template kind) their compiled rows, encoded once from template
-forms composed once per (location, update, template kind); each Farkas
-block has a block id that no other block of the table has.  Each cover
-group's affine LP is the blocks of its general transitions as they are:
-it takes each general transition once, so no two of its blocks share a
-multiplier.  The simplex lays out its columns in order of first
-occurrence, so the names of the multipliers do not change its run.  The
-table also holds verification's own memo: the supremum of each
-(premise, expression) pair it bounds, and its own unsatisfiability
-verdict per premise.  It is made on entry to the outermost of
+or not, template kind) it holds the compiled rows of its conditions,
+encoded once from template forms composed once per (location, update,
+template kind); each Farkas block has a block id that no other block of
+the table has.  Each cover group's affine LP is the blocks of its
+general transitions as they are: it takes each general transition once,
+so no two of its blocks share a multiplier.  The simplex lays out its
+columns in order of first occurrence, so the names of the multipliers
+do not change its run.  The table also holds verification's own
+unsatisfiability verdict per premise, which every condition of a
+general transition shares.  It is made on entry to the outermost of
 :func:`bound_program`, :func:`find_constant_plrf`,
 :func:`find_linear_plrf` and :func:`verify_plrf`, shared by the calls
 nested in it on the same program and invariants, and dropped when that
@@ -223,21 +222,18 @@ class _ConditionTable:
     """What the ranking conditions of one call on ``(p, inv)`` share (see
     the module docstring): premises and synthesis's unsatisfiability
     verdicts per general transition; per (general transition, target or
-    not) the conditions, and their LP rows for constant or affine
-    templates from the one compiler :meth:`rows`, with the composed
-    template forms they are built from; and verification's memo of
-    :func:`pcfr.linear.expression_sup` keyed on (premise, scaled
-    polynomial) and of its own unsatisfiability verdicts per premise."""
+    not) the LP rows of its conditions for constant or affine templates
+    from the one compiler :meth:`rows`, with the composed template forms
+    they are built from; and verification's own unsatisfiability
+    verdicts per premise."""
 
     def __init__(self, p: PIP, inv: InvariantMap):
         self.p, self.inv = p, inv
         self._premises: dict[str, tuple[Constraint, Atom | None]] = {}
         self._unsat: dict[str, bool] = {}
-        self._conditions: dict[tuple[str, bool], list] = {}
         self._rows: dict[tuple[str, bool, bool], list[ratlp.LinearConstraint]] = {}
         self._block_ids = count()
         self._forms: dict[tuple[Location, Update | None, bool], tuple[dict, dict]] = {}
-        self._sups: dict[tuple[Constraint, Polynomial], Fraction | None] = {}
         self._refuted: dict[Constraint, bool] = {}
 
     def premise(self, g: GeneralTransition, strict: bool) -> Constraint:
@@ -266,13 +262,6 @@ class _ConditionTable:
             self._unsat[g.name] = verdict
         return verdict
 
-    def conditions(self, g: GeneralTransition, is_target: bool) -> list:
-        """:func:`_gt_conditions`, once per (general transition, target or not)."""
-        key = (g.name, is_target)
-        if key not in self._conditions:
-            self._conditions[key] = _gt_conditions(g, is_target)
-        return self._conditions[key]
-
     def rows(
         self, g: GeneralTransition, is_target: bool, linear: bool
     ) -> list[ratlp.LinearConstraint]:
@@ -289,7 +278,7 @@ class _ConditionTable:
             return rows
         premise = self.premise(g, strict=True) if linear else None
         conclusions = []
-        for tag, combination in self.conditions(g, is_target):
+        for tag, combination in _gt_conditions(g, is_target):
             conclusion_vars: dict[Variable, dict] = {}
             conclusion_const: dict = {
                 LIT: Fraction(1) if tag == "decrease" else Fraction(0)
@@ -334,13 +323,6 @@ class _ConditionTable:
                 location, update, self.p.program_vars if linear else ()
             )
         return forms
-
-    def sup(self, premise: Constraint, poly: Polynomial) -> Fraction | None:
-        """Verification's :func:`pcfr.linear.expression_sup`, once per pair."""
-        key = (premise, poly)
-        if key not in self._sups:
-            self._sups[key] = expression_sup(premise, poly)
-        return self._sups[key]
 
     def refuted(self, premise: Constraint) -> bool:
         """Verification's own verdict: True only if the premise is
@@ -454,22 +436,22 @@ def verify_plrf(
     exact constant ``c <= 0``, a supremum at most 0 that its own checked
     multipliers prove, or the premise's unsatisfiability, certified by
     the re-check itself (see the module docstring).  It reads the
-    condition table's premises and its own memo, never synthesis's
-    unsatisfiability verdicts.
+    condition table's premises and its own unsatisfiability verdicts,
+    never synthesis's.
     """
     failures: list[str] = []
     taints: dict[str, str] = {}
     with _condition_table(p, inv) as table:
         for g in p.gts:
             premise = table.premise(g, strict=False)
-            for tag, combination in table.conditions(g, g.name in plrf.targets):
+            for tag, combination in _gt_conditions(g, g.name in plrf.targets):
                 try:
                     expr = _condition_expr(plrf.values, tag, combination)
                 except UnsupportedProgram as exc:
                     failures.append(f"{g.name}/{tag}: {exc}")
                     continue
                 if expr.coeffs:
-                    sup = table.sup(premise, expr.scaled_integer_poly())
+                    sup = expression_sup(premise, expr.scaled_integer_poly())
                     holds = sup <= 0 if sup is not None else table.refuted(premise)
                 else:
                     holds = expr.const <= 0 or table.refuted(premise)

@@ -61,10 +61,12 @@ def _load_config(path: str | None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             config = json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise ValueError(f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:
         raise ValueError(f"config is not valid JSON: {exc}")
+    except ValueError:  # an integer above the interpreter's digit limit
+        raise ValueError("cannot read config: integer literal too long (more than 4300 digits)")
     if not isinstance(config, dict):
         raise ValueError("config must be a JSON object")
     return config

@@ -95,7 +95,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, product
+from itertools import accumulate, chain, product
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .model import PIP, TERMINAL, GeneralTransition, Location, outgoing
@@ -375,7 +375,7 @@ def step_distribution(
     return successors(config, gt, temps)
 
 
-Move = tuple[tuple[str | None, Configuration], object, int, float]  # see StepTable
+Move = tuple[tuple[str | None, Configuration], object, int]  # see StepTable
 _Pair = tuple[int, int]  # (base, refined) node number
 _Hop = tuple[int, list["_Option"]]  # (steps, options of the end), see _stretch
 _Option = list  # [running sum, successor node, its kept stretch or None]
@@ -421,10 +421,9 @@ class StepTable(_NodeTable):
     this table reads ``policy.history_dependent``.
 
     ``moves(node)`` lists one :data:`Move` per step of the distribution:
-    (transition name, successor configuration), the successor node, the
-    probability as an integer over ``scale`` (the least common multiple of
-    the program's probability denominators) and the running float sum
-    that :func:`monte_carlo` draws from."""
+    (transition name, successor configuration), the successor node and
+    the probability as an integer over ``scale`` (the least common
+    multiple of the program's probability denominators)."""
 
     def __init__(self, p: PIP, policy: Policy):
         super().__init__(p)
@@ -452,10 +451,8 @@ class StepTable(_NodeTable):
 
     def _compile(self, path: PathRecord, child) -> list[Move]:
         moves: list[Move] = []
-        acc = 0.0
         for name, succ, prob in step_distribution(self.p, self.policy, path):
-            acc += float(prob)
-            moves.append(((name, succ), child(name, succ, prob), _weight(prob, self.scale), acc))
+            moves.append(((name, succ), child(name, succ, prob), _weight(prob, self.scale)))
         return moves
 
 
@@ -501,7 +498,7 @@ def _levels(table: StepTable | _PairTable, root, horizon: int):
         fired = [0] * len(table.p.gts)
         stopped = 0
         for node, (paths, mass) in level.items():
-            for (name, _), child, w, _ in moves(node):
+            for (name, _), child, w in moves(node):
                 weight = mass * w
                 entry = nxt.get(child)
                 if entry is None:
@@ -584,10 +581,10 @@ def enumerate_paths(
                 trail[k - 1] = step
             if k < last:
                 k += 1
-                for step, child, w, _ in reversed(moves(node)):
+                for step, child, w in reversed(moves(node)):
                     stack.append((k, step, child, mass * w))
                 continue
-            for step, _, w, _ in moves(node):  # one step above the horizon: the leaves
+            for step, _, w in moves(node):  # one step above the horizon: the leaves
                 trail[last] = step
                 weight = mass * w
                 prob = probabilities.get(weight)
@@ -759,7 +756,7 @@ def monte_carlo(
         while left:
             hop = option[2]
             if hop is None:
-                hop = _stretch(moves, option, left, kept)
+                hop = _stretch(moves, option, left, kept, table.scale)
             steps, options = hop
             left -= steps
             if left <= 0:  # the budget ends inside the stretch
@@ -786,17 +783,22 @@ def monte_carlo(
     return MonteCarloResult(mean, stderr, samples, censored)
 
 
-def _stretch(moves, option: _Option, budget: int, kept: dict[int, _Hop] | None) -> _Hop:
+def _stretch(
+    moves, option: _Option, budget: int, kept: dict[int, _Hop] | None, scale: int
+) -> _Hop:
     """The deterministic stretch from the successor node of ``option``:
     follow single non-bottom moves, for at most ``budget`` steps, to the
     first branch point or bottom move, and return the steps taken and the
     end's options, one ``[running sum, successor node, None]`` per move of
     a branch point and none for a bottom move; a branch point or bottom
-    node is its own stretch of 0 steps.  Unless ``kept`` is ``None``, a
-    stretch that ends within the budget is kept there and linked from
-    ``option``, and a kept one is linked without being walked again.  One
-    cut by the budget is never kept or linked: it returns ``budget``
-    steps, and the node it stops at is not resolved."""
+    node is its own stretch of 0 steps.  The running sums add up ``w /
+    scale`` over the moves' weights ``w`` in float arithmetic; each
+    quotient is the move's probability correctly rounded, as
+    ``float(prob)`` is.  Unless ``kept`` is ``None``, a stretch that ends
+    within the budget is kept there and linked from ``option``, and a
+    kept one is linked without being walked again.  One cut by the budget
+    is never kept or linked: it returns ``budget`` steps, and the node it
+    stops at is not resolved."""
     start = node = option[1]
     if kept is not None:
         hop = kept.get(start)
@@ -807,7 +809,8 @@ def _stretch(moves, option: _Option, budget: int, kept: dict[int, _Hop] | None) 
     while steps < budget:
         node_moves = moves(node)
         if len(node_moves) > 1:
-            hop = (steps, [[acc, child, None] for _, child, _, acc in node_moves])
+            sums = accumulate(w / scale for _, _, w in node_moves)
+            hop = (steps, [[acc, move[1], None] for acc, move in zip(sums, node_moves)])
         elif node_moves[0][0][0] is None:
             hop = (steps, [])
         else:
@@ -1048,7 +1051,7 @@ class _PairTable(dict):
         location2 = refined.configs[pair[1]].location.name
         matched: list[Move] = []
         for move in moves:
-            (name, succ), j, w, acc = move
+            (name, succ), j, w = move
             state = tuple((v, n) for v, n in succ.state if v not in self.dropped)
             if name is None:
                 key = (None, Configuration(TERMINAL, state))
@@ -1067,7 +1070,7 @@ class _PairTable(dict):
                 raise _Mismatch(f"probability changed: {f.probability} vs {g.probability}", f)
             child = (j, image[1])
             self.first.setdefault(child, (pair, move, image))
-            matched.append((move[0], child, w, acc))
+            matched.append((move[0], child, w))
         if images:
             why = "refined path has no preimage (embedding not surjective)"
             raise _Mismatch(why, self._path(pair, next(iter(images.values())), 1))

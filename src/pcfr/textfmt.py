@@ -421,7 +421,11 @@ def parse_state(text: str, program: PIP) -> dict[Variable, int]:
         m = re.fullmatch(r"([A-Za-z_][A-Za-z_0-9]*)\s*=\s*(-?\d+)", piece)
         if m is None:
             raise ValueError(f"cannot parse state assignment {piece!r}")
-        pairs.append((m.group(1), int(m.group(2))))
+        try:
+            pairs.append((m[1], int(m[2])))
+        except ValueError:  # above the interpreter's digit limit
+            why = f"integer literal for {m[1]!r} too long ({len(m[2].lstrip('-'))} digits)"
+            raise ValueError(f"initial state: {why}") from None
     return bind_state(pairs, program)
 
 

@@ -22,7 +22,8 @@ block ids are numbered in order of first use.  Tests only; the bodies
 are kept as they were, except that each magnitude solve is one call of
 :func:`pcfr.ratlp.solve_lp`, which takes the sign rows and breaks ties
 itself; they share the premises, condition shapes and result types of
-``pcfr.bounds``.
+``pcfr.bounds``, and the re-check, like ``pcfr.bounds``'s, bounds each
+expression with :func:`pcfr.linear.expression_sup` itself.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from pcfr.bounds import (
     default_cover,
 )
 from pcfr.invariants import InvariantMap, infer
-from pcfr.linear import LIT, farkas_block
+from pcfr.linear import LIT, expression_sup, farkas_block
 from pcfr.model import PIP, GeneralTransition, Location
 from pcfr.syntax import Update, Variable
 
@@ -97,7 +98,7 @@ def verify_plrf(
                     failures.append(f"{g.name}/{tag}: {exc}")
                     continue
                 if expr.coeffs:
-                    sup = table.sup(premise, expr.scaled_integer_poly())
+                    sup = expression_sup(premise, expr.scaled_integer_poly())
                     holds = sup <= 0 if sup is not None else table.refuted(premise)
                 else:
                     holds = expr.const <= 0 or table.refuted(premise)

@@ -22,6 +22,7 @@ from pcfr.bounds import (
     find_linear_plrf,
     verify_plrf,
 )
+from pcfr.cli import main
 from pcfr.invariants import infer
 from pcfr.linear import (
     LIT,
@@ -231,6 +232,31 @@ def test_nonlinear_update_reported():
     )
     with pytest.raises(UnsupportedProgram):
         find_linear_plrf(p, infer(p), ["square"])
+
+
+@pytest.mark.parametrize(
+    "guard, update, failure",
+    [
+        pytest.param("x*x > 4 && x > 0", "x - 1",
+                     "{t1}: nonlinear guard or invariant atom on 't1': 5 <= x^2",
+                     id="guard"),
+        pytest.param("x > 0", "x*x - 1", "{t1}: nonlinear update image for 'x'",
+                     id="update"),
+    ],
+)
+def test_nonlinear_group_is_a_failure_not_an_error(capsys, tmp_path, guard, update, failure):
+    """A group whose affine synthesis meets a nonlinear guard or update is
+    reported as that group's failure, and the CLI exits 1 naming it."""
+    text = (
+        "vars x;\nstart l0;\ntrans t0 { from l0; to l1; }\n"
+        f"trans t1 {{ from l1; guard {guard}; update x := {update}; to l1; }}\n"
+    )
+    report = bound_program(parse_program(text))
+    assert (report.ok, report.bound, report.failures) == (False, None, (failure,))
+    path = tmp_path / "loop.pip"
+    path.write_text(text)
+    assert main(["bound", str(path)]) == 1
+    assert capsys.readouterr().out == f"no finite bound\n  {failure}\n"
 
 
 # --- composition --------------------------------------------------------------
@@ -505,10 +531,10 @@ def test_corrupted_unsat_verdict_is_rejected(monkeypatch, fig2):
 
 
 def test_condition_table_lives_for_one_call(monkeypatch, fig2):
-    """The re-check's memo and the compiled Farkas rows are shared inside
-    one call and start empty in the next, so a repeated call does the same
-    work: every compiled row is unreachable once the call returns, and the
-    next call encodes the same conditions again."""
+    """The compiled Farkas rows are shared inside one call and start empty
+    in the next, so a repeated call does the same work: every compiled row
+    is unreachable once the call returns, and the next call encodes the
+    same conditions again."""
     calls, encoded = [], []
     original = bounds.expression_sup
     encode = bounds.farkas_block
@@ -529,7 +555,6 @@ def test_condition_table_lives_for_one_call(monkeypatch, fig2):
         bound_program(program, inv=inv)
         first = len(calls)
         assert first > 0
-        assert first == len(set(calls))  # each (premise, expression) once per call
         conditions = [condition for condition, _ in encoded]
         assert conditions
         rows = [weakref.ref(row) for _, row in encoded]

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import json
 import os
 import random
@@ -206,6 +207,21 @@ def test_no_assert_statement_outside_test_modules():
     assert not found, found
 
 
+def test_every_traced_name_resolves():
+    """Every (module, attribute) that the benchmark's tracer wraps
+    (``perfbench/spans.py``'s ``WRAPPED``) is a name of ``pcfr``, so a
+    renamed or removed function fails here and not first in a traced run."""
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        (module, attr)
+        for module, attr, _ in spans.WRAPPED
+        if not hasattr(importlib.import_module(f"pcfr.{module}"), attr)
+    ]
+    assert not missing, missing
+
+
 def test_parse_constraint_and_atom(fig1_parsed):
     c = parse_constraint("x > 0 && y <= 3", fig1_parsed)
     assert len(c.atoms) == 2
@@ -352,54 +368,6 @@ def test_cli_missing_state_exits_2(capsys):
     assert "initial state" in err
 
 
-def test_cli_state_with_unknown_name_exits_2(capsys):
-    code, out, err = _run(
-        capsys, "enumerate", str(ROOT / "programs" / "fig1.pip"), "--state", "x=0, y=2, yy=3"
-    )
-    assert (code, out) == (2, "")
-    assert err == "pcfr: initial state names unknown variable 'yy'\n"
-
-
-def test_cli_state_with_repeated_name_exits_2(capsys):
-    code, out, err = _run(
-        capsys, "enumerate", str(ROOT / "programs" / "fig1.pip"), "--state", "x=0, x=5, y=2"
-    )
-    assert (code, out) == (2, "")
-    assert err == "pcfr: initial state: 'x' is assigned twice\n"
-
-
-def test_cli_repeated_temp_value_exits_2(capsys, tmp_path):
-    """A value given twice in ``--temp-values`` or config ``temp_values``
-    is exit 2, named like a state variable assigned twice; it would list
-    every scheduler candidate once per repeat."""
-    fig1 = str(ROOT / "programs" / "fig1.pip")
-    code, out, err = _run(
-        capsys, "mdp-sup", fig1, "--state", "x=0, y=2", "--temp-values", "1,1"
-    )
-    assert (code, out) == (2, "")
-    assert err == "pcfr: temp_values: 1 is listed twice\n"
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"state": {"x": 0, "y": 2}, "temp_values": [2, 1, 2]}))
-    code, out, err = _run(capsys, "enumerate", fig1, "--config", str(config))
-    assert (code, out) == (2, "")
-    assert err == "pcfr: temp_values: 2 is listed twice\n"
-
-
-def test_cli_check_embedding_history_policy_exits_2(capsys):
-    code, out, err = _run(
-        capsys,
-        "check-embedding",
-        str(ROOT / "programs" / "fig1.pip"),
-        "--config",
-        str(ROOT / "programs" / "fig1.cfr.json"),
-        "--policy",
-        "seeded-history:3",
-    )
-    assert code == 2
-    assert out == ""
-    assert err == "pcfr: check-embedding needs a history-independent policy (first or seeded:N)\n"
-
-
 # Pruning the refinement on {a} removes t1, and with it the temporary u, so
 # no policy of the refinement can mirror the seeded one, which chooses u.
 UNMIRRORED = """\
@@ -468,62 +436,71 @@ def _usage_error(capsys, *argv):
     return err
 
 
-def test_cli_enumerate_negative_horizon_exits_2(capsys):
-    err = _usage_error(
-        capsys, "enumerate", str(ROOT / "programs" / "fig1.pip"),
-        "--state", "x=0, y=2", "--horizon", "-1",
-    )
-    assert err == "pcfr: horizon must be nonnegative\n"
-
-
-def test_cli_simulate_bad_sample_arguments_exit_2(capsys):
-    args = ("simulate", str(ROOT / "programs" / "fig1.pip"), "--state", "x=0, y=2")
-    err = _usage_error(capsys, *args, "--samples", "0")
-    assert err == "pcfr: need at least one sample\n"
-    err = _usage_error(capsys, *args, "--step-cap", "-1")
-    assert err == "pcfr: step_cap must be nonnegative\n"
-
-
-def test_cli_mdp_sup_negative_horizon_exits_2(capsys):
-    err = _usage_error(
-        capsys, "mdp-sup", str(ROOT / "programs" / "fig1.pip"),
-        "--state", "x=0, y=2", "--horizon", "-1",
-    )
-    assert err == "pcfr: horizon must be nonnegative\n"
-
-
-def test_cli_check_embedding_negative_horizon_exits_2(capsys):
-    err = _usage_error(
-        capsys, "check-embedding", str(ROOT / "programs" / "fig1.pip"),
-        "--config", str(ROOT / "programs" / "fig1.cfr.json"), "--horizon", "-1",
-    )
-    assert err == "pcfr: horizon must be nonnegative\n"
-
-
-def test_cli_enumerate_negative_path_cap_exits_2(capsys):
-    args = ("enumerate", str(ROOT / "programs" / "fig1.pip"), "--state", "x=0, y=2")
-    for horizon in ("0", "10"):
-        err = _usage_error(capsys, *args, "--horizon", horizon, "--path-cap", "-1")
-        assert err == "pcfr: path_cap must be nonnegative\n"
-
-
-def test_cli_mdp_sup_negative_state_cap_exits_2(capsys):
-    err = _usage_error(
-        capsys, "mdp-sup", str(ROOT / "programs" / "fig1.pip"),
-        "--state", "x=0, y=2", "--state-cap", "-1",
-    )
-    assert err == "pcfr: state_cap must be nonnegative\n"
-
-
-def test_cli_check_embedding_negative_path_cap_exits_2(capsys):
-    err = _usage_error(
-        capsys, "check-embedding", str(ROOT / "programs" / "fig1.pip"),
-        "--config", str(ROOT / "programs" / "fig1.cfr.json"), "--path-cap", "-1",
-    )
-    assert err == "pcfr: path_cap must be nonnegative\n"
-
-
 FIG1_RUN = ("programs/fig1.pip", "--state", "x=0, y=2")
+FIG1_EMBED = ("programs/fig1.pip", "--config", "programs/fig1.cfr.json")
+LONG = "1" * 5000  # above the interpreter's 4,300-digit conversion limit
+# (argv, config, stderr): a config is an object, or its bytes where json
+# cannot write them.  A value given twice in --temp-values or config
+# temp_values is named like a state variable assigned twice; it would list
+# every scheduler candidate once per repeat.
+USAGE_ERRORS = [
+    pytest.param(("enumerate", "programs/fig1.pip", "--state", "x=0, y=2, yy=3"), None,
+                 "pcfr: initial state names unknown variable 'yy'\n", id="state-unknown"),
+    pytest.param(("enumerate", "programs/fig1.pip", "--state", "x=0, x=5, y=2"), None,
+                 "pcfr: initial state: 'x' is assigned twice\n", id="state-repeated"),
+    pytest.param(("enumerate", "programs/fig1.pip", "--state", f"x={LONG}, y=2"), None,
+                 "pcfr: initial state: integer literal for 'x' too long (5000 digits)\n",
+                 id="state-long-int"),
+    pytest.param(("enumerate", *FIG1_RUN), f'{{"horizon": {LONG}}}'.encode(),
+                 "pcfr: cannot read config: integer literal too long (more than 4300 digits)\n",
+                 id="config-long-int"),
+    pytest.param(("enumerate", *FIG1_RUN), b'{"horizon": 1\xff}',
+                 "pcfr: cannot read config: 'utf-8' codec can't decode byte 0xff in position 13:"
+                 " invalid start byte\n", id="config-not-utf8"),
+    pytest.param(("mdp-sup", *FIG1_RUN, "--temp-values", "1,1"), None,
+                 "pcfr: temp_values: 1 is listed twice\n", id="temp-values-repeated"),
+    pytest.param(("enumerate", "programs/fig1.pip"),
+                 {"state": {"x": 0, "y": 2}, "temp_values": [2, 1, 2]},
+                 "pcfr: temp_values: 2 is listed twice\n", id="temp-values-repeated-config"),
+    pytest.param(("check-embedding", *FIG1_EMBED, "--policy", "seeded-history:3"), None,
+                 "pcfr: check-embedding needs a history-independent policy (first or seeded:N)\n",
+                 id="check-embedding-history-policy"),
+    pytest.param(("enumerate", *FIG1_RUN, "--horizon", "-1"), None,
+                 "pcfr: horizon must be nonnegative\n", id="enumerate-horizon"),
+    pytest.param(("mdp-sup", *FIG1_RUN, "--horizon", "-1"), None,
+                 "pcfr: horizon must be nonnegative\n", id="mdp-sup-horizon"),
+    pytest.param(("check-embedding", *FIG1_EMBED, "--horizon", "-1"), None,
+                 "pcfr: horizon must be nonnegative\n", id="check-embedding-horizon"),
+    pytest.param(("simulate", *FIG1_RUN, "--samples", "0"), None,
+                 "pcfr: need at least one sample\n", id="simulate-samples"),
+    pytest.param(("simulate", *FIG1_RUN, "--step-cap", "-1"), None,
+                 "pcfr: step_cap must be nonnegative\n", id="simulate-step-cap"),
+    pytest.param(("enumerate", *FIG1_RUN, "--horizon", "0", "--path-cap", "-1"), None,
+                 "pcfr: path_cap must be nonnegative\n", id="enumerate-path-cap-horizon-0"),
+    pytest.param(("enumerate", *FIG1_RUN, "--horizon", "10", "--path-cap", "-1"), None,
+                 "pcfr: path_cap must be nonnegative\n", id="enumerate-path-cap-horizon-10"),
+    pytest.param(("mdp-sup", *FIG1_RUN, "--state-cap", "-1"), None,
+                 "pcfr: state_cap must be nonnegative\n", id="mdp-sup-state-cap"),
+    pytest.param(("check-embedding", *FIG1_EMBED, "--path-cap", "-1"), None,
+                 "pcfr: path_cap must be nonnegative\n", id="check-embedding-path-cap"),
+]
+
+
+def _with_config(tmp_path, argv, config):
+    if config is None:
+        return argv
+    path = tmp_path / "config.json"
+    path.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
+    return (*argv, "--config", str(path))
+
+
+@pytest.mark.parametrize("argv,config,message", USAGE_ERRORS)
+def test_cli_usage_error_prints_its_message(capsys, monkeypatch, tmp_path, argv, config, message):
+    """Exit 2, nothing on stdout and exactly the one line on stderr."""
+    monkeypatch.chdir(ROOT)
+    assert _usage_error(capsys, *_with_config(tmp_path, argv, config)) == message
+
+
 FIG1_S = {"S": ["t1a", "t1b", "t2", "t3"]}
 BAD_SETTINGS = [
     pytest.param(("enumerate", *FIG1_RUN, "--temp-values", "a"), None, None, id="temp-values"),
@@ -568,11 +545,7 @@ def test_cli_bad_setting_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, c
     monkeypatch.chdir(ROOT)
     if seed_env is not None:
         monkeypatch.setenv("PCFR_SEED", seed_env)
-    if config is not None:
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        argv = (*argv, "--config", str(path))
-    err = _usage_error(capsys, *argv)
+    err = _usage_error(capsys, *_with_config(tmp_path, argv, config))
     assert err.startswith("pcfr: ") and err.count("\n") == 1, err
 
 

@@ -577,6 +577,11 @@ CORRUPTIONS = [
          "  [pr=1/2]")),
     (_strict_entry, "induced policy is not a valid scheduler: scheduler clause (c)", "t0", 1,
      (1, "(l0, {x=0, y=2}) --t0--> (l1, {u=1, x=1, y=2})  [pr=1]")),
+    # no copy of t2 at all: the induced policy finds nothing to lift t2 to
+    (lambda t, o: [] if o == "t2" else [t],
+     "no refined counterpart for a step of this path", "t2", 3,
+     (2, "(l0, {x=0, y=2}) --t0--> (l1, {u=1, x=1, y=2}) --t1b--> (l1, {u=1, x=0, y=2})"
+         " --t2--> (l2, {u=1, x=0, y=2})  [pr=1/2]")),
 ]
 
 
