@@ -55,14 +55,26 @@ def envelope(command: str, result: dict) -> dict:
     return {"tool": "pcfr", "version": __version__, "command": command, "result": result}
 
 
+def _not_utf8(what: str, path: str, exc: UnicodeDecodeError) -> ValueError:
+    """The message for a file that is not UTF-8.  The whole file is decoded
+    in one piece, so the error's offset is the file's."""
+    byte = exc.object[exc.start]
+    return ValueError(
+        f"cannot read {what}: {path}: not UTF-8 at byte offset {exc.start}"
+        f" (0x{byte:02x}, {exc.reason})"
+    )
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
             config = json.load(handle)
-    except (OSError, UnicodeError) as exc:
+    except OSError as exc:
         raise ValueError(f"cannot read config: {exc}")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8("config", path, exc)
     except json.JSONDecodeError as exc:
         raise ValueError(f"config is not valid JSON: {exc}")
     except ValueError:  # an integer above the interpreter's digit limit
@@ -78,6 +90,8 @@ def _load_program(path: str) -> PIP:
             text = handle.read()
     except OSError as exc:
         raise ValueError(f"cannot read program: {exc}")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8("program", path, exc)
     try:
         return parse_program(text)
     except (ParseError, ProgramError) as exc:

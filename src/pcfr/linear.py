@@ -34,6 +34,21 @@ and so is every answer built on it.  A part of one atom that mentions a
 variable always has a rational model and needs no LP; a premise of one
 part is refuted whole.
 
+A supremum, and so an entailment, is solved over the parts that share a
+variable with the conclusion.  When the other parts are satisfiable, a
+model of the conclusion's parts joins a model of the rest into a model
+of the premise, so the two suprema are equal; when they are not, the
+premise has no model and no supremum.  So the supremum LP over the
+conclusion's parts answers, or None when another part is refuted.  Its
+multipliers are checked against the conclusion's parts, and they prove
+the bound over the premise too: a checked proof over some of the atoms
+is a proof over all of them.  An entailment needs the other parts only
+when the conclusion's parts do not entail the atom: the premise then
+entails it exactly when some other part is refuted.  A variable of the
+conclusion that no premise atom mentions leaves it unbounded, or the
+premise unsatisfiable: its Farkas row ``0 = coefficient`` has no
+solution, so the supremum is ``None`` without an LP.
+
 Only the verdicts that soundness depends on need a proof: "entailed",
 "unsat" and a finite supremum.  Each one is re-checked on the returned
 multipliers in plain ``Fraction`` arithmetic, and a failed check raises
@@ -52,7 +67,7 @@ import enum
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from . import ratlp
 from .syntax import Atom, Constraint, Polynomial, Variable
@@ -141,9 +156,13 @@ def _certified_sup(
 
 
 def _sup(premise: Constraint, lin: Mapping[Variable, int], const: int) -> Fraction | None:
-    """Certified supremum of ``lin . x + const`` over a linear premise;
-    None when the dual has no optimum (the premise is unsatisfiable or the
-    expression is unbounded above)."""
+    """Certified supremum of ``lin . x + const`` over a linear premise, by
+    one Farkas-dual LP over all of its atoms; None when the dual has no
+    optimum (the premise is unsatisfiable or the expression is unbounded
+    above).  A variable of ``lin`` that no atom mentions makes the dual
+    infeasible, so it gets no LP."""
+    if not premise.variables().issuperset(lin):
+        return None
     constraints: list[ratlp.LinearConstraint] = []
     conclusion_vars = {v: {LIT: Fraction(c)} for v, c in lin.items()}
     farkas_block(0, premise, conclusion_vars, {LIT: Fraction(const), _SUP: -1}, constraints)
@@ -171,27 +190,45 @@ def _parts(atoms: tuple[Atom, ...]) -> list[tuple[frozenset[Variable], list[Atom
     return parts
 
 
+def _split(
+    premise: Constraint, lin: Mapping[Variable, int]
+) -> tuple[Constraint, Iterator[Constraint]]:
+    """The atoms of the premise's parts that share a variable with
+    ``lin``, and the other parts that an LP may refute, smallest first
+    (built as they are read).
+
+    A premise of one part is left whole.  Of several parts, a part of one
+    atom that mentions a variable is left out of the others: it has a
+    rational model (its coefficients are not all zero), so no LP refutes
+    it."""
+    if len(premise.atoms) > 1:
+        parts = _parts(premise.atoms)
+        if len(parts) > 1:
+            parts.sort(key=lambda part: len(part[1]))
+            near = [
+                a for variables, atoms in parts if not variables.isdisjoint(lin) for a in atoms
+            ]
+            rest = (
+                Constraint(atoms)
+                for variables, atoms in parts
+                if variables.isdisjoint(lin) and (len(atoms) > 1 or not variables)
+            )
+            return (premise if len(near) == len(premise.atoms) else Constraint(near)), rest
+    return premise, iter(())
+
+
 def _unsat(premise: Constraint) -> bool:
     """True only if the linear premise is certified unsatisfiable: it
     proves ``1 <= 0``.
 
     A premise of two or more variable-connected parts is refuted one part
-    at a time, smallest first, and the first refuted part answers.  Parts
-    share no variable, so a union of models of the parts is a model of
-    the premise: the premise is unsatisfiable exactly when some part is,
-    and that part's checked refutation refutes the premise.  A part of
-    one atom that mentions a variable has a rational model (its
-    coefficients are not all zero) and gets no LP."""
-    if len(premise.atoms) > 1:
-        parts = _parts(premise.atoms)
-        if len(parts) > 1:
-            parts.sort(key=lambda part: len(part[1]))
-            return any(
-                _refuted(Constraint(atoms))
-                for variables, atoms in parts
-                if len(atoms) > 1 or not variables
-            )
-    return _refuted(premise)
+    at a time, smallest first, and the first refuted part answers (see
+    :func:`_split`).  Parts share no variable, so a union of models of
+    the parts is a model of the premise: the premise is unsatisfiable
+    exactly when some part is, and that part's checked refutation
+    refutes the premise."""
+    near, rest = _split(premise, {})
+    return _refuted(near) or any(map(_refuted, rest))
 
 
 def _refuted(premise: Constraint) -> bool:
@@ -207,10 +244,6 @@ def _refuted(premise: Constraint) -> bool:
     if _certified_sup(premise, result.assignment, {}, 1) > 0:
         raise AssertionError(f"Farkas multipliers do not refute {premise}")
     return True
-
-
-def _negated(lin: Mapping[Variable, int]) -> dict[Variable, int]:
-    return {v: -c for v, c in lin.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +273,20 @@ def expression_sup(premise: Constraint, expr: Polynomial) -> Fraction | None:
     ``None`` means there is no finite supremum: the expression is
     unbounded above, or the premise is unsatisfiable.  A finite supremum
     is backed by checked multipliers.
+
+    The LP spans only the parts of the premise that share a variable with
+    the expression (see :func:`_split`), and the answer is None if one of
+    the other parts is refuted: the parts share no variable, so this is
+    the supremum over the whole premise.
     """
     if not premise.is_linear():
         raise ValueError("premise must be linear")
     lin, const = expr.linear_form()
-    return _sup(premise, lin, const)
+    near, rest = _split(premise, lin)
+    upper = _sup(near, lin, const)
+    if upper is None or any(map(_refuted, rest)):
+        return None
+    return upper
 
 
 def expression_bounds(
@@ -270,6 +312,12 @@ def entails(premise: Constraint, conclusion: Atom) -> bool:
     Nonlinear atoms are never entailed and nonlinear premises entail
     nothing (conservative both ways).  An unsatisfiable linear premise
     entails every linear atom.
+
+    The supremum of the atom's expression (and for ``=`` of its negation)
+    is solved over the premise's parts that share a variable with it (see
+    :func:`_split`).  At most 0, it proves the atom without the other
+    parts; above 0, the atom is entailed only if one of the other parts is
+    refuted; without a supremum, only if the premise is refuted.
     """
     if conclusion.is_trivially_true():
         return True
@@ -278,15 +326,17 @@ def entails(premise: Constraint, conclusion: Atom) -> bool:
     if conclusion in premise.atoms:
         return True
     lin, const = conclusion.expr.linear_form()
-    upper = _sup(premise, lin, const)
+    near, rest = _split(premise, lin)
+    upper = _sup(near, lin, const)
     if upper is None:  # unbounded above, or no model at all
         return _unsat(premise)
-    if upper > 0:
-        return False
-    if not conclusion.is_eq:
-        return True
-    lower = _sup(premise, _negated(lin), -const)  # sup of -expr, a satisfiable premise
-    return lower is not None and lower <= 0
+    if upper <= 0:
+        if not conclusion.is_eq:
+            return True
+        lower = _sup(near, {v: -c for v, c in lin.items()}, -const)  # sup of -expr
+        if lower is not None and lower <= 0:
+            return True
+    return any(map(_refuted, rest))  # entailed only if the rest has no model
 
 
 # ---------------------------------------------------------------------------

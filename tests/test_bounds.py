@@ -758,7 +758,7 @@ def test_bound_synthesis_pivots_on_the_refined_chain(monkeypatch):
         return pivot(*args)
 
     monkeypatch.setattr(bounds.ratlp, "_pivot", counting)
-    for k, want in ((1, 80), (2, 287), (3, 597), (4, 1010)):
+    for k, want in ((1, 64), (2, 198), (3, 379), (4, 607)):
         program = _corpus.refined_chain(k)
         entails.cache_clear()
         pivots.clear()

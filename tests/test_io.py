@@ -454,9 +454,6 @@ USAGE_ERRORS = [
     pytest.param(("enumerate", *FIG1_RUN), f'{{"horizon": {LONG}}}'.encode(),
                  "pcfr: cannot read config: integer literal too long (more than 4300 digits)\n",
                  id="config-long-int"),
-    pytest.param(("enumerate", *FIG1_RUN), b'{"horizon": 1\xff}',
-                 "pcfr: cannot read config: 'utf-8' codec can't decode byte 0xff in position 13:"
-                 " invalid start byte\n", id="config-not-utf8"),
     pytest.param(("mdp-sup", *FIG1_RUN, "--temp-values", "1,1"), None,
                  "pcfr: temp_values: 1 is listed twice\n", id="temp-values-repeated"),
     pytest.param(("enumerate", "programs/fig1.pip"),
@@ -499,6 +496,34 @@ def test_cli_usage_error_prints_its_message(capsys, monkeypatch, tmp_path, argv,
     """Exit 2, nothing on stdout and exactly the one line on stderr."""
     monkeypatch.chdir(ROOT)
     assert _usage_error(capsys, *_with_config(tmp_path, argv, config)) == message
+
+
+# (file name, its bytes, argv, stderr): the config is read before the program
+NOT_UTF8 = [
+    pytest.param("bad.pip", b"vars x; # \xff\nstart l0;\n", ("invariants", "bad.pip"),
+                 "pcfr: cannot read program: bad.pip: not UTF-8 at byte offset 10"
+                 " (0xff, invalid start byte)\n", id="program-not-utf8"),
+    pytest.param("cut.pip", b"vars x;\r\n# \xc3", ("bound", "cut.pip"),
+                 "pcfr: cannot read program: cut.pip: not UTF-8 at byte offset 11"
+                 " (0xc3, unexpected end of data)\n", id="program-cut-utf8"),
+    pytest.param("bad.json", b'{"horizon": 1\xff}',
+                 ("enumerate", str(ROOT / "programs" / "fig1.pip"), "--state", "x=0, y=2",
+                  "--config", "bad.json"),
+                 "pcfr: cannot read config: bad.json: not UTF-8 at byte offset 13"
+                 " (0xff, invalid start byte)\n", id="config-not-utf8"),
+]
+
+
+@pytest.mark.parametrize("name,data,argv,message", NOT_UTF8)
+def test_cli_file_not_utf8_names_the_file_and_offset(
+    capsys, monkeypatch, tmp_path, name, data, argv, message
+):
+    """Exit 2 with one line naming the file, and the offset of the first
+    byte that is not UTF-8, counted in the file's bytes (so before any
+    newline translation)."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_bytes(data)
+    assert _usage_error(capsys, *argv) == message
 
 
 FIG1_S = {"S": ["t1a", "t1b", "t2", "t3"]}

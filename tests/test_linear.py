@@ -455,6 +455,124 @@ def test_lone_atom_parts_need_no_lp(monkeypatch):
         assert len(calls) == 1, one_part
 
 
+V = pv("v")  # a variable that no split premise mentions
+
+
+def _split_conclusion(rng, blocks):
+    """A linear form over the variables of one or two blocks, now and then
+    with a variable no premise atom mentions; constant when the blocks
+    have no variables."""
+    chosen = rng.sample(blocks, min(len(blocks), rng.randint(1, 2)))
+    variables = [v for _, _, block_vars in chosen for v in block_vars]
+    if rng.random() < 0.25:
+        variables.append(V)
+    return _random_form(rng, variables)
+
+
+def _whole_premise_sup(premise, poly):
+    """The supremum by one Farkas-dual LP over every atom of the premise."""
+    lin, const = poly.linear_form()
+    conclusion_vars = {v: {linear.LIT: Fraction(c)} for v, c in lin.items()}
+    constraints = []
+    conclusion_const = {linear.LIT: Fraction(const), "sup": -1}
+    linear.farkas_block(0, premise, conclusion_vars, conclusion_const, constraints)
+    result = ratlp.solve_lp(constraints, {"sup": 1})
+    return result.objective if result.status == ratlp.OPTIMAL else None
+
+
+def test_part_supremum_matches_the_whole_premise():
+    """Suprema and entailments over premises of variable-disjoint blocks,
+    among them unsatisfiable blocks and constant atoms beside the
+    conclusion's blocks: ``expression_sup`` equals the whole-premise LP
+    and the Fourier-Motzkin reference, and ``entails`` agrees with the
+    reference and with integer enumeration on a box."""
+    rng = random.Random(3303)
+    seen = Counter()
+    for _ in range(300):
+        premise, blocks = _split_premise(rng)
+        poly = _split_conclusion(rng, blocks)
+        lin, _ = poly.linear_form()
+        sat = constraint_satisfiability(premise)
+        sup = linear.expression_sup(premise, poly)
+        assert sup == _whole_premise_sup(premise, poly), (premise, poly)
+        want = _reference_linear.expression_bounds(premise, poly)
+        if want is None or None not in want and want[0] > want[1]:
+            assert sat is Satisfiability.UNSAT  # see test_linear_core_matches_...
+            want = (None, None)
+        assert sup == want[1], (premise, poly)
+        pool = sorted(premise.variables() | poly.variables())
+        points = [pt for pt in _integer_points(pool, 2) if premise.satisfied_by(pt)]
+        entails.cache_clear()
+        for rel in ("<=", "="):
+            conclusion = Atom(poly, rel, 0)
+            verdict = entails(premise, conclusion)
+            if verdict != _reference_linear.entails(premise, conclusion):
+                assert sat is Satisfiability.UNSAT and verdict, (premise, conclusion)
+            if verdict:
+                assert all(conclusion.satisfied_by(pt) for pt in points), (premise, conclusion)
+            seen[f"entailed={verdict} sat={sat}"] += 1
+        in_near = [known for _, known, vs in blocks if not lin.keys().isdisjoint(vs)]
+        in_rest = [known for _, known, vs in blocks if lin.keys().isdisjoint(vs)]
+        seen["free variable"] += V in lin
+        seen["constant conclusion"] += not lin
+        seen["finite sup"] += sup is not None
+        seen["satisfiable near, unsatisfiable rest"] += all(in_near) and not all(in_rest)
+    cases = ["free variable", "constant conclusion", "finite sup"]
+    cases += ["satisfiable near, unsatisfiable rest", "entailed=True sat=unsat"]
+    cases += [f"entailed={v} sat=sat" for v in (True, False)]
+    assert all(seen[case] >= 5 for case in cases), seen
+
+
+def test_supremum_lp_spans_the_conclusions_parts(monkeypatch):
+    """A conclusion with a variable no premise atom mentions makes no
+    supremum LP.  Otherwise a supremum makes one LP, whose multipliers
+    are those of the atoms in the parts that share a variable with the
+    conclusion, and then at most one refutation per other part that is
+    not a lone atom over a variable."""
+    rng = random.Random(3304)
+    lps = []  # (a supremum LP, its multiplier keys)
+    solve_lp = linear.ratlp.solve_lp
+
+    def recording(constraints, objective=None, extra_variables=()):
+        keys = {k for c in constraints for k, _ in c.coeffs if k[0] == "lam"}
+        lps.append((objective is not None, keys))
+        return solve_lp(constraints, objective, extra_variables)
+
+    monkeypatch.setattr(linear.ratlp, "solve_lp", recording)
+    seen = Counter()
+    for _ in range(300):
+        premise, blocks = _split_premise(rng)
+        poly = _split_conclusion(rng, blocks)
+        lin, _ = poly.linear_form()
+        parts = linear._parts(premise.atoms)
+        near = [a for variables, atoms in parts if not variables.isdisjoint(lin) for a in atoms]
+        others = [atoms for variables, atoms in parts if variables.isdisjoint(lin)]
+        refutable = [atoms for atoms in others if len(atoms) > 1 or not atoms[0].variables()]
+        entails.cache_clear()
+        lps.clear()
+        linear.expression_sup(premise, poly)
+        sup_lps = lps[:]
+        lps.clear()
+        entails(premise, Atom(poly, "<=", 0))
+        if not premise.variables().issuperset(lin):
+            assert sup_lps == [], (premise, poly)
+            assert not any(is_sup for is_sup, _ in lps), (premise, poly)
+            seen["free variable"] += 1
+            continue
+        assert sup_lps[0][0] and not any(is_sup for is_sup, _ in sup_lps[1:]), (premise, poly)
+        if len(parts) > 1:
+            assert sup_lps[0][1] == {("lam", 0, i) for i in range(len(near))}, (premise, poly)
+            assert len(sup_lps) <= 1 + len(refutable), (premise, poly)
+            seen["other parts"] += bool(others)
+            seen["refuted other part"] += len(sup_lps) > 1
+        else:
+            assert len(sup_lps) == 1, (premise, poly)
+        kinds = [is_sup for is_sup, _ in lps]  # entails: one supremum, then refutations
+        assert kinds[1:] == [False] * (len(lps) - 1), (premise, poly)
+        assert len(lps) <= 1 + len(parts), (premise, poly)
+    assert min(seen["free variable"], seen["other parts"], seen["refuted other part"]) >= 5, seen
+
+
 # --- every soundness verdict is backed by checked multipliers ----------------
 
 
@@ -501,8 +619,10 @@ def test_corrupted_farkas_certificate_with_negative_multiplier_raises(monkeypatc
 
 
 def test_corrupted_farkas_certificate_on_a_part_raises(monkeypatch):
-    """The refutation of one part is checked against that part: a perturbed
-    multiplier on the x-part fails, and the y-part is not in the message.
+    """Each part's proof is checked against that part alone.  The
+    refutation of the x-part fails on a perturbed multiplier, and the
+    y-part is not in the message; a supremum over y is solved on the
+    y-part first, whose check fails naming only it.
     Uses no ``assert``, so it checks the same under ``python -O``."""
     premise = Constraint(
         [Atom(PX, ">=", 1), Atom(PX, "<=", 0), Atom(PY, ">=", 0), Atom(PY, "<=", 3)]
@@ -519,12 +639,45 @@ def test_corrupted_farkas_certificate_on_a_part_raises(monkeypatch):
     entails.cache_clear()
     monkeypatch.setattr(linear.ratlp, "solve_lp", corrupted)
     x_part = r"Farkas multipliers do not \w+ 1 <= x && x <= 0(?! &&)"
+    y_part = r"Farkas multipliers do not \w+ 0 <= y && y <= 3(?! &&)[^x]*$"
     with pytest.raises(AssertionError, match=x_part):
         constraint_satisfiability(premise)
-    with pytest.raises(AssertionError, match=x_part):
+    with pytest.raises(AssertionError, match=y_part):
         entails(premise, Atom(PY, "<=", 2))
-    with pytest.raises(AssertionError, match=x_part):
+    with pytest.raises(AssertionError, match=y_part):
         expression_bounds(premise, PY)
+
+
+def test_corrupted_farkas_certificate_on_the_conclusions_parts_raises(monkeypatch):
+    """The supremum LP over the conclusion's parts is checked against those
+    parts: a perturbed multiplier fails for a supremum and for both kinds
+    of entailed atom, and the message names the x- and y-parts but not the
+    z-part beside them.  Uses no ``assert``, so it checks the same under
+    ``python -O``."""
+    premise = Constraint(
+        [Atom(PX, ">=", 0), Atom(PX, "<=", 3), Atom(PY, ">=", PX), Atom(PY, "<=", 5)]
+        + [Atom(PZ, ">=", 1), Atom(PZ, "<=", 4)]
+    )
+    solve_lp = linear.ratlp.solve_lp
+
+    def corrupted(constraints, objective=None, extra_variables=()):
+        result = solve_lp(constraints, objective, extra_variables)
+        if result.assignment is not None:
+            first = min(k for k in result.assignment if k[0] == "lam")
+            result.assignment[first] += 1
+        return result
+
+    entails.cache_clear()
+    monkeypatch.setattr(linear.ratlp, "solve_lp", corrupted)
+    x_and_y_parts = r"^Farkas multipliers do not combine (?=[^\n]*x <= 3)(?=[^\n]*y <= 5)[^z]*$"
+    with pytest.raises(AssertionError, match=x_and_y_parts):
+        linear.expression_sup(premise, PX + PY)
+    with pytest.raises(AssertionError, match=x_and_y_parts):
+        entails(premise, Atom(PX + PY, "<=", 8))
+    with pytest.raises(AssertionError, match=x_and_y_parts):
+        entails(premise, Atom(PY - PX - 5, "=", 0))
+    with pytest.raises(AssertionError, match=x_and_y_parts):
+        expression_bounds(premise, PX - PY)
 
 
 def test_sixteen_inequalities_in_six_variables():
