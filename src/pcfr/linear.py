@@ -151,7 +151,8 @@ def _certified_sup(
             residual[v] = residual.get(v, Fraction(0)) - lam * c
         bound -= lam * a_const
     if any(residual.values()):
-        raise AssertionError(f"Farkas multipliers do not combine {premise} into {lin}")
+        conclusion = sum((c * Polynomial.var(v) for v, c in lin.items()), Polynomial())
+        raise AssertionError(f"Farkas multipliers do not combine {premise} into {conclusion}")
     return bound
 
 

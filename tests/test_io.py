@@ -126,6 +126,10 @@ PARSE_ERRORS = [
                  "3:32: unexpected character '$'", id="character"),
     pytest.param(parse_program, HEADER + "trans t { from l0; guard x + 1; to l1; }\n",
                  "3:31: expected a relation, found ';'", id="relation"),
+    pytest.param(parse_program, HEADER + "trans t { to l1; }\n",
+                 "3:11: expected 'from', found 'to'", id="from"),
+    pytest.param(parse_program, HEADER + "trans t { from l0; guard x > 0 to l1; }\n",
+                 "3:32: expected ';' after constraint", id="guard-end"),
     pytest.param(parse_program, HEADER + "trans t { from l0; guard x ^ y > 0; to l1; }\n",
                  "3:30: exponent must be an integer literal", id="exponent"),
     pytest.param(parse_program, HEADER + "trans t { from l0; guard x ^ 17 > 0; to l1; }\n",
@@ -352,12 +356,12 @@ def test_cli_unknown_flag_exits_2(capsys):
     assert err.value.code == 2
 
 
-def test_cli_parse_error_exits_2(capsys, tmp_path):
-    bad = tmp_path / "bad.pip"
-    bad.write_text("vars x;\nstart l0;\ntrans { broken }\n")
-    code, _, err = _run(capsys, "bound", str(bad))
-    assert code == 2
-    assert "expected" in err
+def test_cli_parse_error_exits_2(capsys, monkeypatch, tmp_path):
+    """One line: the path as given, then the parser's line:column: message."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.pip").write_text("vars x;\nstart l0;\ntrans { broken }\n")
+    err = _usage_error(capsys, "bound", "bad.pip")
+    assert err == "pcfr: bad.pip: 3:7: expected an identifier, found '{'\n"
 
 
 def test_cli_missing_state_exits_2(capsys):
@@ -438,11 +442,12 @@ def _usage_error(capsys, *argv):
 
 FIG1_RUN = ("programs/fig1.pip", "--state", "x=0, y=2")
 FIG1_EMBED = ("programs/fig1.pip", "--config", "programs/fig1.cfr.json")
+FIG1_S = {"S": ["t1a", "t1b", "t2", "t3"]}
 LONG = "1" * 5000  # above the interpreter's 4,300-digit conversion limit
-# (argv, config, stderr): a config is an object, or its bytes where json
-# cannot write them.  A value given twice in --temp-values or config
-# temp_values is named like a state variable assigned twice; it would list
-# every scheduler candidate once per repeat.
+# (argv, config, stderr): a config is a value for json to write, or the
+# file's bytes where json cannot write them.  A value given twice in
+# --temp-values or config temp_values is named like a state variable
+# assigned twice; it would list every scheduler candidate once per repeat.
 USAGE_ERRORS = [
     pytest.param(("enumerate", "programs/fig1.pip", "--state", "x=0, y=2, yy=3"), None,
                  "pcfr: initial state names unknown variable 'yy'\n", id="state-unknown"),
@@ -480,6 +485,27 @@ USAGE_ERRORS = [
                  "pcfr: state_cap must be nonnegative\n", id="mdp-sup-state-cap"),
     pytest.param(("check-embedding", *FIG1_EMBED, "--path-cap", "-1"), None,
                  "pcfr: path_cap must be nonnegative\n", id="check-embedding-path-cap"),
+    pytest.param(("enumerate", "programs/fig1.pip", "--state", "x=0"), None,
+                 "pcfr: initial state does not bind y\n", id="state-unbound"),
+    pytest.param(("enumerate", "programs/fig1.pip"), {"state": 3},
+                 "pcfr: state must be an object or a string, got 3\n", id="state-type"),
+    pytest.param(("enumerate", *FIG1_RUN), b"horizon: 3",
+                 "pcfr: config is not valid JSON: Expecting value: line 1 column 1 (char 0)\n",
+                 id="config-not-json"),
+    pytest.param(("enumerate", *FIG1_RUN), [3],
+                 "pcfr: config must be a JSON object\n", id="config-not-object"),
+    pytest.param(("invariants", "no-such-program.pip"), None,
+                 "pcfr: cannot read program: [Errno 2] No such file or directory:"
+                 " 'no-such-program.pip'\n", id="program-unreadable"),
+    pytest.param(("export-dot", "programs/fig1.pip", "--out", "no-such-directory/out.dot"), None,
+                 "pcfr: cannot write output: [Errno 2] No such file or directory:"
+                 " 'no-such-directory/out.dot'\n", id="out-unwritable"),
+    pytest.param(("refine", "programs/fig1.pip"), None,
+                 "pcfr: a refinement set is required (--S or config 'S')\n", id="refine-no-S"),
+    pytest.param(("refine", "programs/fig1.pip"), {**FIG1_S, "alpha": ["x = 0"]},
+                 "pcfr: config alpha must map location names to atom lists\n", id="alpha-list"),
+    pytest.param(("refine", "programs/fig1.pip"), {**FIG1_S, "alpha": {"l9": ["x = 0"]}},
+                 "pcfr: config alpha names unknown location 'l9'\n", id="alpha-location"),
 ]
 
 
@@ -526,7 +552,6 @@ def test_cli_file_not_utf8_names_the_file_and_offset(
     assert _usage_error(capsys, *argv) == message
 
 
-FIG1_S = {"S": ["t1a", "t1b", "t2", "t3"]}
 BAD_SETTINGS = [
     pytest.param(("enumerate", *FIG1_RUN, "--temp-values", "a"), None, None, id="temp-values"),
     pytest.param(("enumerate", *FIG1_RUN, "--temp-values", ""), None, None,

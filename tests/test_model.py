@@ -17,7 +17,7 @@ from pcfr.model import (
     reach,
     validate,
 )
-from pcfr.syntax import Atom, Constraint, Polynomial, Update, pv
+from pcfr.syntax import Atom, Constraint, Polynomial, Update, pv, tmp
 
 
 def test_worked_example_validates(fig1):
@@ -54,6 +54,34 @@ def test_target_is_initial_reported(fig1):
     )
     issues = validate(broken)
     assert any("target is initial location" in issue for issue in issues)
+
+
+def test_each_validation_rule_names_what_breaks_it(fig1):
+    """A program that breaks one rule gets that rule's messages alone."""
+    l2, l9 = fig1.location("l2"), Location("l9")
+
+    def changed(**members):
+        """fig1 with each named transition's fields replaced."""
+        gts = [
+            GeneralTransition(g.name, tuple(replace(t, **members.get(t.name, {})) for t in g))
+            for g in fig1.gts
+        ]
+        return PIP(fig1.program_vars, fig1.locations, fig1.initial, gts)
+
+    cases = [
+        (PIP(fig1.program_vars, fig1.locations, l9, fig1.gts),
+         ["initial location 'l9' not among locations"]),
+        (PIP((*fig1.program_vars, tmp("w")), fig1.locations, fig1.initial, fig1.gts),
+         ["program variable 'w' declared with kind temporary"]),
+        (changed(t1a={"source": l2}), ["gt {t1a,t1b} members have differing sources"]),
+        (changed(t1a={"guard": Constraint()}), ["gt {t1a,t1b} members have differing guards"]),
+        (changed(t1a={"prob": Fraction(3, 2)}, t1b={"prob": Fraction(-1, 2)}),
+         ["transition 't1a' has probability 3/2", "transition 't1b' has probability -1/2"]),
+        (changed(t3={"source": l9}), ["transition 't3': unknown source 'l9'"]),
+        (changed(t0={"target": l9}), ["transition 't0': unknown target 'l9'"]),
+    ]
+    for broken, issues in cases:
+        assert validate(broken) == issues
 
 
 def test_transition_in_two_gts_rejected_at_construction(fig1):

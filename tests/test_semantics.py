@@ -928,6 +928,8 @@ def test_semantic_queries_reject_out_of_range_arguments(fig1, fig1_refined):
         check_embedding(fig1, pruned, policy, sigma0, -1)
     with pytest.raises(ValueError, match="horizon"):
         mdp_sup_truncated(fig1, sigma0, -1, (1,))
+    with pytest.raises(ValueError, match="^temp_values must be nonempty$"):
+        mdp_sup_truncated(fig1, sigma0, 3, ())
     with pytest.raises(ValueError, match="sample"):
         monte_carlo(fig1, policy, sigma0, 0, 100, 1)
     with pytest.raises(ValueError, match="step_cap"):
