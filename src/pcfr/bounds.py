@@ -688,12 +688,16 @@ def compose_bound(
     return RuntimeBound(tuple(entries))
 
 
-def _check_partition(p: PIP, groups: Sequence[Iterable[str]]) -> None:
-    """Raise CoverError unless every general transition is in exactly one
-    group."""
+def _check_partition(p: PIP, groups: Sequence[Sequence[str]]) -> None:
+    """Raise CoverError unless every group is nonempty and every general
+    transition is in exactly one group."""
     seen: dict[str, int] = {}
     for index, names in enumerate(groups):
+        if not names:
+            raise CoverError(f"cover entry {index} is empty")
         for name in names:
+            if seen.get(name) == index:
+                raise CoverError(f"cover entry {index} names '{name}' twice")
             if name in seen:
                 raise CoverError(
                     f"general transition '{name}' covered by entries {seen[name]} and {index}"

@@ -195,7 +195,9 @@ def _state(args, config: dict, program: PIP) -> dict:
 
 def _layer_atoms(config: dict, key: str, program: PIP) -> dict | None:
     """Config ``alpha`` or ``alpha_extra``: location -> parsed atoms."""
-    value = config.get(key) or {}
+    value = config.get(key)
+    if value is None:
+        return None
     if not isinstance(value, dict):
         raise ValueError(f"config {key} must map location names to atom lists")
     atoms = {}

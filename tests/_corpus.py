@@ -1,16 +1,26 @@
-"""Shared program builders and a deterministic random-program generator."""
+"""Shared program builders, a deterministic random-program generator, and
+the programs of the benchmark's own generators (``perfbench/inputs.py``,
+loaded here and nowhere else under ``tests/``)."""
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import random
+from collections.abc import Sequence
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
+from pcfr.abstraction import heuristic_layers
+from pcfr.invariants import InvariantMap, infer
 from pcfr.model import PIP, GeneralTransition, Location, Transition
+from pcfr.refine import prune, refine
 from pcfr.syntax import TRUE, Atom, Constraint, Polynomial, Update, pv, tmp
 from pcfr.textfmt import parse_program
 
-PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
+ROOT = Path(__file__).resolve().parent.parent
+PROGRAMS = ROOT / "programs"
 
 X, Y = pv("x"), pv("y")
 U = tmp("u")
@@ -49,8 +59,6 @@ def fig1() -> PIP:
 
 def paper_layers(p: PIP):
     """The worked example's abstraction layer: {x=0} at l1 and l2, none at l0."""
-    from pcfr.abstraction import heuristic_layers
-
     x_eq_0 = Atom(PX, "=", 0)
     return heuristic_layers(
         p,
@@ -61,13 +69,6 @@ def paper_layers(p: PIP):
             p.location("l2"): [x_eq_0],
         },
     )
-
-
-def refined_fig1():
-    from pcfr.refine import refine_and_prune
-
-    p = fig1()
-    return p, refine_and_prune(p, ["t1a", "t1b", "t2", "t3"], paper_layers(p))
 
 
 def random_pip(rng: random.Random, max_locations: int = 3, max_vars: int = 2) -> PIP:
@@ -155,45 +156,48 @@ def differential_programs():
         yield p, random_sigma0(rng, p)
 
 
-def population(n: int) -> list[PIP]:
-    """The first ``n`` programs of the benchmark's ``refine-corpus``
-    population, generated by ``perfbench/inputs.py``."""
-    import importlib.util
-
-    path = PROGRAMS.parent / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("_perfbench_inputs", path)
+@functools.cache
+def _inputs():
+    """``perfbench/inputs.py``, the benchmark's input generators."""
+    spec = importlib.util.spec_from_file_location("inputs", ROOT / "perfbench" / "inputs.py")
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
+    return inputs
+
+
+def population(n: int) -> list[PIP]:
+    """The first ``n`` programs of the benchmark's ``refine-corpus``
+    population."""
     rng = random.Random("refine-corpus")
-    return [parse_program(inputs.random_program(rng)) for _ in range(n)]
+    return [parse_program(_inputs().random_program(rng)) for _ in range(n)]
 
 
-def chain(k: int) -> str:
-    """k copies of fig1's coin/countdown gadget in sequence, as ``.pip``
-    text: gadget i is entered through ``e{i}`` and left through ``out{i}``."""
-    names = ", ".join(f"x{i}, y{i}" for i in range(k))
-    lines = [f"vars {names};", "start a0;"]
-    for i in range(k):
-        after = f"a{i + 1}" if i + 1 < k else "done"
-        lines += [
-            f"trans e{i} {{ from a{i}; guard u > 0; update x{i} := u; to c{i}; }}",
-            f"gt coin{i} {{ from c{i}; guard x{i} > 0;",
-            f"  branch h{i} p=1/2 {{}} -> c{i};",
-            f"  branch z{i} p=1/2 {{ x{i} := 0 }} -> c{i}; }}",
-            f"trans d{i} {{ from c{i}; guard y{i} > 0 && x{i} = 0; to w{i}; }}",
-            f"trans s{i} {{ from w{i}; update y{i} := y{i} - 1; to c{i}; }}",
-            f"trans out{i} {{ from c{i}; guard y{i} <= 0 && x{i} = 0; to {after}; }}",
-        ]
-    return "\n".join(lines) + "\n"
+def gadget_chain(k: int) -> tuple[PIP, list[Transition]]:
+    """The benchmark's chain of k fig1 gadgets, with the refinement set it
+    is refined on: every transition but the entries ``e{i}``."""
+    p = parse_program(_inputs().chain(k))
+    return p, [t for t in p.transitions if not t.name.startswith("e")]
+
+
+class Refinement(NamedTuple):
+    """A program's refinement before pruning, that refinement's invariants,
+    and the refinement after pruning: the three stages of
+    ``refine_and_prune``."""
+
+    unpruned: PIP
+    inv: InvariantMap
+    pruned: PIP
+
+
+def refinement(p: PIP, s: Sequence[Transition] | None = None) -> Refinement:
+    """``p`` refined the ``pcfr refine`` way: on ``s`` (every transition by
+    default) with heuristic layers."""
+    s = list(p.transitions) if s is None else s
+    unpruned = refine(p, [t.name for t in s], heuristic_layers(p, s))
+    inv = infer(unpruned.program)
+    return Refinement(unpruned.program, inv, prune(unpruned, inv).program)
 
 
 def refined_chain(k: int) -> PIP:
-    """:func:`chain` refined on every transition but the entries, with
-    heuristic layers."""
-    from pcfr.abstraction import heuristic_layers
-    from pcfr.refine import refine_and_prune
-
-    p = parse_program(chain(k))
-    s = [t for t in p.transitions if not t.name.startswith("e")]
-    refined, _ = refine_and_prune(p, [t.name for t in s], heuristic_layers(p, s))
-    return refined.program
+    """:func:`gadget_chain` refined and pruned."""
+    return refinement(*gadget_chain(k)).pruned

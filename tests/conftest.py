@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import _corpus
@@ -29,3 +31,12 @@ def fig1_refined(fig1):
 @pytest.fixture(scope="session")
 def fig2(fig1_refined):
     return fig1_refined[0].program
+
+
+@pytest.fixture(scope="session")
+def random_2024():
+    """The 300 ``random_pip(Random(2024))`` programs, each with its
+    ``_corpus.refinement`` (before and after pruning)."""
+    rng = random.Random(2024)
+    programs = [_corpus.random_pip(rng) for _ in range(300)]
+    return [(p, _corpus.refinement(p)) for p in programs]

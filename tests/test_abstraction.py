@@ -7,7 +7,6 @@ from pcfr.model import outgoing
 from pcfr.refine import refine
 from pcfr.semantics import SeededPolicy, enumerate_paths
 from pcfr.syntax import TRUE, Atom, Constraint, Polynomial, Update, pv, tmp
-from pcfr.textfmt import parse_program
 
 X, Y = pv("x"), pv("y")
 PX, PY = Polynomial.var(X), Polynomial.var(Y)
@@ -139,7 +138,7 @@ def _assert_labels_literal(p, layers):
 
 def test_label_is_its_definition_on_refinements(fig1):
     rng = random.Random(5)
-    for p in [fig1, parse_program(_corpus.chain(2))] + [
+    for p in [fig1, _corpus.gadget_chain(2)[0]] + [
         _corpus.random_pip(rng) for _ in range(60)
     ]:
         _assert_labels_literal(p, heuristic_layers(p, p.transitions))

@@ -10,7 +10,6 @@ import pytest
 import _corpus
 import _reference_bounds
 from pcfr import bounds
-from pcfr.abstraction import heuristic_layers
 from pcfr.bounds import (
     AffineExpr,
     CoverError,
@@ -32,7 +31,6 @@ from pcfr.linear import (
     farkas_block,
 )
 from pcfr.model import PIP, GeneralTransition, Location, Transition
-from pcfr.refine import refine_and_prune
 from pcfr.semantics import SeededPolicy, expected_runtime_estimate, mdp_sup_truncated
 from pcfr.syntax import TRUE, Atom, Constraint, Polynomial, Update, pv
 from pcfr.textfmt import parse_program
@@ -129,9 +127,7 @@ def test_constant_synthesis_matches_farkas_encoding_on_random_corpus():
     unsat_premises = infeasible = 0
     for _ in range(30):
         p = _corpus.random_pip(rng)
-        s = list(p.transitions)
-        refined, _ = refine_and_prune(p, [t.name for t in s], heuristic_layers(p, s))
-        for q in (p, refined.program):
+        for q in (p, _corpus.refinement(p).pruned):
             inv = infer(q)
             unsat_premises += sum(
                 constraint_satisfiability(inv.of(g.source) & g.guard) is Satisfiability.UNSAT
@@ -317,6 +313,21 @@ def test_compose_rejects_double_cover(fig2):
         compose_bound(fig2, [((coin,), plrf), ((coin,), plrf)])
 
 
+def test_cover_entry_must_be_nonempty_and_name_each_transition_once(fig2):
+    """A partition has no empty block and no block naming a transition
+    twice; both are rejected, naming the entry, before any synthesis and
+    when composing."""
+    groups = [list(group) for group in default_cover(fig2)]
+    with pytest.raises(CoverError, match=f"^cover entry {len(groups)} is empty$"):
+        bound_program(fig2, groups + [[]])
+    first = groups[0][0]
+    with pytest.raises(CoverError, match=f"^cover entry 0 names '{first}' twice$"):
+        bound_program(fig2, [groups[0] + [first]] + groups[1:])
+    empty = find_constant_plrf(fig2, infer(fig2), [])
+    with pytest.raises(CoverError, match="^cover entry 0 is empty$"):
+        compose_bound(fig2, [((), empty)])
+
+
 def test_compose_rejects_tainted_certificate(fig1):
     plrf = find_linear_plrf(fig1, infer(fig1), ["coin"])
     with pytest.raises(TaintedCertificateError, match="temporary"):
@@ -329,31 +340,6 @@ def test_certificates_reverified_independently(fig2):
     for entry in report.bound.entries:
         failures, taints = verify_plrf(fig2, inv, entry.plrf)
         assert not failures and not taints
-
-
-# Fig1's coin/countdown gadget behind an entry transition, refined on every
-# transition but the entry with heuristic layers.
-CHAIN_K1 = """\
-vars x0, y0;
-start a0;
-trans e0 { from a0; guard u > 0; update x0 := u; to c0; }
-gt coin0 {
-  from c0;
-  guard x0 > 0;
-  branch h0 p=1/2 {} -> c0;
-  branch z0 p=1/2 { x0 := 0 } -> c0;
-}
-trans d0 { from c0; guard y0 > 0 && x0 = 0; to w0; }
-trans s0 { from w0; update y0 := y0 - 1; to c0; }
-trans out0 { from c0; guard y0 <= 0 && x0 = 0; to done; }
-"""
-
-
-def _chain_k1_refined() -> PIP:
-    p = parse_program(CHAIN_K1)
-    s = [t for t in p.transitions if t.name != "e0"]
-    refined, _ = refine_and_prune(p, [t.name for t in s], heuristic_layers(p, s))
-    return refined.program
 
 
 def test_certificates_are_pinned(fig2):
@@ -369,7 +355,7 @@ def test_certificates_are_pinned(fig2):
             ],
         ),
         "4 + 2*y0": (
-            _chain_k1_refined(),
+            _corpus.refined_chain(1),
             [
                 "{a0 -> 1, c0 -> 0, c0[1<=x0] -> 0, c0[x0=0] -> 0, "
                 "done[y0<=0&&x0=0] -> 0, w0[1<=y0&&x0=0] -> 0}",
@@ -496,7 +482,9 @@ def test_magnitude_solves_do_not_fall_back(monkeypatch, fig2):
 _PROVEN_FIXED_WITHOUT_PRESOLVE = 141
 
 
-def test_presolved_synthesis_solves_match_explicit_formulation(monkeypatch, fig1, fig2):
+def test_presolved_synthesis_solves_match_explicit_formulation(
+    monkeypatch, fig1, fig2, random_2024
+):
     """Every magnitude LP without a first objective (affine, or a pinned
     constant one) of fig1, fig2, the refined chain for k = 1..4 and 300
     ``random_pip(Random(2024))`` programs, unrefined and refined, runs on
@@ -506,12 +494,8 @@ def test_presolved_synthesis_solves_match_explicit_formulation(monkeypatch, fig1
     from test_ratlp import _compare_magnitude_solves, _sign_split, _synthesis_lps
 
     programs = [fig1, fig2] + [_corpus.refined_chain(k) for k in range(1, 5)]
-    rng = random.Random(2024)
-    for _ in range(300):
-        p = _corpus.random_pip(rng)
-        s = list(p.transitions)
-        refined, _ = refine_and_prune(p, [t.name for t in s], heuristic_layers(p, s))
-        programs += [p, refined.program]
+    for p, r in random_2024:
+        programs += [p, r.pruned]
     proven = 0
     for program in programs:
         for constraints, keys in _synthesis_lps(monkeypatch, program):
@@ -766,14 +750,10 @@ def test_bound_synthesis_pivots_on_the_refined_chain(monkeypatch):
         assert len(pivots) == want, k
 
 
-def test_bound_program_matches_reference_on_random_programs(monkeypatch):
-    rng = random.Random(2024)
+def test_bound_program_matches_reference_on_random_programs(monkeypatch, random_2024):
     bounded = affine = skipped = 0
-    for _ in range(300):
-        p = _corpus.random_pip(rng)
-        s = list(p.transitions)
-        refined, _ = refine_and_prune(p, [t.name for t in s], heuristic_layers(p, s))
-        for q in (p, refined.program):
+    for p, r in random_2024:
+        for q in (p, r.pruned):
             report, lps, _, retries = _assert_same_as_reference(monkeypatch, q)
             bounded += report.ok
             affine += len(lps)

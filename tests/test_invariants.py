@@ -146,32 +146,19 @@ def _assert_same_as_reference(p):
     assert infer(p).inv == _reference_invariants.infer(p).inv
 
 
-def _refined_before_pruning(p, s=None):
-    from pcfr.abstraction import heuristic_layers
-    from pcfr.refine import refine
-
-    s = list(p.transitions) if s is None else s
-    return refine(p, [t.name for t in s], heuristic_layers(p, s)).program
-
-
 def test_infer_matches_reference_on_figures_and_chains(fig1, fig1_parsed, fig2, fig2_parsed):
-    from pcfr.textfmt import parse_program
-
     programs = [fig1, fig1_parsed, fig2, fig2_parsed]
     for k in range(1, 5):
-        p = parse_program(_corpus.chain(k))
-        entries_kept = [t for t in p.transitions if not t.name.startswith("e")]
-        programs += [p, _refined_before_pruning(p, entries_kept)]
+        p, s = _corpus.gadget_chain(k)
+        programs += [p, _corpus.refinement(p, s).unpruned]
     for p in programs:
         _assert_same_as_reference(p)
 
 
-def test_infer_matches_reference_on_random_programs():
-    rng = random.Random(2024)
-    for _ in range(300):
-        p = _corpus.random_pip(rng)
+def test_infer_matches_reference_on_random_programs(random_2024):
+    for p, r in random_2024:
         _assert_same_as_reference(p)
-        _assert_same_as_reference(_refined_before_pruning(p))
+        _assert_same_as_reference(r.unpruned)
 
 
 def _program(edges):
@@ -358,12 +345,9 @@ def _live_and_full_prune_alike(r):
 def test_live_invariants_prune_as_full_universe_reference(fig1, fig2):
     from pcfr.abstraction import heuristic_layers
     from pcfr.refine import refine
-    from pcfr.textfmt import parse_program
 
     programs = [(fig1, fig1.transitions), (fig2, fig2.transitions)]
-    for k in range(1, 5):
-        p = parse_program(_corpus.chain(k))
-        programs.append((p, [t for t in p.transitions if not t.name.startswith("e")]))
+    programs += [_corpus.gadget_chain(k) for k in range(1, 5)]
     programs += [(p, p.transitions) for p, _ in _corpus.differential_programs()]
     programs += [(p, p.transitions) for p in _corpus.population(100)]
     shrunk = 0

@@ -226,6 +226,21 @@ def test_every_traced_name_resolves():
     assert not missing, missing
 
 
+def test_digest_families_match_the_pinned_lines():
+    """Each family of ``tests/_digest.py`` has the name and program count
+    that its line of ``tests/digests.txt`` starts with, so a renamed or
+    resized family fails here and not first in the digest diff.  Nothing
+    is refined or bounded."""
+    import _digest
+
+    programs = _digest.families()
+    want = [_digest.heading(programs, family, refined) for family, refined in _digest.BOUND_LINES]
+    want += [_digest.heading(programs, family) for family in _digest.RECORD_LINES]
+    pinned = (ROOT / "tests" / "digests.txt").read_text().splitlines()
+    assert pinned.pop(len(_digest.BOUND_LINES)).startswith("magnitude solves: ")
+    assert [line.rsplit(", ", 1)[0] for line in pinned] == want
+
+
 def test_parse_constraint_and_atom(fig1_parsed):
     c = parse_constraint("x > 0 && y <= 3", fig1_parsed)
     assert len(c.atoms) == 2
@@ -504,8 +519,32 @@ USAGE_ERRORS = [
                  "pcfr: a refinement set is required (--S or config 'S')\n", id="refine-no-S"),
     pytest.param(("refine", "programs/fig1.pip"), {**FIG1_S, "alpha": ["x = 0"]},
                  "pcfr: config alpha must map location names to atom lists\n", id="alpha-list"),
+    pytest.param(("refine", "programs/fig1.pip"), {**FIG1_S, "alpha": []},
+                 "pcfr: config alpha must map location names to atom lists\n",
+                 id="alpha-empty-list"),
+    pytest.param(("refine", "programs/fig1.pip"), {**FIG1_S, "alpha": ""},
+                 "pcfr: config alpha must map location names to atom lists\n",
+                 id="alpha-empty-string"),
+    pytest.param(("refine", "programs/fig1.pip"), {**FIG1_S, "alpha": 0},
+                 "pcfr: config alpha must map location names to atom lists\n",
+                 id="alpha-zero"),
+    pytest.param(("refine", "programs/fig1.pip"), {**FIG1_S, "alpha": False},
+                 "pcfr: config alpha must map location names to atom lists\n",
+                 id="alpha-false"),
+    pytest.param(("refine", "programs/fig1.pip"), {**FIG1_S, "alpha_extra": []},
+                 "pcfr: config alpha_extra must map location names to atom lists\n",
+                 id="alpha_extra-empty-list"),
+    pytest.param(("refine", "programs/fig1.pip"), {**FIG1_S, "alpha_extra": False},
+                 "pcfr: config alpha_extra must map location names to atom lists\n",
+                 id="alpha_extra-false"),
     pytest.param(("refine", "programs/fig1.pip"), {**FIG1_S, "alpha": {"l9": ["x = 0"]}},
                  "pcfr: config alpha names unknown location 'l9'\n", id="alpha-location"),
+    pytest.param(("bound", "programs/fig2.pip"),
+                 {"cover": [["t0p"], ["coinp"], ["t2p", "t3p"], []]},
+                 "pcfr: cover entry 3 is empty\n", id="cover-entry-empty"),
+    pytest.param(("bound", "programs/fig2.pip"),
+                 {"cover": [["t0p", "t0p"], ["coinp"], ["t2p", "t3p"]]},
+                 "pcfr: cover entry 0 names 't0p' twice\n", id="cover-entry-repeats"),
 ]
 
 

@@ -574,15 +574,10 @@ def test_one_probe_sends_cancelling_moves_to_the_explicit_lp(monkeypatch):
     whose vertex gives every key the one value that the explicit
     formulation, capped at the optimum, allows.  No solve runs more than
     the one probe."""
-    from pcfr.abstraction import heuristic_layers
-    from pcfr.refine import refine_and_prune
-
     rng = random.Random(777)
     for _ in range(159):
         p = _corpus.random_pip(rng)
-    s = [t.name for t in p.transitions]
-    refined, _ = refine_and_prune(p, s, heuristic_layers(p, list(p.transitions)))
-    lps = _synthesis_lps(monkeypatch, refined.program)
+    lps = _synthesis_lps(monkeypatch, _corpus.refinement(p).pruned)
     probes = []
     simplex, keys_fixed = ratlp._simplex, ratlp._keys_fixed
 
